@@ -49,12 +49,14 @@
 //              compares paper rows against smoke rows.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,6 +67,7 @@
 #include "common/perf_counters.hpp"
 #include "common/topology.hpp"
 #include "dlht/dlht.hpp"
+#include "dlht/durability.hpp"
 #include "workload/driver.hpp"
 
 namespace dlht::bench {
@@ -201,16 +204,6 @@ inline Options apply_env_knobs(Options o) {
     if (std::strstr(env, "noinplace")) o.ablation.inplace_updates = false;
     if (std::strstr(env, "nosimd")) o.ablation.simd_probe = false;
   }
-  if (const char* env = std::getenv("DLHT_WAL_FSYNC_OPS")) {
-    char* end = nullptr;
-    const auto f = std::strtoull(env, &end, 10);
-    if (end != env) o.wal_fsync_interval_ops = f;
-  }
-  if (const char* env = std::getenv("DLHT_WAL_COMMIT_US")) {
-    char* end = nullptr;
-    const auto f = std::strtoull(env, &end, 10);
-    if (end != env) o.wal_group_commit_us = static_cast<std::uint32_t>(f);
-  }
   return o;
 }
 
@@ -219,6 +212,25 @@ inline Options apply_env_knobs(Options o) {
 inline std::string wal_dir_or(const char* fallback) {
   if (const char* env = std::getenv("DLHT_WAL_DIR")) return env;
   return fallback;
+}
+
+/// Durable-tier options for `dir` with the group-commit env knobs applied:
+/// DLHT_WAL_FSYNC_OPS (records per shard-local fsync) and
+/// DLHT_WAL_COMMIT_US (committer interval, 0 = no committer thread).
+inline DurabilityOptions durability_options(std::string dir) {
+  DurabilityOptions d;
+  d.dir = std::move(dir);
+  if (const char* env = std::getenv("DLHT_WAL_FSYNC_OPS")) {
+    char* end = nullptr;
+    const auto f = std::strtoull(env, &end, 10);
+    if (end != env) d.wal_fsync_interval_ops = f;
+  }
+  if (const char* env = std::getenv("DLHT_WAL_COMMIT_US")) {
+    char* end = nullptr;
+    const auto f = std::strtoull(env, &end, 10);
+    if (end != env) d.wal_group_commit_us = static_cast<std::uint32_t>(f);
+  }
+  return d;
 }
 
 // --------------------------------------------------------- scale profiles
@@ -767,6 +779,45 @@ inline void print_row(const char* figure, const std::string& series, double x,
 /// check that the paper's qualitative claim holds on this machine.
 inline void check_shape(const char* claim, bool holds) {
   std::printf("# shape %-4s: %s\n", holds ? "PASS" : "WARN", claim);
+}
+
+/// Paired measurement for a shape check, on the calling thread. A
+/// shared-CPU host has +-15% interference noise at the tens-of-milliseconds
+/// scale, so back-to-back timed trials compare different interference eras
+/// and the ratio under test moves by more than the effect. Instead the
+/// workers take turns in ~2 ms slices across the whole window (after one
+/// untimed warm-up round): a noise burst lands on every side nearly
+/// equally. Each call of a worker does some ops and returns how many; the
+/// clock is read once per 8 calls, so timing overhead stays equal and
+/// small for every side. Returns Mops/s per worker: total ops / total
+/// in-slice time, over at least 0.1 s of slices per worker.
+inline std::vector<double> interleaved_mops(
+    std::vector<std::function<std::size_t()>>& workers, double seconds_each) {
+  using clk = std::chrono::steady_clock;
+  constexpr double kSliceSecs = 0.002;
+  const int rounds = std::max(
+      1, static_cast<int>(std::max(seconds_each, 0.1) / kSliceSecs));
+  std::vector<double> ops(workers.size(), 0.0);
+  std::vector<double> secs(workers.size(), 0.0);
+  for (int r = -1; r < rounds; ++r) {
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      std::size_t done = 0;
+      const auto t0 = clk::now();
+      auto t1 = t0;
+      do {
+        for (int k = 0; k < 8; ++k) done += workers[i]();
+        t1 = clk::now();
+      } while (std::chrono::duration<double>(t1 - t0).count() < kSliceSecs);
+      if (r < 0) continue;
+      ops[i] += static_cast<double>(done);
+      secs[i] += std::chrono::duration<double>(t1 - t0).count();
+    }
+  }
+  std::vector<double> mops(workers.size());
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    mops[i] = ops[i] / secs[i] / 1e6;
+  }
+  return mops;
 }
 
 }  // namespace dlht::bench

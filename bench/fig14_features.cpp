@@ -13,8 +13,12 @@
 // Each config reports Get and PutHeavy throughput; NoLinkChains also
 // reports how much of the key set it could hold at all (the capacity the
 // chains buy). The same toggles are reachable in every bench via
-// DLHT_ABLATION=nofp,nolink,noinplace,nosimd,nobatch.
+// DLHT_ABLATION=nofp,nolink,noinplace,nosimd,nobatch. The timing shape
+// checks compare Default with each ablation in interleaved slices
+// (bench::interleaved_mops), so host drift hits both sides alike.
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
 
 #include "bench_maps.hpp"
@@ -24,36 +28,35 @@ using namespace dlht::bench;
 
 namespace {
 
-struct ConfigResult {
-  double get = 0;
-  double putheavy = 0;
-  double populated_pct = 0;
-};
+std::unique_ptr<InlinedMap> populated(const Options& opts,
+                                      std::uint64_t keys) {
+  auto m = std::make_unique<InlinedMap>(opts);
+  workload::populate(*m, keys);
+  return m;
+}
 
-ConfigResult bench_config(const char* name, const Args& args,
-                          const Options& opts, bool batched) {
+/// Share of the key set the table could hold.
+double populated_pct(const InlinedMap& m, std::uint64_t keys) {
+  return 100.0 * static_cast<double>(m.approx_size()) /
+         static_cast<double>(keys);
+}
+
+void bench_config(const char* name, const Args& args, InlinedMap& m,
+                  bool batched) {
   const std::uint64_t keys = args.keys;
   const int threads = args.threads_list.back();
   const double secs = args.seconds();
 
-  InlinedMap m(opts);
-  workload::populate(m, keys);
-  ConfigResult r;
-  r.populated_pct = 100.0 * static_cast<double>(m.approx_size()) /
-                    static_cast<double>(keys);
-
-  r.get = batched
-              ? run_tput(threads, secs,
+  const double get =
+      batched ? run_tput(threads, secs,
                          workload::make_get_batch_worker(m, keys,
                                                          kDefaultBatch, 7))
               : run_tput(threads, secs, workload::make_get_worker(m, keys, 7));
-  print_row("fig14", std::string(name) + "/Get", 0, r.get, "Mreq/s");
+  print_row("fig14", std::string(name) + "/Get", 0, get, "Mreq/s");
 
-  r.putheavy = run_tput(threads, secs,
-                        workload::make_putheavy_worker(m, keys, 9));
-  print_row("fig14", std::string(name) + "/PutHeavy", 0, r.putheavy,
-            "Mreq/s");
-  return r;
+  const double putheavy = run_tput(
+      threads, secs, workload::make_putheavy_worker(m, keys, 9));
+  print_row("fig14", std::string(name) + "/PutHeavy", 0, putheavy, "Mreq/s");
 }
 
 }  // namespace
@@ -61,47 +64,66 @@ ConfigResult bench_config(const char* name, const Args& args,
 int main(int argc, char** argv) {
   Args args = parse_args(argc, argv);
   args.keys = std::min<std::uint64_t>(args.keys, 1u << 20);
+  const std::uint64_t keys = args.keys;
   print_header("fig14", "feature ablations (one disabled at a time)");
 
-  const Options base = dlht_options(args.keys);
-
-  const ConfigResult def = bench_config("Default", args, base, true);
-
+  const Options base = dlht_options(keys);
   Options nofp = base;
   nofp.ablation.fingerprints = false;
-  const ConfigResult no_fp = bench_config("NoFingerprints", args, nofp, true);
-
   Options nolink = base;
   nolink.ablation.link_chains = false;
-  const ConfigResult no_link =
-      bench_config("NoLinkChains", args, nolink, true);
-  print_row("fig14", "NoLinkChains/populated", 0, no_link.populated_pct, "%");
-
   Options noip = base;
   noip.ablation.inplace_updates = false;
-  const ConfigResult no_ip = bench_config("NoInplace", args, noip, true);
-
   Options nosimd = base;
   nosimd.ablation.simd_probe = false;
-  const ConfigResult no_simd =
-      bench_config("NoSimdProbe", args, nosimd, true);
 
-  const ConfigResult no_batch = bench_config("NoBatch", args, base, false);
+  // Tables the paired shape checks below reuse stay alive.
+  const auto def_map = populated(base, keys);
+  const auto nofp_map = populated(nofp, keys);
+  const auto noip_map = populated(noip, keys);
+  const auto nosimd_map = populated(nosimd, keys);
+
+  bench_config("Default", args, *def_map, true);
+  bench_config("NoFingerprints", args, *nofp_map, true);
+  double nolink_pct = 0;
+  {
+    const auto nolink_map = populated(nolink, keys);
+    bench_config("NoLinkChains", args, *nolink_map, true);
+    nolink_pct = populated_pct(*nolink_map, keys);
+  }
+  print_row("fig14", "NoLinkChains/populated", 0, nolink_pct, "%");
+  bench_config("NoInplace", args, *noip_map, true);
+  bench_config("NoSimdProbe", args, *nosimd_map, true);
+  bench_config("NoBatch", args, *def_map, false);
+
+  // Paired per-op costs, one thread: Default's batched Gets against each
+  // Get ablation, and Default's PutHeavy against shadow-write puts.
+  std::vector<std::function<std::size_t()>> gets = {
+      workload::make_get_batch_worker(*def_map, keys, kDefaultBatch, 7)(0),
+      workload::make_get_batch_worker(*nofp_map, keys, kDefaultBatch, 7)(0),
+      workload::make_get_batch_worker(*nosimd_map, keys, kDefaultBatch, 7)(0),
+      workload::make_get_worker(*def_map, keys, 7)(0)};
+  const std::vector<double> get = interleaved_mops(gets, args.seconds());
+  std::vector<std::function<std::size_t()>> puts = {
+      workload::make_putheavy_worker(*def_map, keys, 9)(0),
+      workload::make_putheavy_worker(*noip_map, keys, 9)(0)};
+  const std::vector<double> put = interleaved_mops(puts, args.seconds());
+  std::printf("# paired slices (Mreq/s): Get default %.2f nofp %.2f nosimd "
+              "%.2f nobatch %.2f; PutHeavy default %.2f noinplace %.2f\n",
+              get[0], get[1], get[2], get[3], put[0], put[1]);
 
   // The deterministic claims: chains buy capacity (a bounded index cannot
   // hold the whole key set), and in-place updates are cheaper than the
   // three-lock shadow republish. The rest are cache-sensitive: report them
   // as warnings at smoke scale.
   check_shape("link chains buy capacity (full population needs them)",
-              def.populated_pct > 99.9 && no_link.populated_pct < 99.9);
-  check_shape("in-place updates beat shadow-write puts",
-              def.putheavy > no_ip.putheavy);
-  check_shape("fingerprints speed up probes",
-              def.get > no_fp.get);
+              populated_pct(*def_map, keys) > 99.9 && nolink_pct < 99.9);
+  check_shape("in-place updates beat shadow-write puts", put[0] > put[1]);
+  check_shape("fingerprints speed up probes", get[0] > get[1]);
   // Equal when the host dispatches SWAR anyway (no SIMD to ablate).
   check_shape("SIMD probe >= SWAR probe on batched Gets",
-              def.get >= no_simd.get * 0.95);
+              get[0] >= get[2] * 0.95);
   check_shape("batched Gets beat scalar (DRAM-resident tables)",
-              def.get > no_batch.get);
+              get[0] > get[3]);
   return 0;
 }

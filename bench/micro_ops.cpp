@@ -7,7 +7,6 @@
 // claim at the heart of the paper. Pass --full to also run the
 // google-benchmark op-cost suite (when the library is available).
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <memory>
 
@@ -355,52 +354,25 @@ void run_probe_sweep(const bench::Args& args) {
     workload::populate(*tables.back(), args.keys);
   }
 
-  // Fine-grained interleaved measurement. A shared-CPU runner has ±15%
-  // interference noise at the tens-of-milliseconds scale, so exclusive
-  // per-engine timed trials compare different interference eras and the
-  // ratio under test moves by more than the effect. Instead the engines
-  // take turns in ~2 ms slices across the whole window: a noise burst
-  // lands on every engine nearly equally (the standard paired-comparison
-  // design), and per-engine throughput is total ops / total in-slice
-  // time. The inner 8-call unroll keeps the clock read off the per-batch
-  // path so timing overhead stays equal and negligible for all engines.
-  using clk = std::chrono::steady_clock;
-  constexpr double kSliceSecs = 0.002;
-  const double per_engine_secs = std::max(args.seconds(), 0.1);
-  const int rounds =
-      std::max(1, static_cast<int>(per_engine_secs / kSliceSecs));
+  // Interleaved ~2 ms slices (bench::interleaved_mops): every engine sees
+  // the same host noise, so the engine ratio measures the engines.
   std::vector<std::function<std::size_t()>> workers;
   for (std::size_t i = 0; i < engines.size(); ++i) {
     workers.push_back(workload::make_get_batch_replay_worker(
         *tables[i], args.keys, kBatch, 7)(0));
   }
-  std::vector<double> ops(engines.size(), 0.0);
-  std::vector<double> secs(engines.size(), 0.0);
-  for (int r = -1; r < rounds; ++r) {  // round -1 = untimed warmup slices
-    for (std::size_t i = 0; i < engines.size(); ++i) {
-      std::size_t done = 0;
-      const auto t0 = clk::now();
-      auto t1 = t0;
-      do {
-        for (int k = 0; k < 8; ++k) done += workers[i]();
-        t1 = clk::now();
-      } while (std::chrono::duration<double>(t1 - t0).count() < kSliceSecs);
-      if (r < 0) continue;
-      ops[i] += static_cast<double>(done);
-      secs[i] += std::chrono::duration<double>(t1 - t0).count();
-    }
-  }
+  const std::vector<double> mops =
+      bench::interleaved_mops(workers, args.seconds());
 
   double swar = 0.0;
   double avx2 = 0.0;
   for (std::size_t i = 0; i < engines.size(); ++i) {
-    const double mreqs = ops[i] / secs[i] / 1e6;
     bench::print_row(
         "micro_ops",
         std::string("Get/batch24[") + probe::name(engines[i]) + "]", 1,
-        mreqs, "Mreq/s");
-    if (engines[i] == ProbeStrategy::kSwar) swar = mreqs;
-    if (engines[i] == ProbeStrategy::kAvx2) avx2 = mreqs;
+        mops[i], "Mreq/s");
+    if (engines[i] == ProbeStrategy::kSwar) swar = mops[i];
+    if (engines[i] == ProbeStrategy::kAvx2) avx2 = mops[i];
   }
   if (avx2 > 0.0) {
     bench::check_shape("AVX2 batched Get >= 1.15x SWAR batched Get",

@@ -93,17 +93,6 @@ struct Options {
   /// Values below 2 behave as 2.
   std::size_t shrink_factor = 2;
 
-  /// Durability knobs (durability.hpp; ignored by a bare DLHT). Group
-  /// commit: a WAL shard fsyncs once it has buffered this many records
-  /// since its last sync, so one fsync amortizes over a batch of writers.
-  /// wal_sync() forces one regardless.
-  std::size_t wal_fsync_interval_ops = 64;
-  /// Time half of group commit: the background committer thread flushes
-  /// any WAL shard whose oldest buffered record has waited this long, so a
-  /// trickle of writes still becomes durable without filling the ops
-  /// interval. 0 disables the committer thread (explicit wal_sync() only).
-  std::uint32_t wal_group_commit_us = 500;
-
   /// NUMA placement for the bucket array and link pools (every
   /// TableInstance this table ever allocates, including resize shadows and
   /// demand-grown link chunks). kFirstTouch is the kernel default — pages

@@ -6,33 +6,43 @@
 // Design:
 //  * WAL. Mutations append fixed 32-byte records [crc|op|lsn|key|value] to
 //    one of wal_shards log files (shard = hash(key) & mask, so every
-//    operation on a key lands in one file in apply order). A record is
-//    buffered, then flushed+fsynced by group commit: once a shard has
-//    Options::wal_fsync_interval_ops records pending, or a background
-//    committer thread notices a record older than
-//    Options::wal_group_commit_us, one fsync covers the whole batch.
-//    wal_sync() forces durability explicitly — an op is *committed* only
-//    once a sync covering it has succeeded.
+//    operation on a key lands in one file in apply order). Writes go
+//    through execute_batch (scalar mutations are a batch of one): a batch
+//    is grouped by WAL shard, and each group takes its shard mutex once,
+//    gets one contiguous LSN range, buffers its records and applies through
+//    one DLHT::execute_batch call. A record is flushed+fsynced by group
+//    commit: once a shard has DurabilityOptions::wal_fsync_interval_ops
+//    records pending, or a background committer thread notices a record
+//    older than DurabilityOptions::wal_group_commit_us, one fsync covers
+//    the whole batch. wal_sync() forces durability explicitly — an op is
+//    *committed* only once a sync covering it has succeeded.
 //  * Snapshot. checkpoint() rotates the WAL segments, takes an LSN barrier
-//    (all ops with lsn <= L are applied), then streams
-//    DLHT::for_each_snapshot into snapshot-<L>.dlht: a CRC32C-framed
-//    header, [klen|vlen|key|value] entries in CRC-framed chunks, a count
-//    footer, fsync, and an atomic rename into place. The snapshot is fuzzy
-//    (taken under concurrent writers); fuzziness converges because the
-//    loader applies entries as upserts and the whole WAL suffix with
-//    lsn > L replays on top in LSN order.
+//    (all ops with lsn <= L are applied: it holds every shard mutex while
+//    it reads the LSN counter), then streams DLHT::for_each_snapshot into
+//    snapshot-<L>.dlht: a CRC32C-framed header, [klen|vlen|key|value]
+//    entries in CRC-framed chunks, a count footer, fsync, and an atomic
+//    rename into place. The snapshot is fuzzy (taken under concurrent
+//    writers); fuzziness converges because the loader applies entries as
+//    upserts and the whole WAL suffix with lsn > L replays on top in LSN
+//    order.
 //  * Recovery. open() loads the newest snapshot whose every frame
-//    validates (falling back to older ones), replays all WAL records past
-//    its LSN sorted by LSN, and truncates invalid tails. A *torn* tail (a
-//    partial final record — the SIGKILL signature) is silently dropped; a
-//    *corrupt* tail (a full record failing its CRC — possible media rot
-//    over committed data) is also dropped but counted in stats
-//    (io_errors, wal_corrupt_tails, wal_discarded_bytes) and its bytes
-//    are preserved as <log>.corrupt. Frozen segments
-//    (wal-N.log.R.old) keep collision-free names across restarts: the
-//    rotation counter is re-seeded from the directory, so a crashed
-//    checkpoint's segment is never overwritten by the next run. Committed
-//    ops are never lost; uncommitted tail ops may be.
+//    validates (falling back to older ones), then streams the log: a
+//    validation pass reads each segment in fixed-size chunks to find its
+//    trusted prefix and truncate invalid tails, and a replay pass k-way
+//    merges the segments' prefixes by LSN and applies every record past
+//    the snapshot. Memory beyond the table is O(segments x chunk), however
+//    long the log. A *torn* tail (a partial final record — the SIGKILL
+//    signature) is silently dropped; a *corrupt* tail (a full record
+//    failing its CRC — possible media rot over committed data) is also
+//    dropped but counted in stats (io_errors, wal_corrupt_tails,
+//    wal_discarded_bytes) and its bytes are preserved as <log>.corrupt.
+//    Frozen segments (wal-N.log.R.old) keep collision-free names across
+//    restarts: the rotation counter is re-seeded from the directory, so a
+//    crashed checkpoint's segment is never overwritten by the next run.
+//    A segment that cannot be read in full (open or read error, in either
+//    pass) fails open() with kIOError; the tier then never logs or
+//    checkpoints, so its records stay on disk for the next open.
+//    Committed ops are never lost; uncommitted tail ops may be.
 //  * Failure policy. No abort() on disk failure: the first op that
 //    observes a WAL write/sync error returns Status::kIOError, the tier
 //    degrades to memory-only mode, and stats() surfaces io_errors +
@@ -54,7 +64,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -152,9 +161,14 @@ struct FaultSpec {
   /// anything further. Data already appended stays, but nothing new
   /// becomes durable (the degrade-to-memory case).
   std::uint64_t fail_sync_at = 0;
+  /// Nth WAL segment read (recovery reads every segment once to validate
+  /// it, then each one it replays once more) hits a read error after its
+  /// first chunk, as a failing disk would.
+  std::uint64_t fail_read_at = 0;
 
   std::atomic<std::uint64_t> writes{0};
   std::atomic<std::uint64_t> syncs{0};
+  std::atomic<std::uint64_t> reads{0};
 };
 
 /// Parse the DLHT_FAULT env syntax used by the kill-and-recover harness:
@@ -299,6 +313,26 @@ struct WalDecodeResult {
   WalTail tail = WalTail::kClean;
 };
 
+/// Validate one full frame that follows a record with LSN `prev_lsn` (0
+/// at the start of a file): CRC, op byte, zero padding, and an LSN above
+/// prev_lsn, since shard files are strictly LSN-ordered. False means the
+/// frame is corrupt and ends the file's trusted prefix.
+inline bool wal_decode_record(const std::uint8_t* rec, std::uint64_t prev_lsn,
+                              WalRecord* out) {
+  std::uint32_t crc;
+  std::memcpy(&crc, rec, 4);
+  if (crc != crc32c(rec + 4, kWalRecordBytes - 4)) return false;
+  const std::uint8_t op = rec[4];
+  if (op < 1 || op > 3 || rec[5] != 0 || rec[6] != 0 || rec[7] != 0) {
+    return false;
+  }
+  out->op = static_cast<WalOp>(op);
+  std::memcpy(&out->lsn, rec + 8, 8);
+  std::memcpy(&out->key, rec + 16, 8);
+  std::memcpy(&out->value, rec + 24, 8);
+  return out->lsn > prev_lsn;
+}
+
 /// Decode an arbitrary byte buffer as a shard log. Total function: any
 /// input (random bytes, truncations, bit flips) yields a result without
 /// UB — the fuzz test in tests/recovery_test.cpp runs this under
@@ -306,30 +340,14 @@ struct WalDecodeResult {
 inline WalDecodeResult wal_decode(const std::uint8_t* p, std::size_t n) {
   WalDecodeResult out;
   std::size_t off = 0;
-  std::uint64_t prev_lsn = 0;
   while (n - off >= kWalRecordBytes) {
-    const std::uint8_t* rec = p + off;
-    std::uint32_t crc;
-    std::memcpy(&crc, rec, 4);
-    if (crc != crc32c(rec + 4, kWalRecordBytes - 4)) {
-      out.tail = WalTail::kCorrupt;
-      return out;
-    }
     WalRecord r;
-    const std::uint8_t op = rec[4];
-    if (op < 1 || op > 3 || rec[5] != 0 || rec[6] != 0 || rec[7] != 0) {
+    const std::uint64_t prev =
+        out.records.empty() ? 0 : out.records.back().lsn;
+    if (!wal_decode_record(p + off, prev, &r)) {
       out.tail = WalTail::kCorrupt;
       return out;
     }
-    r.op = static_cast<WalOp>(op);
-    std::memcpy(&r.lsn, rec + 8, 8);
-    std::memcpy(&r.key, rec + 16, 8);
-    std::memcpy(&r.value, rec + 24, 8);
-    if (r.lsn <= prev_lsn) {  // shard files are strictly LSN-ordered
-      out.tail = WalTail::kCorrupt;
-      return out;
-    }
-    prev_lsn = r.lsn;
     out.records.push_back(r);
     off += kWalRecordBytes;
     out.valid_bytes = off;
@@ -337,6 +355,88 @@ inline WalDecodeResult wal_decode(const std::uint8_t* p, std::size_t n) {
   if (off < n) out.tail = WalTail::kTorn;
   return out;
 }
+
+/// Streaming counterpart of wal_decode over a log file: reads it in
+/// fixed-size chunks, so memory is O(chunk) however long the log is, and
+/// applies the same per-record rules. next() yields records until the end
+/// of the trusted prefix; tail() and valid_bytes() then describe what
+/// ended it, exactly as wal_decode would over the whole file.
+class WalReader {
+ public:
+  static constexpr std::size_t kChunkBytes = 2048 * kWalRecordBytes;
+
+  /// `faults` (may be null) counts this read toward FaultSpec::fail_read_at.
+  explicit WalReader(const std::string& path, FaultSpec* faults = nullptr)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    inject_read_error_ =
+        faults != nullptr && faults->fail_read_at != 0 &&
+        faults->reads.fetch_add(1, std::memory_order_relaxed) + 1 ==
+            faults->fail_read_at;
+  }
+  ~WalReader() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  WalReader(const WalReader&) = delete;
+  WalReader& operator=(const WalReader&) = delete;
+
+  /// False when the file could not be opened or a read failed: nothing it
+  /// yielded describes the whole file then.
+  bool ok() const { return fd_ >= 0 && !read_error_; }
+
+  bool next(WalRecord* r) {
+    if (done_) return false;
+    if (len_ - off_ < kWalRecordBytes) refill();
+    if (len_ - off_ < kWalRecordBytes) {
+      done_ = true;
+      tail_ = len_ > off_ ? WalTail::kTorn : WalTail::kClean;
+      return false;
+    }
+    if (!wal_decode_record(buf_.data() + off_, prev_lsn_, r)) {
+      done_ = true;
+      tail_ = WalTail::kCorrupt;
+      return false;
+    }
+    prev_lsn_ = r->lsn;
+    off_ += kWalRecordBytes;
+    valid_bytes_ += kWalRecordBytes;
+    return true;
+  }
+
+  WalTail tail() const { return tail_; }
+  std::uint64_t valid_bytes() const { return valid_bytes_; }
+
+ private:
+  void refill() {
+    if (fd_ < 0) return;
+    if (inject_read_error_ && !buf_.empty()) {  // past the first chunk
+      read_error_ = true;
+      return;
+    }
+    if (buf_.empty()) buf_.resize(kChunkBytes);
+    std::memmove(buf_.data(), buf_.data() + off_, len_ - off_);
+    len_ -= off_;
+    off_ = 0;
+    while (len_ < buf_.size()) {
+      const ssize_t got = ::read(fd_, buf_.data() + len_, buf_.size() - len_);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) {
+        read_error_ = got < 0;
+        break;
+      }
+      len_ += static_cast<std::size_t>(got);
+    }
+  }
+
+  int fd_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t off_ = 0, len_ = 0;
+  std::uint64_t prev_lsn_ = 0;
+  std::uint64_t valid_bytes_ = 0;
+  WalTail tail_ = WalTail::kClean;
+  bool done_ = false;
+  bool read_error_ = false;
+  bool inject_read_error_ = false;
+};
 
 // ------------------------------------------------------- snapshot format
 //
@@ -432,10 +532,10 @@ inline bool snapshot_parse(const std::vector<std::uint8_t>& buf,
 namespace detail_wal {
 
 /// One shard of the log: a mutex-serialized append buffer over an
-/// append-only file. append_locked() is called with the mutex held by
-/// DurableDLHT, which also applies the table op inside the same critical
-/// section — so within a shard (and therefore per key), file order, LSN
-/// order, and apply order are all the same order.
+/// append-only file. DurableDLHT assigns LSNs, buffers records and applies
+/// their table ops inside one critical section on `mu` — so within a shard
+/// (and therefore per key), file order, LSN order, and apply order are all
+/// the same order.
 struct Shard {
   std::mutex mu;
   std::string path;
@@ -444,27 +544,21 @@ struct Shard {
   std::size_t pending_ops = 0;        // records since the last good sync
   std::uint64_t oldest_pending_ns = 0;
   std::uint64_t rotations = 0;
-  bool io_failed = false;
+  // Written under mu, summed by DurableDLHT::stats() without it.
+  std::atomic<std::uint64_t> records{0};
+  std::atomic<std::uint64_t> bytes{0};
+  std::atomic<std::uint64_t> syncs{0};
 
   /// Flush the buffer and fsync. True on success.
-  bool sync_locked(std::atomic<std::uint64_t>* bytes,
-                   std::atomic<std::uint64_t>* syncs) {
+  bool sync_locked() {
     if (file == nullptr) return false;
     if (!buf.empty()) {
-      if (!file->append(buf.data(), buf.size())) {
-        io_failed = true;
-        return false;
-      }
-      if (bytes != nullptr) {
-        bytes->fetch_add(buf.size(), std::memory_order_relaxed);
-      }
+      if (!file->append(buf.data(), buf.size())) return false;
+      bytes.fetch_add(buf.size(), std::memory_order_relaxed);
       buf.clear();
     }
-    if (!file->sync()) {
-      io_failed = true;
-      return false;
-    }
-    if (syncs != nullptr) syncs->fetch_add(1, std::memory_order_relaxed);
+    if (!file->sync()) return false;
+    syncs.fetch_add(1, std::memory_order_relaxed);
     pending_ops = 0;
     oldest_pending_ns = 0;
     return true;
@@ -492,6 +586,15 @@ struct DurabilityOptions {
   unsigned wal_shards = 4;
   /// Non-null: wrap every file in a FaultyFile driven by this spec.
   FaultSpec* faults = nullptr;
+  /// Group commit: a WAL shard fsyncs once it has buffered this many
+  /// records since its last sync, so one fsync amortizes over a batch of
+  /// writers. wal_sync() forces one regardless.
+  std::size_t wal_fsync_interval_ops = 64;
+  /// Time half of group commit: the background committer thread flushes
+  /// any WAL shard whose oldest buffered record has waited this long, so a
+  /// trickle of writes still becomes durable without filling the ops
+  /// interval. 0 disables the committer thread (explicit wal_sync() only).
+  std::uint32_t wal_group_commit_us = 500;
 };
 
 /// DLHT + durability. All table reads pass straight through to the core;
@@ -502,10 +605,11 @@ struct DurabilityOptions {
 /// recovered state is always a legal serialization of the pre-crash ops.
 class DurableDLHT {
  public:
+  using Request = DLHT::Request;
   using Reply = DLHT::Reply;
 
   DurableDLHT(const Options& o, DurabilityOptions d)
-      : opts_(o), dopts_(std::move(d)), core_(o) {
+      : dopts_(std::move(d)), core_(o) {
     unsigned s = 1;
     while (s < dopts_.wal_shards) s <<= 1;
     shards_.resize(s);
@@ -521,7 +625,9 @@ class DurableDLHT {
   /// replay the WAL suffix, truncate torn tails, open the shard logs for
   /// append, and start the group-commit thread. Call once, before any
   /// mutation. kOk on success (including a fresh empty dir); kIOError when
-  /// the directory cannot be used — the tier then serves memory-only.
+  /// the directory cannot be used or a log segment cannot be read in full
+  /// — the tier then serves memory-only (missing that segment's records)
+  /// and never logs or checkpoints, so the files on disk stay as they are.
   Status open() {
     if (opened_) return Status::kOk;
     if (dopts_.dir.empty()) {
@@ -531,7 +637,7 @@ class DurableDLHT {
     if (::mkdir(dopts_.dir.c_str(), 0755) != 0 && errno != EEXIST) {
       return fail_io();
     }
-    recover();
+    if (!recover()) return fail_io();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       auto& sh = *shards_[i];
       sh.path = shard_path(i);
@@ -539,7 +645,7 @@ class DurableDLHT {
       if (sh.file == nullptr) return fail_io();
     }
     opened_ = true;
-    if (opts_.wal_group_commit_us > 0) {
+    if (dopts_.wal_group_commit_us > 0) {
       committer_ = std::thread([this] {
         // Park the group committer on the *last* plan slot so it shares a
         // CPU with the highest-numbered worker rather than fighting worker
@@ -579,20 +685,48 @@ class DurableDLHT {
 
   // --------------------------------------------------------- mutations
   //
-  // Each returns the table outcome, except that the op which first
-  // observes a WAL failure returns kIOError (its table effect still
+  // Each returns the table outcome, except that a mutation whose WAL group
+  // first observes a WAL failure returns kIOError (its table effect still
   // happened); from then on the tier is degraded() and memory-only.
 
   Status put(std::uint64_t key, std::uint64_t value) {
-    return log_and_apply(WalOp::kPut, key, value);
+    return execute_one(OpType::kPut, key, value);
   }
 
   Status insert(std::uint64_t key, std::uint64_t value) {
-    return log_and_apply(WalOp::kInsert, key, value);
+    return execute_one(OpType::kInsert, key, value);
   }
 
   Status erase(std::uint64_t key) {
-    return log_and_apply(WalOp::kDelete, key, 0);
+    return execute_one(OpType::kDelete, key, 0);
+  }
+
+  /// Batched mixed ops, the tier's write path. The batch is grouped by WAL
+  /// shard, keeping request order inside each group, so all requests on
+  /// one key run in request order. A group with a mutation takes its shard
+  /// mutex once: one contiguous LSN range, its records buffered (fsynced
+  /// by the group-commit rule), then the whole group — Gets included —
+  /// applied through one DLHT::execute_batch call before the unlock. A
+  /// group of Gets skips the lock: reads never need the log. Requests on
+  /// different keys may apply out of request order; each still takes
+  /// effect while the whole batch is unanswered. reps[i] answers reqs[i]
+  /// as the scalar call would: a Put answers kOk whether or not it
+  /// overwrote, and if a group's flush fails its mutations answer kIOError
+  /// (their table effect stands; the tier degrades).
+  void execute_batch(const Request* reqs, Reply* reps, std::size_t n) {
+    if (!logging()) {
+      core_.execute_batch(reqs, reps, n);
+    } else {
+      for (std::size_t base = 0; base < n; base += kGroupChunk) {
+        execute_chunk(reqs + base, reps + base,
+                      std::min(kGroupChunk, n - base));
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (reqs[i].op == OpType::kPut && reps[i].status == Status::kExists) {
+        reps[i].status = Status::kOk;  // the core's "overwrote"
+      }
+    }
   }
 
   /// RMW mirror of DLHT::update(): the *result* value is logged as a put
@@ -602,13 +736,13 @@ class DurableDLHT {
   template <class F>
   std::optional<std::uint64_t> update(std::uint64_t key, F&& f,
                                       Status* io_out = nullptr) {
-    std::shared_lock<std::shared_mutex> sl(snap_mu_);
     detail_wal::Shard& sh = shard_of(key);
     std::unique_lock<std::mutex> g(sh.mu);
     auto out = core_.update(key, std::forward<F>(f));
     Status io = Status::kOk;
     if (out.has_value()) {
-      io = append_locked(sh, WalOp::kPut, key, *out);
+      const Request rq{OpType::kPut, key, *out, 0};
+      io = append_locked(sh, &rq, 1, 1);
     }
     g.unlock();
     if (io_out != nullptr) *io_out = io;
@@ -626,7 +760,7 @@ class DurableDLHT {
       detail_wal::Shard& sh = *shp;
       std::lock_guard<std::mutex> g(sh.mu);
       if (sh.pending_ops == 0 && sh.buf.empty()) continue;
-      ok &= sh.sync_locked(&wal_bytes_, &syncs_);
+      ok &= sh.sync_locked();
     }
     if (!ok) return fail_io();
     return Status::kOk;
@@ -635,7 +769,8 @@ class DurableDLHT {
   /// Snapshot + WAL rotation + garbage collection:
   ///  1. sync and rotate every shard segment (frozen segments now hold
   ///     only records that the upcoming barrier covers),
-  ///  2. LSN barrier L (unique-lock the op gate: all lsn <= L applied),
+  ///  2. LSN barrier L (every shard mutex held at once: all lsn <= L
+  ///     applied),
   ///  3. stream the table into snapshot-<L>.dlht.tmp, fsync, rename,
   ///  4. delete every frozen segment (all hold only lsn <= L: the ones
   ///     just rotated by construction, any older generation because its
@@ -648,7 +783,7 @@ class DurableDLHT {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       detail_wal::Shard& sh = *shards_[i];
       std::lock_guard<std::mutex> g(sh.mu);
-      if (!sh.sync_locked(&wal_bytes_, &syncs_)) return fail_io();
+      if (!sh.sync_locked()) return fail_io();
       // The rotation counter is seeded from the directory at recover(), so
       // a frozen segment left by a crashed checkpoint is never renamed
       // over; the existence probe refuses the overwrite outright even if a
@@ -666,9 +801,12 @@ class DurableDLHT {
     }
     std::uint64_t barrier;
     {
-      // Every in-flight op holds snap_mu_ shared across lsn-assign + apply,
-      // so after this exclusive section all lsn <= barrier are applied.
-      std::unique_lock<std::shared_mutex> ul(snap_mu_);
+      // Every LSN is assigned and applied inside its shard's critical
+      // section, so with every shard mutex held none is between the two:
+      // all lsn <= barrier are applied.
+      std::vector<std::unique_lock<std::mutex>> all;
+      all.reserve(shards_.size());
+      for (auto& sh : shards_) all.emplace_back(sh->mu);
       barrier = lsn_.load(std::memory_order_relaxed);
     }
     const Status st = write_snapshot(barrier);
@@ -710,10 +848,12 @@ class DurableDLHT {
     Stats s;
     s.core = core_.stats();
     s.lsn = lsn_.load(std::memory_order_relaxed);
-    s.records_logged = records_logged_.load(std::memory_order_relaxed);
-    s.wal_bytes = wal_bytes_.load(std::memory_order_relaxed);
+    for (const auto& sh : shards_) {
+      s.records_logged += sh->records.load(std::memory_order_relaxed);
+      s.wal_bytes += sh->bytes.load(std::memory_order_relaxed);
+      s.syncs += sh->syncs.load(std::memory_order_relaxed);
+    }
     s.snapshot_bytes = snapshot_bytes_.load(std::memory_order_relaxed);
-    s.syncs = syncs_.load(std::memory_order_relaxed);
     s.snapshots_written = snapshots_written_.load(std::memory_order_relaxed);
     s.io_errors = io_errors_.load(std::memory_order_relaxed);
     s.degraded = degraded_.load(std::memory_order_relaxed);
@@ -736,6 +876,10 @@ class DurableDLHT {
   }
 
  private:
+  /// Most requests execute_batch groups at a time, and recovery's replay
+  /// batch size.
+  static constexpr std::size_t kGroupChunk = 64;
+
   bool logging() const {
     return opened_ && !dopts_.dir.empty() &&
            !degraded_.load(std::memory_order_acquire);
@@ -764,66 +908,105 @@ class DurableDLHT {
     return f;
   }
 
-  /// Buffer one record under the shard lock; group commit decides when it
-  /// hits the disk. Returns kIOError when a flush this append triggered
-  /// failed (the tier degrades); the caller's table op proceeds regardless.
-  Status append_locked(detail_wal::Shard& sh, WalOp op, std::uint64_t key,
-                       std::uint64_t value) {
-    if (!logging()) return Status::kOk;
-    WalRecord r;
-    r.lsn = lsn_.fetch_add(1, std::memory_order_relaxed) + 1;
-    r.op = op;
-    r.key = key;
-    r.value = value;
-    std::uint8_t frame[kWalRecordBytes];
-    wal_encode(r, frame);
-    sh.buf.insert(sh.buf.end(), frame, frame + kWalRecordBytes);
-    records_logged_.fetch_add(1, std::memory_order_relaxed);
-    if (sh.pending_ops++ == 0) {
-      sh.oldest_pending_ns = detail_wal::wall_ns();
+  Status execute_one(OpType op, std::uint64_t key, std::uint64_t value) {
+    const Request rq{op, key, value, 0};
+    Reply rp;
+    execute_batch(&rq, &rp, 1);
+    return rp.status;
+  }
+
+  /// Group up to kGroupChunk requests by WAL shard, run each group, and
+  /// scatter the replies back to request order.
+  void execute_chunk(const Request* reqs, Reply* reps, std::size_t n) {
+    constexpr std::size_t kTaken = ~std::size_t{0};
+    std::size_t shard[kGroupChunk];
+    for (std::size_t i = 0; i < n; ++i) {
+      shard[i] = hash_(reqs[i].key) & (shards_.size() - 1);
     }
+    Request greqs[kGroupChunk];
+    Reply greps[kGroupChunk];
+    std::size_t from[kGroupChunk];  // grouped slot -> request index
+    std::size_t end = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (shard[i] == kTaken) continue;
+      const std::size_t s = shard[i];
+      const std::size_t begin = end;
+      std::size_t mutations = 0;
+      for (std::size_t j = i; j < n; ++j) {
+        if (shard[j] != s) continue;
+        shard[j] = kTaken;
+        from[end] = j;
+        greqs[end++] = reqs[j];
+        mutations += reqs[j].op != OpType::kGet;
+      }
+      run_group(*shards_[s], greqs + begin, greps + begin, end - begin,
+                mutations);
+    }
+    for (std::size_t g = 0; g < n; ++g) reps[from[g]] = greps[g];
+  }
+
+  /// Log and apply one WAL-shard group inside its shard's critical section.
+  void run_group(detail_wal::Shard& sh, const Request* reqs, Reply* reps,
+                 std::size_t n, std::size_t mutations) {
+    if (mutations == 0) {
+      core_.execute_batch(reqs, reps, n);
+      return;
+    }
+    std::unique_lock<std::mutex> g(sh.mu);
+    // Write ahead: the records are buffered (not yet durable) before the
+    // table changes. Replay of an unapplied logged op is harmless — a
+    // logged insert that lost its race replays as insert-if-absent, a
+    // logged put replays as the same upsert.
+    const Status io = append_locked(sh, reqs, n, mutations);
+    core_.execute_batch(reqs, reps, n);
+    g.unlock();
+    if (io == Status::kOk) return;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (reqs[i].op != OpType::kGet) reps[i].status = io;
+    }
+  }
+
+  /// Buffer a record for each of the `mutations` non-Get requests among
+  /// reqs[0..n), under the shard lock and with one contiguous LSN range;
+  /// group commit decides when they hit the disk. Returns kIOError when a
+  /// flush this append triggered failed (the tier degrades); the caller's
+  /// table ops proceed regardless.
+  Status append_locked(detail_wal::Shard& sh, const Request* reqs,
+                       std::size_t n, std::size_t mutations) {
+    if (!logging()) return Status::kOk;
+    std::uint64_t lsn = lsn_.fetch_add(mutations, std::memory_order_relaxed);
+    std::size_t at = sh.buf.size();
+    sh.buf.resize(at + mutations * kWalRecordBytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      WalRecord r;
+      switch (reqs[i].op) {
+        case OpType::kGet: continue;
+        case OpType::kPut: r.op = WalOp::kPut; break;
+        case OpType::kInsert: r.op = WalOp::kInsert; break;
+        case OpType::kDelete: r.op = WalOp::kDelete; break;
+      }
+      r.lsn = ++lsn;
+      r.key = reqs[i].key;
+      r.value = r.op == WalOp::kDelete ? 0 : reqs[i].value;
+      wal_encode(r, sh.buf.data() + at);
+      at += kWalRecordBytes;
+    }
+    sh.records.fetch_add(mutations, std::memory_order_relaxed);
+    if (sh.pending_ops == 0) sh.oldest_pending_ns = detail_wal::wall_ns();
+    sh.pending_ops += mutations;
     if (sh.pending_ops >=
-        (opts_.wal_fsync_interval_ops != 0 ? opts_.wal_fsync_interval_ops
-                                           : std::size_t{1})) {
-      if (!sh.sync_locked(&wal_bytes_, &syncs_)) return fail_io();
+        std::max<std::size_t>(dopts_.wal_fsync_interval_ops, 1)) {
+      if (!sh.sync_locked()) return fail_io();
     }
     return Status::kOk;
   }
 
-  Status log_and_apply(WalOp op, std::uint64_t key, std::uint64_t value) {
-    std::shared_lock<std::shared_mutex> sl(snap_mu_);
-    detail_wal::Shard& sh = shard_of(key);
-    std::lock_guard<std::mutex> g(sh.mu);
-    // Write ahead: the record is buffered (not yet durable) before the
-    // table changes. Replay of an unapplied logged op is harmless — a
-    // logged insert that lost its race replays as insert-if-absent, a
-    // logged put replays as the same upsert.
-    const Status io = append_locked(sh, op, key, value);
-    Status applied;
-    switch (op) {
-      case WalOp::kPut:
-        core_.put(key, value);
-        applied = Status::kOk;
-        break;
-      case WalOp::kInsert:
-        applied = core_.insert(key, value) ? Status::kOk : Status::kExists;
-        break;
-      case WalOp::kDelete:
-        applied = core_.erase(key) ? Status::kOk : Status::kNotFound;
-        break;
-      default:
-        applied = Status::kOk;
-        break;
-    }
-    return io != Status::kOk ? io : applied;
-  }
-
   void committer_loop() {
     const std::uint64_t interval_ns =
-        static_cast<std::uint64_t>(opts_.wal_group_commit_us) * 1000ull;
+        static_cast<std::uint64_t>(dopts_.wal_group_commit_us) * 1000ull;
     while (!stop_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(
-          std::chrono::microseconds(opts_.wal_group_commit_us));
+          std::chrono::microseconds(dopts_.wal_group_commit_us));
       if (!logging()) continue;
       const std::uint64_t now = detail_wal::wall_ns();
       for (auto& shp : shards_) {
@@ -832,7 +1015,7 @@ class DurableDLHT {
         if (!g.owns_lock()) continue;  // a writer is active; it will sync
         if (sh.pending_ops == 0) continue;
         if (now - sh.oldest_pending_ns < interval_ns) continue;
-        if (!sh.sync_locked(&wal_bytes_, &syncs_)) {
+        if (!sh.sync_locked()) {
           fail_io();  // degrade; writers see kIOError-free memory mode
         }
       }
@@ -991,21 +1174,35 @@ class DurableDLHT {
 
   // ----------------------------------------------------------- recovery
 
-  /// Copy the untrusted suffix of a corrupt log to <log>.corrupt before the
-  /// log is truncated, so a media-rot event leaves evidence an operator can
+  /// Copy the untrusted suffix of a corrupt log (every byte past its
+  /// trusted prefix) to <log>.corrupt in chunks before the log is
+  /// truncated, so a media-rot event leaves evidence an operator can
   /// inspect. Writes straight through POSIX (never the fault injector —
   /// this is the diagnostic path, not the durability path); best-effort.
   static void preserve_corrupt_suffix(const std::string& path,
-                                      const std::vector<std::uint8_t>& buf,
-                                      std::size_t valid_bytes) {
-    if (valid_bytes >= buf.size()) return;
-    auto f = PosixWritableFile::open(path + ".corrupt", /*truncate=*/true);
-    if (f == nullptr) return;
-    f->append(buf.data() + valid_bytes, buf.size() - valid_bytes);
-    f->sync();
+                                      std::uint64_t valid_bytes) {
+    const int in = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (in < 0) return;
+    auto out = PosixWritableFile::open(path + ".corrupt", /*truncate=*/true);
+    if (out != nullptr &&
+        ::lseek(in, static_cast<off_t>(valid_bytes), SEEK_SET) >= 0) {
+      std::vector<std::uint8_t> chunk(WalReader::kChunkBytes);
+      for (;;) {
+        const ssize_t got = ::read(in, chunk.data(), chunk.size());
+        if (got < 0 && errno == EINTR) continue;
+        if (got <= 0 ||
+            !out->append(chunk.data(), static_cast<std::size_t>(got))) {
+          break;
+        }
+      }
+      out->sync();
+    }
+    ::close(in);
   }
 
-  void recover() {
+  /// Load the snapshot and replay the log. False when a log segment could
+  /// not be read in full.
+  bool recover() {
     const std::vector<std::string> names = list_dir();
     // Newest snapshot whose every frame validates wins; corrupt ones are
     // skipped (an older snapshot + a longer replay still converges).
@@ -1032,9 +1229,12 @@ class DurableDLHT {
     }
     recovered_snapshot_lsn_ = snap_lsn;
 
-    // Replay every log record past the snapshot, across current and
-    // frozen (.old, from a crash mid-checkpoint) segments, in LSN order.
-    std::vector<WalRecord> replay;
+    // Validation pass over every current and frozen (.old, from a crash
+    // mid-checkpoint or a folded orphan) segment: its trusted prefix, tail
+    // and highest LSN, read in chunks. Tails are truncated, orphans folded
+    // and segments the snapshot covers deleted here, so the replay pass
+    // sees only clean prefixes that still hold records past the snapshot.
+    std::vector<Segment> replay;
     std::uint64_t max_lsn = snap_lsn;
     for (const std::string& n : names) {
       if (n.compare(0, 4, "wal-") != 0) continue;
@@ -1042,24 +1242,33 @@ class DurableDLHT {
       if (n.size() > 8 && n.compare(n.size() - 8, 8, ".corrupt") == 0) {
         continue;
       }
-      const std::string path = dopts_.dir + "/" + n;
-      std::vector<std::uint8_t> buf;
-      if (!read_file(path, &buf)) continue;
-      WalDecodeResult d = wal_decode(buf.data(), buf.size());
-      if (d.tail != WalTail::kClean) {
-        if (d.tail == WalTail::kCorrupt) {
+      std::string path = dopts_.dir + "/" + n;
+      WalReader reader(path, dopts_.faults);
+      std::uint64_t seg_max = 0;
+      for (WalRecord r; reader.next(&r);) seg_max = r.lsn;
+      // Unreadable: its trusted prefix and highest LSN are unknown, so it
+      // can be neither truncated nor replayed (nor left out).
+      if (!reader.ok()) return false;
+      const std::uint64_t valid = reader.valid_bytes();
+      if (reader.tail() != WalTail::kClean) {
+        if (reader.tail() == WalTail::kCorrupt) {
           // A full record failed its CRC: committed data may have rotted.
           // Unlike a torn tail this is not a crash signature, so surface
           // it (io_errors + corrupt-tail counters) and keep the discarded
           // suffix beside the log instead of silently destroying it.
-          preserve_corrupt_suffix(path, buf, d.valid_bytes);
+          struct stat st {};
+          const std::uint64_t size =
+              ::stat(path.c_str(), &st) == 0
+                  ? static_cast<std::uint64_t>(st.st_size)
+                  : valid;
+          preserve_corrupt_suffix(path, valid);
           io_errors_.fetch_add(1, std::memory_order_relaxed);
           wal_corrupt_tails_ += 1;
-          wal_discarded_bytes_ += buf.size() - d.valid_bytes;
+          wal_discarded_bytes_ += size - valid;
         }
         // Truncate to the trusted prefix so the next generation of
         // appends starts from a valid frame boundary.
-        ::truncate(path.c_str(), static_cast<off_t>(d.valid_bytes));
+        ::truncate(path.c_str(), static_cast<off_t>(valid));
       }
       std::uint64_t fshard = 0, fidx = 0;
       const bool frozen = parse_frozen_wal_name(n, &fshard, &fidx);
@@ -1073,64 +1282,112 @@ class DurableDLHT {
       std::uint64_t lshard = 0;
       const bool orphan = parse_live_wal_name(n, &lshard) &&
                           lshard >= shards_.size();
-      std::uint64_t seg_max = 0;
-      for (const WalRecord& r : d.records) {
-        seg_max = r.lsn;
-        if (r.lsn > snap_lsn) replay.push_back(r);
-        if (r.lsn > max_lsn) max_lsn = r.lsn;
-      }
+      if (seg_max > max_lsn) max_lsn = seg_max;
       if ((frozen || orphan) && seg_max <= snap_lsn) {
         ::unlink(path.c_str());  // fully covered by the snapshot
-      } else if (orphan) {
+        continue;
+      }
+      if (orphan) {
         // The directory was written with more wal_shards than we now run:
         // this log will never rotate again, so fold it into the frozen
-        // lifecycle — replayed (above) on every open until the next
+        // lifecycle — replayed (below) on every open until the next
         // successful checkpoint GCs it. seg_max makes the name unique
         // (LSNs are global), so generations can never collide.
         const std::string old = path + "." + std::to_string(seg_max) + ".old";
-        ::rename(path.c_str(), old.c_str());
+        if (::rename(path.c_str(), old.c_str()) == 0) path = old;
       }
+      if (seg_max > snap_lsn) replay.push_back({path, valid});
     }
-    std::sort(replay.begin(), replay.end(),
-              [](const WalRecord& a, const WalRecord& b) {
-                return a.lsn < b.lsn;
-              });
-    for (const WalRecord& r : replay) {
-      switch (r.op) {
-        case WalOp::kPut:
-          core_.put(r.key, r.value);
-          break;
-        case WalOp::kInsert:
-          core_.insert(r.key, r.value);
-          break;
-        case WalOp::kDelete:
-          core_.erase(r.key);
-          break;
-      }
-    }
-    replayed_records_ = replay.size();
+    if (!replay_merged(replay, snap_lsn)) return false;
     lsn_.store(max_lsn, std::memory_order_relaxed);
+    return true;
   }
 
-  Options opts_;
+  /// A log segment the replay pass reads: its trusted prefix ends at
+  /// valid_bytes (found, and truncated to, by the validation pass).
+  struct Segment {
+    std::string path;
+    std::uint64_t valid_bytes;
+  };
+
+  /// Replay pass: k-way merge of the segments by LSN, each read in chunks
+  /// (up to the end of the prefix the validation pass truncated it to).
+  /// Every file is strictly LSN-ordered, so the merge yields global LSN
+  /// order; records past the snapshot apply in batches through
+  /// DLHT::execute_batch, which keeps request order. False when a segment
+  /// ended short of its validated prefix (it could not be reopened, or a
+  /// read failed): the records past that point were not applied.
+  bool replay_merged(const std::vector<Segment>& segments,
+                     std::uint64_t snap_lsn) {
+    struct Head {
+      WalRecord rec;
+      std::size_t segment;
+    };
+    const auto later = [](const Head& a, const Head& b) {
+      return a.rec.lsn > b.rec.lsn;
+    };
+    std::vector<std::unique_ptr<WalReader>> readers;
+    std::vector<Head> heap;
+    bool whole = true;
+    const auto ended = [&](std::size_t i) {
+      whole &= readers[i]->ok() &&
+               readers[i]->valid_bytes() == segments[i].valid_bytes;
+    };
+    for (const Segment& seg : segments) {
+      readers.push_back(std::make_unique<WalReader>(seg.path, dopts_.faults));
+      Head h{{}, readers.size() - 1};
+      if (readers.back()->next(&h.rec)) {
+        heap.push_back(h);
+      } else {
+        ended(h.segment);
+      }
+    }
+    std::make_heap(heap.begin(), heap.end(), later);
+    Request batch[kGroupChunk];
+    Reply replies[kGroupChunk];
+    std::size_t pending = 0;
+    std::uint64_t applied = 0;
+    const auto apply = [&] {
+      core_.execute_batch(batch, replies, pending);
+      applied += pending;
+      pending = 0;
+    };
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      Head& h = heap.back();
+      if (h.rec.lsn > snap_lsn) {
+        const OpType op = h.rec.op == WalOp::kInsert   ? OpType::kInsert
+                          : h.rec.op == WalOp::kDelete ? OpType::kDelete
+                                                       : OpType::kPut;
+        batch[pending++] = Request{op, h.rec.key, h.rec.value, 0};
+        if (pending == kGroupChunk) apply();
+      }
+      if (readers[h.segment]->next(&h.rec)) {
+        std::push_heap(heap.begin(), heap.end(), later);
+      } else {
+        ended(h.segment);
+        heap.pop_back();
+      }
+    }
+    apply();
+    replayed_records_ = applied;
+    return whole;
+  }
+
   DurabilityOptions dopts_;
   DLHT core_;
   DLHT::Hasher hash_{};
 
   bool opened_ = false;
   std::vector<std::unique_ptr<detail_wal::Shard>> shards_;
-  /// Op gate: mutations hold it shared across {assign LSN, buffer record,
-  /// apply}; the checkpoint barrier holds it exclusive for one load.
-  mutable std::shared_mutex snap_mu_;
   std::mutex checkpoint_mu_;
+  /// Highest LSN assigned. Bumped only inside a shard's critical section,
+  /// which is what makes checkpoint()'s all-shards barrier exact.
   std::atomic<std::uint64_t> lsn_{0};
 
   std::atomic<bool> degraded_{false};
   std::atomic<std::uint64_t> io_errors_{0};
-  std::atomic<std::uint64_t> records_logged_{0};
-  std::atomic<std::uint64_t> wal_bytes_{0};
   std::atomic<std::uint64_t> snapshot_bytes_{0};
-  std::atomic<std::uint64_t> syncs_{0};
   std::atomic<std::uint64_t> snapshots_written_{0};
   std::uint64_t recovered_snapshot_lsn_ = 0;
   std::uint64_t replayed_records_ = 0;

@@ -109,7 +109,8 @@ class KvClient {
     return r.value;
   }
 
-  /// Put succeeds whether it inserted (kOk) or overwrote (kExists).
+  /// Put succeeds whether it inserted or overwrote. dlht_server answers
+  /// kOk for both; kExists for an overwrite is accepted too.
   bool put(std::uint64_t key, std::uint64_t value) {
     const Status s = mutate(WireOp::kPut, key, value);
     return s == Status::kOk || s == Status::kExists;

@@ -1,7 +1,7 @@
 // Sharded epoll KV node: the network front end that turns DLHT's batch
 // API into a batching engine (ROADMAP item 1).
 //
-// Shape: one shared DLHT (or DurableDLHT in --durable mode) behind N
+// Shape: one shared DurableDLHT (logging only in --durable mode) behind N
 // worker shards. Each shard owns an epoll loop, its accepted connections,
 // and a ShardView of the table — an epoch slot, a batch former, and a
 // latency reservoir. Connections are dealt round-robin at accept; the
@@ -11,7 +11,7 @@
 //
 // The batching engine IS the request loop: every decoded Get/Put/Insert/
 // Delete is appended to the shard's pending batch, which flushes into one
-// execute_batch/get_batch call when it reaches ServerOptions::batch
+// execute_batch call when it reaches ServerOptions::batch
 // (knob: DLHT_SERVER_BATCH) — or at the end of the event-loop turn, when
 // the loop has drained every ready socket and would otherwise block
 // ("loop-idle"). So under load the software pipeline runs full batches,
@@ -66,8 +66,14 @@ struct ServerOptions {
   /// Pin shard threads round-robin across cores (the table's prefetch
   /// pipeline assumes threads stay put).
   bool pin = true;
-  /// Non-empty: run over DurableDLHT (WAL + snapshots) in this directory.
+  /// Non-empty: log to a WAL + snapshots in this directory (durable mode).
+  /// Empty: the table runs in DurableDLHT's in-memory mode.
   std::string durable_dir;
+  /// Durable mode's group commit (see DurabilityOptions): fsync a WAL
+  /// shard once this many records are pending, and let the committer
+  /// thread flush any record older than this many µs (0 = no committer).
+  std::size_t wal_fsync_interval_ops = 64;
+  std::uint32_t wal_group_commit_us = 500;
   /// Durable mode: periodic checkpoint() interval; 0 = no checkpointer.
   unsigned checkpoint_ms = 0;
   /// Per-connection buffer caps: input is a protocol-error close (frames
@@ -80,16 +86,11 @@ struct ServerOptions {
 
 class KvServer {
  public:
-  explicit KvServer(ServerOptions o) : opts_(std::move(o)) {
+  explicit KvServer(ServerOptions o)
+      : opts_(std::move(o)), table_(opts_.table, wal_options(opts_)) {
     if (opts_.shards < 1) opts_.shards = 1;
     if (opts_.batch < 1) opts_.batch = 1;
     if (opts_.batch > kMaxBatch) opts_.batch = kMaxBatch;
-    if (!opts_.durable_dir.empty()) {
-      dur_ = std::make_unique<DurableDLHT>(
-          opts_.table, DurabilityOptions{opts_.durable_dir});
-    } else {
-      mem_ = std::make_unique<DLHT>(opts_.table);
-    }
   }
 
   ~KvServer() { stop(); }
@@ -100,7 +101,7 @@ class KvServer {
   /// Bind + listen + recover (durable mode) + spawn the shard threads.
   /// False (with a stderr diagnostic) on any setup failure.
   bool start() {
-    if (dur_ != nullptr && dur_->open() != Status::kOk) {
+    if (table_.open() != Status::kOk) {
       std::fprintf(stderr, "kv_server: durable open(%s) failed\n",
                    opts_.durable_dir.c_str());
       return false;
@@ -135,13 +136,13 @@ class KvServer {
         shard_loop(*sh);
       });
     }
-    if (dur_ != nullptr && opts_.checkpoint_ms > 0) {
+    if (durable() && opts_.checkpoint_ms > 0) {
       checkpointer_ = std::thread([this] {
         while (!stop_.load(std::memory_order_acquire)) {
           std::this_thread::sleep_for(
               std::chrono::milliseconds(opts_.checkpoint_ms));
           if (stop_.load(std::memory_order_acquire)) break;
-          dur_->checkpoint();
+          table_.checkpoint();
         }
       });
     }
@@ -210,11 +211,11 @@ class KvServer {
     return merge_latency(all);
   }
 
-  std::int64_t table_size() const {
-    return dur_ != nullptr ? dur_->approx_size() : mem_->approx_size();
-  }
-  bool durable() const { return dur_ != nullptr; }
-  DurableDLHT* durable_tier() { return dur_.get(); }
+  std::int64_t table_size() const { return table_.approx_size(); }
+  /// True when --durable was given: the table logs to durable_dir.
+  bool durable() const { return !opts_.durable_dir.empty(); }
+  /// The served table, logging or not (see durable()).
+  DurableDLHT* durable_tier() { return &table_; }
 
  private:
   static constexpr std::size_t kMaxBatch = 1024;
@@ -268,8 +269,14 @@ class KvServer {
     // Flush scratch (reused across turns).
     std::vector<DLHT::Request> reqs;
     std::vector<DLHT::Reply> reps;
-    std::vector<std::uint64_t> keys;
   };
+
+  static DurabilityOptions wal_options(const ServerOptions& o) {
+    DurabilityOptions d{o.durable_dir};
+    d.wal_fsync_interval_ops = o.wal_fsync_interval_ops;
+    d.wal_group_commit_us = o.wal_group_commit_us;
+    return d;
+  }
 
   // ------------------------------------------------------- socket setup
 
@@ -601,8 +608,7 @@ class KvServer {
         // (and WAL-buffered) before the sync runs, so an acked sync covers
         // every previously-acked op on this connection.
         flush(sh);
-        const Status st =
-            dur_ != nullptr ? dur_->wal_sync() : Status::kOk;
+        const Status st = table_.wal_sync();
         std::uint8_t buf[kHeaderBytes + 8];
         append_out(sh, c, buf,
                    encode_reply(buf, to_wire(st), 0, false, f.opaque));
@@ -634,45 +640,13 @@ class KvServer {
     const std::size_t n = sh.pending.size();
     if (n == 0) return;
     const std::uint64_t t0 = mono_ns();
+    sh.reqs.resize(n);
     sh.reps.resize(n);
-    if (dur_ == nullptr) {
-      sh.reqs.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const Pending& p = sh.pending[i];
-        sh.reqs[i] = DLHT::Request{p.op, p.key, p.value, i};
-      }
-      mem_->execute_batch(sh.reqs.data(), sh.reps.data(), n);
-    } else {
-      // The durable tier has no mixed batch API (mutations must pass the
-      // WAL shard critical section one by one), but Get-runs still ride
-      // the pipelined batch path — reads bypass the log entirely.
-      std::size_t i = 0;
-      while (i < n) {
-        if (sh.pending[i].op == OpType::kGet) {
-          std::size_t e = i + 1;
-          while (e < n && sh.pending[e].op == OpType::kGet) ++e;
-          sh.keys.resize(e - i);
-          for (std::size_t j = i; j < e; ++j) {
-            sh.keys[j - i] = sh.pending[j].key;
-          }
-          dur_->get_batch(sh.keys.data(), sh.reps.data() + i, e - i);
-          i = e;
-          continue;
-        }
-        const Pending& p = sh.pending[i];
-        DLHT::Reply& rp = sh.reps[i];
-        switch (p.op) {
-          case OpType::kPut: rp.status = dur_->put(p.key, p.value); break;
-          case OpType::kInsert:
-            rp.status = dur_->insert(p.key, p.value);
-            break;
-          case OpType::kDelete: rp.status = dur_->erase(p.key); break;
-          case OpType::kGet: break;  // unreachable: handled by the run above
-        }
-        rp.value = 0;
-        ++i;
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      const Pending& p = sh.pending[i];
+      sh.reqs[i] = DLHT::Request{p.op, p.key, p.value, i};
     }
+    table_.execute_batch(sh.reqs.data(), sh.reps.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       const Pending& p = sh.pending[i];
       if (p.conn->dead) continue;
@@ -791,8 +765,7 @@ class KvServer {
   }
 
   ServerOptions opts_;
-  std::unique_ptr<DLHT> mem_;
-  std::unique_ptr<DurableDLHT> dur_;
+  DurableDLHT table_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> threads_;
   std::thread checkpointer_;

@@ -2,7 +2,8 @@
 # CI entry point: build, test, sanitize, and smoke-run the bench binaries
 # so they cannot silently rot. Usable locally:
 #   scripts/ci.sh         # everything
-#   scripts/ci.sh main    # Release build + ctest + bench smoke + ASan/UBSan
+#   scripts/ci.sh main    # Release build + ctest + bench smoke + perfbench
+#                         # self-test + ASan/UBSan
 #   scripts/ci.sh tsan    # ThreadSanitizer build + concurrency tests only
 #   scripts/ci.sh docs    # every figure binary documented in REPRODUCING.md
 set -euo pipefail
@@ -128,6 +129,11 @@ run_main() {
   # The perf-trajectory diff must actually gate: an identical pair passes,
   # a synthesized >15% throughput drop / p99 rise each exit nonzero.
   python3 scripts/bench_diff.py --self-test
+
+  echo "=== perfbench known-answer self-test ==="
+  # The end-to-end benchmark's own arithmetic (perfbench/stats.hpp,
+  # trace.hpp) against known answers.
+  python3 perfbench/run.py --self-test
 
   echo "=== ASan/UBSan build + tests ==="
   cmake -B build-asan -S . "${launcher[@]}" \

@@ -9,7 +9,8 @@
 //   --batch N            batch-former threshold;
 //                        <=1 = unbatched baseline    (DLHT_SERVER_BATCH)
 //   --keys N             table sized for N keys      (DLHT_BENCH_KEYS)
-//   --durable DIR        serve over DurableDLHT (WAL + snapshots) in DIR
+//   --durable DIR        log to a WAL + snapshots in DIR (group commit:
+//                        DLHT_WAL_FSYNC_OPS, DLHT_WAL_COMMIT_US)
 //   --checkpoint-ms M    durable mode: periodic checkpoint interval
 //   --no-pin             don't pin shard threads
 //
@@ -74,6 +75,10 @@ int main(int argc, char** argv) {
   // Same geometry + env-knob overlay every bench table gets, so a server
   // run is comparable with the in-process figures at equal --keys.
   o.table = dlht::bench::dlht_options(keys);
+  const dlht::DurabilityOptions d =
+      dlht::bench::durability_options(o.durable_dir);
+  o.wal_fsync_interval_ops = d.wal_fsync_interval_ops;
+  o.wal_group_commit_us = d.wal_group_commit_us;
 
   KvServer server(o);
   if (!server.start()) return 1;

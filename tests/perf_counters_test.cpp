@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -34,9 +35,20 @@ void test_open_or_degrade() {
   std::puts("test_open_or_degrade");
   PerfCounters pc;
   pc.start();
-  // Burn ~2ms of cpu so any opened counter has something to count.
+  // Burn 2ms of this thread's cpu time so any opened counter has something
+  // to count. Measured, not a fixed spin: a fast core finished a fixed
+  // 2M-iteration spin in ~1.1ms, at the edge of the task-clock check.
   volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 2'000'000; ++i) sink = sink + i;
+  const auto cpu_ns = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
+           static_cast<std::uint64_t>(ts.tv_nsec);
+  };
+  const std::uint64_t spin_start = cpu_ns();
+  while (cpu_ns() - spin_start < 2'000'000) {
+    for (std::uint64_t i = 0; i < 10'000; ++i) sink = sink + i;
+  }
   pc.stop();
   const CounterTotals t = pc.read();
   std::printf("  counters %savailable: %s\n",

@@ -1,17 +1,26 @@
 // Crash-recovery matrix for the durable tier (include/dlht/durability.hpp):
 // clean snapshot round trips, WAL-only and snapshot+suffix recovery, torn
 // tails, bit-flipped CRCs (tail and mid-file), fail-at-Nth-sync degrade to
-// memory mode, RMW logging, checkpoint GC, and a fuzz pass over the WAL and
+// memory mode, RMW logging, checkpoint GC, the batched write path (batch ==
+// scalar, in-batch same-key order, in-batch fsync failure, batched writers
+// beside checkpoints), streamed recovery (LSN merge across segments, a
+// read error in either pass, a memory bound), a fuzz pass over the WAL and
 // snapshot decoders (random bytes + every truncation; run under ASan/UBSan
-// in CI). The SIGKILL-mid-churn variant lives in kill_recover_test.sh.
+// in CI), and the streaming WalReader checked against wal_decode. The
+// SIGKILL-mid-churn variant lives in kill_recover_test.sh.
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/rng.hpp"
@@ -36,9 +45,15 @@ constexpr std::uint64_t val_of(std::uint64_t k) { return (k << 8) | 0x5au; }
 Options small_options() {
   Options o;
   o.initial_bins = 512;  // recovery replays across live resizes
-  o.wal_fsync_interval_ops = 8;
-  o.wal_group_commit_us = 0;  // deterministic: no background committer
   return o;
+}
+
+DurabilityOptions wal(const std::string& dir, unsigned shards = 4,
+                      FaultSpec* faults = nullptr) {
+  DurabilityOptions d{dir, shards, faults};
+  d.wal_fsync_interval_ops = 8;
+  d.wal_group_commit_us = 0;  // deterministic: no background committer
+  return d;
 }
 
 // ------------------------------------------------------------ tmp dirs
@@ -115,7 +130,7 @@ void clean_snapshot_roundtrip() {
   const std::string dir = make_dir();
   std::unordered_map<std::uint64_t, std::uint64_t> expect;
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     for (std::uint64_t k = 1; k <= 5000; ++k) {
       CHECK(db.put(k, val_of(k)) == Status::kOk);
@@ -132,7 +147,7 @@ void clean_snapshot_roundtrip() {
     CHECK(!s.degraded);
   }
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     const auto s = db.stats();
     CHECK(s.recovered_snapshot_lsn > 0);
@@ -146,7 +161,7 @@ void wal_only_recovery() {
   const std::string dir = make_dir();
   std::unordered_map<std::uint64_t, std::uint64_t> expect;
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     for (std::uint64_t k = 1; k <= 3000; ++k) {
       CHECK(db.insert(k, val_of(k)) == Status::kOk);
@@ -157,7 +172,7 @@ void wal_only_recovery() {
     CHECK(db.wal_sync() == Status::kOk);
   }
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     const auto s = db.stats();
     CHECK(s.recovered_snapshot_lsn == 0);  // never checkpointed
@@ -172,7 +187,7 @@ void snapshot_plus_wal_suffix() {
   const std::string dir = make_dir();
   std::unordered_map<std::uint64_t, std::uint64_t> expect;
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     for (std::uint64_t k = 1; k <= 4000; ++k) {
       db.put(k, val_of(k));
@@ -195,7 +210,7 @@ void snapshot_plus_wal_suffix() {
     CHECK(db.wal_sync() == Status::kOk);
   }
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     const auto s = db.stats();
     CHECK(s.recovered_snapshot_lsn >= 4000);
@@ -209,7 +224,7 @@ void rmw_update_logged() {
   std::puts("rmw_update_logged");
   const std::string dir = make_dir();
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     db.insert(42, 100);
     Status io = Status::kOk;
@@ -220,7 +235,7 @@ void rmw_update_logged() {
     CHECK(db.wal_sync() == Status::kOk);
   }
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     CHECK(db.get(42).value_or(0) == 105);  // the RMW *result* was replayed
     CHECK(!db.get(999).has_value());
@@ -235,7 +250,7 @@ void torn_tail_truncated() {
   const std::string dir = make_dir();
   std::unordered_map<std::uint64_t, std::uint64_t> expect;
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     for (std::uint64_t k = 1; k <= 2000; ++k) {
       db.put(k, val_of(k));
@@ -254,7 +269,7 @@ void torn_tail_truncated() {
     std::fclose(f);
   }
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     audit_exact(db, expect, "torn_tail_truncated");
     // The tail is gone from disk too: the file decodes clean again.
@@ -277,7 +292,7 @@ void bad_crc_tail_rejected() {
   const std::string dir = make_dir();
   std::unordered_map<std::uint64_t, std::uint64_t> expect;
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     for (std::uint64_t k = 1; k <= 2000; ++k) {
       db.insert(k, val_of(k));
@@ -305,7 +320,7 @@ void bad_crc_tail_rejected() {
   }
   expect.erase(last.key);  // the op the corrupt record carried is lost
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     audit_exact(db, expect, "bad_crc_tail_rejected");
     CHECK(!db.get(last.key).has_value());
@@ -328,7 +343,7 @@ void mid_file_corruption_stops_replay() {
   const std::string dir = make_dir();
   std::unordered_map<std::uint64_t, std::uint64_t> expect;
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     for (std::uint64_t k = 1; k <= 2000; ++k) {
       db.insert(k, val_of(k));
@@ -356,7 +371,7 @@ void mid_file_corruption_stops_replay() {
   }
   const std::size_t total = buf.size();
   {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     audit_exact(db, expect, "mid_file_corruption_stops_replay");
     // The untrusted suffix was truncated away — but counted and kept.
@@ -378,9 +393,9 @@ void fail_at_nth_sync_degrades() {
   const std::string dir = make_dir();
   FaultSpec faults;
   faults.fail_sync_at = 1;  // the very first fsync fails, and all after
-  Options o = small_options();
-  o.wal_fsync_interval_ops = 4;
-  DurableDLHT db(o, {dir, 4, &faults});
+  DurabilityOptions d = wal(dir, 4, &faults);
+  d.wal_fsync_interval_ops = 4;
+  DurableDLHT db(small_options(), d);
   CHECK(db.open() == Status::kOk);
   bool saw_io_error = false;
   for (std::uint64_t k = 1; k <= 100; ++k) {
@@ -419,11 +434,11 @@ void injected_write_faults_recover() {
     } else {
       faults.torn_write_at = 9;
     }
-    Options o = small_options();
-    o.wal_fsync_interval_ops = 4;  // flush every 4 records: write #9 is mid-run
+    DurabilityOptions d = wal(dir, 2, &faults);
+    d.wal_fsync_interval_ops = 4;  // flush every 4 records: write #9 is mid-run
     std::uint64_t committed = 0;
     {
-      DurableDLHT db(o, {dir, 2, &faults});
+      DurableDLHT db(small_options(), d);
       CHECK(db.open() == Status::kOk);
       for (std::uint64_t k = 1; k <= 400; ++k) {
         db.put(k, val_of(k));
@@ -438,7 +453,7 @@ void injected_write_faults_recover() {
       CHECK(db.stats().io_errors >= 1);
     }
     {
-      DurableDLHT db(small_options(), {dir});
+      DurableDLHT db(small_options(), wal(dir));
       CHECK(db.open() == Status::kOk);
       // Zero lost committed: every synced key is back with its value.
       for (std::uint64_t k = 1; k <= committed; ++k) {
@@ -465,7 +480,7 @@ void checkpoint_gc_and_cycles() {
   const std::string dir = make_dir();
   std::unordered_map<std::uint64_t, std::uint64_t> expect;
   for (int cycle = 0; cycle < 3; ++cycle) {
-    DurableDLHT db(small_options(), {dir});
+    DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     for (std::uint64_t k = 1; k <= 1000; ++k) {
       const std::uint64_t key = k + 1000u * static_cast<std::uint64_t>(cycle);
@@ -500,11 +515,13 @@ void checkpoint_crash_keeps_frozen_generations() {
   std::puts("checkpoint_crash_keeps_frozen_generations");
   const std::string dir = make_dir();
   std::unordered_map<std::uint64_t, std::uint64_t> expect;
-  Options o = small_options();
-  o.wal_fsync_interval_ops = 1u << 20;  // only explicit syncs hit the disk
+  DurabilityOptions dopts = wal(dir, 1);
+  dopts.wal_fsync_interval_ops = 1u << 20;  // only explicit syncs hit the disk
   auto run_generation = [&](std::uint64_t lo, std::uint64_t hi) {
     FaultSpec faults;
-    DurableDLHT db(o, {dir, 1, &faults});
+    DurabilityOptions faulty = dopts;
+    faulty.faults = &faults;
+    DurableDLHT db(small_options(), faulty);
     CHECK(db.open() == Status::kOk);
     for (std::uint64_t k = lo; k <= hi; ++k) {
       db.put(k, val_of(k));
@@ -532,14 +549,14 @@ void checkpoint_crash_keeps_frozen_generations() {
     CHECK(frozen == 2);
   }
   {
-    DurableDLHT db(o, {dir, 1});
+    DurableDLHT db(small_options(), dopts);
     CHECK(db.open() == Status::kOk);
     audit_exact(db, expect, "checkpoint_crash_keeps_frozen_generations");
     // A finally-successful checkpoint GCs every frozen generation.
     CHECK(db.checkpoint() == Status::kOk);
   }
   {
-    DurableDLHT db(o, {dir, 1});
+    DurableDLHT db(small_options(), dopts);
     CHECK(db.open() == Status::kOk);
     CHECK(db.stats().recovered_snapshot_lsn > 0);
     audit_exact(db, expect, "checkpoint_crash_keeps_frozen_generations/gc");
@@ -565,7 +582,7 @@ void fewer_shards_fold_orphan_logs() {
   const std::string dir = make_dir();
   std::unordered_map<std::uint64_t, std::uint64_t> expect;
   {
-    DurableDLHT db(small_options(), {dir, 8});
+    DurableDLHT db(small_options(), wal(dir, 8));
     CHECK(db.open() == Status::kOk);
     for (std::uint64_t k = 1; k <= 2000; ++k) {
       db.put(k, val_of(k));
@@ -574,7 +591,7 @@ void fewer_shards_fold_orphan_logs() {
     CHECK(db.wal_sync() == Status::kOk);
   }
   {
-    DurableDLHT db(small_options(), {dir, 2});
+    DurableDLHT db(small_options(), wal(dir, 2));
     CHECK(db.open() == Status::kOk);
     audit_exact(db, expect, "fewer_shards_fold_orphan_logs");
     CHECK(db.checkpoint() == Status::kOk);
@@ -597,7 +614,7 @@ void fewer_shards_fold_orphan_logs() {
   CHECK(live == 2);
   CHECK(stale == 0);
   {
-    DurableDLHT db(small_options(), {dir, 2});
+    DurableDLHT db(small_options(), wal(dir, 2));
     CHECK(db.open() == Status::kOk);
     audit_exact(db, expect, "fewer_shards_fold_orphan_logs/reopen");
   }
@@ -613,6 +630,470 @@ void in_memory_mode() {
   CHECK(db.wal_sync() == Status::kOk);
   CHECK(!db.degraded());
   CHECK(db.stats().records_logged == 0);
+}
+
+// ------------------------------------------------ batched write path
+
+using Request = DurableDLHT::Request;
+using Reply = DurableDLHT::Reply;
+using Table = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+Table table_of(const DurableDLHT& db) {
+  Table t;
+  db.for_each([&](std::uint64_t k, std::uint64_t v) { t.emplace_back(k, v); });
+  std::sort(t.begin(), t.end());
+  return t;
+}
+
+std::size_t wal_shard_of(std::uint64_t key, unsigned shards) {
+  return DLHT::Hasher{}(key) & (shards - 1);
+}
+
+// The scalar reference: each op through the tier's scalar API.
+Reply scalar_call(DurableDLHT& db, const Request& rq) {
+  Reply rp;
+  switch (rq.op) {
+    case OpType::kGet: {
+      const auto v = db.get(rq.key);
+      rp.status = v ? Status::kOk : Status::kNotFound;
+      rp.value = v.value_or(0);
+      break;
+    }
+    case OpType::kPut: rp.status = db.put(rq.key, rq.value); break;
+    case OpType::kInsert: rp.status = db.insert(rq.key, rq.value); break;
+    case OpType::kDelete: rp.status = db.erase(rq.key); break;
+  }
+  return rp;
+}
+
+// The same op stream issued as scalar calls and as execute_batch calls of
+// random sizes (some past the 64-request grouping chunk) gives identical
+// replies, an identical table, and an identical table after a reopen.
+void batch_matches_scalar() {
+  std::puts("batch_matches_scalar");
+  const std::string dir_s = make_dir();
+  const std::string dir_b = make_dir();
+  Xoshiro256 rng(splitmix64(0xba7c4));
+  std::vector<Request> ops(6000);
+  for (Request& rq : ops) {
+    rq = {static_cast<OpType>(rng.next_below(4)), 1 + rng.next_below(300),
+          rng() | 1, 0};
+  }
+  // Reference semantics for the replies.
+  std::unordered_map<std::uint64_t, std::uint64_t> model;
+  {
+    DurableDLHT s(small_options(), wal(dir_s));
+    DurableDLHT b(small_options(), wal(dir_b));
+    CHECK(s.open() == Status::kOk);
+    CHECK(b.open() == Status::kOk);
+    std::vector<Reply> rb(ops.size());
+    for (std::size_t i = 0; i < ops.size();) {
+      const std::size_t n = std::min<std::size_t>(1 + rng.next_below(100),
+                                                  ops.size() - i);
+      b.execute_batch(&ops[i], &rb[i], n);
+      i += n;
+    }
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const Request& rq = ops[i];
+      const Reply rs = scalar_call(s, rq);
+      const bool present = model.count(rq.key) != 0;
+      Status want = Status::kOk;
+      switch (rq.op) {
+        case OpType::kGet:
+          want = present ? Status::kOk : Status::kNotFound;
+          break;
+        case OpType::kPut: model[rq.key] = rq.value; break;
+        case OpType::kInsert:
+          want = present ? Status::kExists : Status::kOk;
+          if (!present) model[rq.key] = rq.value;
+          break;
+        case OpType::kDelete:
+          want = present ? Status::kOk : Status::kNotFound;
+          model.erase(rq.key);
+          break;
+      }
+      const bool get_hit = rq.op == OpType::kGet && want == Status::kOk;
+      if (rs.status != want || rb[i].status != want ||
+          (get_hit &&
+           (rs.value != rb[i].value || rs.value != model.at(rq.key)))) {
+        ++mismatches;
+      }
+    }
+    CHECK(mismatches == 0);
+    CHECK(table_of(s) == table_of(b));
+    CHECK(s.stats().records_logged == b.stats().records_logged);
+  }
+  DurableDLHT s(small_options(), wal(dir_s));
+  DurableDLHT b(small_options(), wal(dir_b));
+  CHECK(s.open() == Status::kOk);
+  CHECK(b.open() == Status::kOk);
+  CHECK(table_of(s) == table_of(b));
+  audit_exact(b, model, "batch_matches_scalar/reopen");
+  remove_dir(dir_s);
+  remove_dir(dir_b);
+}
+
+// One batch carries, for 16 keys spread over every WAL shard, the sequence
+// insert, get, put, get, delete, get, insert, interleaved across keys so
+// each shard group holds several keys' steps and the batch spans two
+// grouping chunks. Every key answers like the scalar sequence.
+void same_key_sequence_in_one_batch() {
+  std::puts("same_key_sequence_in_one_batch");
+  const std::string dir = make_dir();
+  constexpr std::uint64_t kKeys = 16;
+  std::vector<bool> shard_hit(4, false);
+  for (std::uint64_t k = 1; k <= kKeys; ++k) {
+    shard_hit[wal_shard_of(k, 4)] = true;
+  }
+  CHECK(std::count(shard_hit.begin(), shard_hit.end(), true) == 4);
+  const OpType seq[] = {OpType::kInsert, OpType::kGet,    OpType::kPut,
+                        OpType::kGet,    OpType::kDelete, OpType::kGet,
+                        OpType::kInsert};
+  const auto value = [](std::size_t step, std::uint64_t k) {
+    return val_of(k) + step;
+  };
+  std::vector<Request> reqs;
+  for (std::size_t step = 0; step < std::size(seq); ++step) {
+    for (std::uint64_t k = 1; k <= kKeys; ++k) {
+      reqs.push_back({seq[step], k, value(step, k), reqs.size()});
+    }
+  }
+  std::unordered_map<std::uint64_t, std::uint64_t> expect;
+  {
+    DurableDLHT db(small_options(), wal(dir));
+    CHECK(db.open() == Status::kOk);
+    std::vector<Reply> reps(reqs.size());
+    db.execute_batch(reqs.data(), reps.data(), reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const std::size_t step = i / kKeys;
+      const std::uint64_t k = reqs[i].key;
+      CHECK(reps[i].user == i);
+      switch (step) {
+        case 1:  // get after insert
+          CHECK(reps[i].status == Status::kOk && reps[i].value == value(0, k));
+          break;
+        case 3:  // get after put
+          CHECK(reps[i].status == Status::kOk && reps[i].value == value(2, k));
+          break;
+        case 5:  // get after delete
+          CHECK(reps[i].status == Status::kNotFound);
+          break;
+        default:  // insert, put, delete, insert all succeed
+          CHECK(reps[i].status == Status::kOk);
+          break;
+      }
+    }
+    for (std::uint64_t k = 1; k <= kKeys; ++k) expect[k] = value(6, k);
+    audit_exact(db, expect, "same_key_sequence_in_one_batch");
+  }
+  DurableDLHT db(small_options(), wal(dir));
+  CHECK(db.open() == Status::kOk);
+  audit_exact(db, expect, "same_key_sequence_in_one_batch/reopen");
+  remove_dir(dir);
+}
+
+// A failing fsync inside a batch: exactly the group whose append reached
+// the fsync interval answers kIOError on its mutations (its Get answers
+// normally), every mutation keeps its table effect, and the tier degrades.
+void failsync_inside_batch() {
+  std::puts("failsync_inside_batch");
+  const std::string dir = make_dir();
+  FaultSpec faults;
+  faults.fail_sync_at = 1;
+  DurabilityOptions d = wal(dir, 4, &faults);
+  d.wal_fsync_interval_ops = 4;
+  DurableDLHT db(small_options(), d);
+  CHECK(db.open() == Status::kOk);
+  // Five keys in shard 0 (four puts reach the interval, the fifth is read
+  // while absent) and one put for each other shard, which stays below it.
+  std::vector<std::uint64_t> target, others(4, 0);
+  for (std::uint64_t k = 1; target.size() < 5 || others[1] == 0 ||
+                            others[2] == 0 || others[3] == 0;
+       ++k) {
+    const std::size_t s = wal_shard_of(k, 4);
+    if (s == 0 && target.size() < 5) target.push_back(k);
+    if (s != 0 && others[s] == 0) others[s] = k;
+  }
+  const std::vector<Request> reqs = {
+      {OpType::kPut, others[1], 11, 0},  {OpType::kPut, target[0], 1, 1},
+      {OpType::kPut, others[2], 12, 2},  {OpType::kGet, target[4], 0, 3},
+      {OpType::kPut, target[1], 2, 4},   {OpType::kInsert, target[2], 3, 5},
+      {OpType::kPut, others[3], 13, 6},  {OpType::kPut, target[3], 4, 7},
+  };
+  std::vector<Reply> reps(reqs.size());
+  db.execute_batch(reqs.data(), reps.data(), reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const bool in_target = wal_shard_of(reqs[i].key, 4) == 0;
+    if (reqs[i].op == OpType::kGet) {
+      CHECK(reps[i].status == Status::kNotFound);
+    } else if (in_target) {
+      CHECK(reps[i].status == Status::kIOError);
+    } else {
+      CHECK(reps[i].status == Status::kOk);
+    }
+    if (reqs[i].op != OpType::kGet) {
+      CHECK(db.get(reqs[i].key).value_or(0) == reqs[i].value);
+    }
+  }
+  CHECK(db.degraded());
+  CHECK(db.stats().io_errors == 1);
+  remove_dir(dir);
+}
+
+// Batched writers beside a checkpoint() loop. checkpoint()'s LSN barrier
+// holds every WAL shard mutex at once; a barrier that could pass an LSN
+// still unapplied would let a snapshot miss an op whose record is then
+// skipped on replay. Writers run through every checkpoint, mostly
+// inserting fresh keys (so each op decides its key's final state), with
+// group-commit fsyncs landing between a group's LSN assignment and its
+// apply. Close, reopen, and the table is exactly the writers' final state.
+void batched_writers_beside_checkpoints() {
+  for (const unsigned threads : {2u, 4u}) {
+    std::printf("batched_writers_beside_checkpoints(%u)\n", threads);
+    const std::string dir = make_dir();
+    DurabilityOptions d = wal(dir);
+    d.wal_fsync_interval_ops = 64;
+    std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> models(
+        threads);
+    std::atomic<unsigned> started{0};
+    std::atomic<bool> stop{false};
+    {
+      DurableDLHT db(small_options(), d);
+      CHECK(db.open() == Status::kOk);
+      std::vector<std::thread> pool;
+      for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+          Xoshiro256 rng(splitmix64(0xc0ffee + t));
+          auto& model = models[t];
+          const std::uint64_t base = static_cast<std::uint64_t>(t + 1) << 32;
+          std::uint64_t fresh = 0;
+          std::vector<Request> reqs(24);
+          std::vector<Reply> reps(24);
+          for (bool first = true; !stop.load(); first = false) {
+            for (Request& rq : reqs) {
+              const bool insert_fresh = fresh == 0 || rng.next_below(2) == 0;
+              const std::uint64_t k =
+                  base + (insert_fresh ? fresh++ : rng.next_below(fresh));
+              const OpType op = insert_fresh
+                                    ? OpType::kInsert
+                                    : static_cast<OpType>(rng.next_below(4));
+              rq = {op, k, rng() | 1, 0};
+              switch (op) {
+                case OpType::kGet: break;
+                case OpType::kPut: model[k] = rq.value; break;
+                case OpType::kInsert: model.emplace(k, rq.value); break;
+                case OpType::kDelete: model.erase(k); break;
+              }
+            }
+            db.execute_batch(reqs.data(), reps.data(), reqs.size());
+            if (first) started.fetch_add(1);
+          }
+        });
+      }
+      while (started.load() != threads) std::this_thread::yield();
+      for (int c = 0; c < 6; ++c) CHECK(db.checkpoint() == Status::kOk);
+      stop.store(true);
+      for (auto& th : pool) th.join();
+    }
+    std::unordered_map<std::uint64_t, std::uint64_t> expect;
+    for (const auto& m : models) expect.insert(m.begin(), m.end());
+    DurableDLHT db(small_options(), d);
+    CHECK(db.open() == Status::kOk);
+    CHECK(db.stats().recovered_snapshot_lsn > 0);
+    audit_exact(db, expect, "batched_writers_beside_checkpoints");
+    remove_dir(dir);
+  }
+}
+
+// ------------------------------------------------------ streamed recovery
+
+// One key's records alternate between folded-orphan segments and a live
+// log: runs with 8, 2, 8 and 2 WAL shards log the key's put, insert,
+// delete and insert into three files (each 2-shard open folds the 8-shard
+// run's log for the key into a frozen segment). Only an LSN-ordered merge
+// of the segments recovers the final value; replaying the files one after
+// another, in any order, does not.
+void merge_orders_alternating_segments() {
+  std::puts("merge_orders_alternating_segments");
+  const std::string dir = make_dir();
+  std::uint64_t key = 1;
+  while (wal_shard_of(key, 8) < 2) ++key;  // an orphan shard at 2 shards
+  {
+    DurableDLHT db(small_options(), wal(dir, 8));
+    CHECK(db.open() == Status::kOk);
+    CHECK(db.put(key, 1) == Status::kOk);
+  }
+  {
+    DurableDLHT db(small_options(), wal(dir, 2));
+    CHECK(db.open() == Status::kOk);
+    CHECK(db.insert(key, 2) == Status::kExists);  // logged, not applied
+  }
+  {
+    DurableDLHT db(small_options(), wal(dir, 8));
+    CHECK(db.open() == Status::kOk);
+    CHECK(db.get(key).value_or(0) == 1);
+    CHECK(db.erase(key) == Status::kOk);
+  }
+  {
+    DurableDLHT db(small_options(), wal(dir, 2));
+    CHECK(db.open() == Status::kOk);
+    CHECK(db.insert(key, 4) == Status::kOk);
+  }
+  int frozen = 0;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (struct dirent* e = ::readdir(d)) {
+      const std::string n = e->d_name;
+      if (n.size() > 4 && n.compare(n.size() - 4, 4, ".old") == 0) ++frozen;
+    }
+    ::closedir(d);
+  }
+  CHECK(frozen == 2);
+  DurableDLHT db(small_options(), wal(dir, 2));
+  CHECK(db.open() == Status::kOk);
+  CHECK(db.stats().replayed_records == 4);
+  CHECK(db.get(key).value_or(0) == 4);
+  remove_dir(dir);
+}
+
+// A log segment that cannot be read in full fails open() with kIOError,
+// whether the read error hits the validation pass or the replay pass (which
+// has by then applied the first chunk's records). The tier degrades, so it
+// never checkpoints: the log stays whole on disk and a later open recovers
+// every record.
+void unreadable_segment_fails_open() {
+  std::puts("unreadable_segment_fails_open");
+  const std::string dir = make_dir();
+  constexpr std::uint64_t kRecords = 5000;  // > 2 read chunks in one file
+  std::unordered_map<std::uint64_t, std::uint64_t> expect;
+  {
+    DurableDLHT db(small_options(), wal(dir, 1));
+    CHECK(db.open() == Status::kOk);
+    std::vector<Request> reqs(100);
+    std::vector<Reply> reps(reqs.size());
+    for (std::uint64_t k = 1; k <= kRecords; k += reqs.size()) {
+      for (std::size_t j = 0; j < reqs.size(); ++j) {
+        reqs[j] = {OpType::kPut, k + j, val_of(k + j), 0};
+        expect[k + j] = val_of(k + j);
+      }
+      db.execute_batch(reqs.data(), reps.data(), reqs.size());
+    }
+  }
+  const auto files = wal_files(dir);
+  CHECK(files.size() == 1);
+  // Read 1 is the validation pass, read 2 the replay pass.
+  for (const std::uint64_t at : {1, 2}) {
+    std::printf("  read error in %s pass\n",
+                at == 1 ? "validation" : "replay");
+    FaultSpec faults;
+    faults.fail_read_at = at;
+    DurableDLHT db(small_options(), wal(dir, 1, &faults));
+    CHECK(db.open() == Status::kIOError);
+    CHECK(db.degraded());
+    CHECK(db.stats().io_errors == 1);
+    CHECK(db.approx_size() < static_cast<std::int64_t>(kRecords));
+    CHECK(db.put(kRecords + 1, 1) == Status::kOk);  // memory-only
+    CHECK(db.checkpoint() == Status::kIOError);
+    CHECK(slurp(files[0]).size() == kRecords * kWalRecordBytes);
+  }
+  CHECK(wal_files(dir).size() == 1);
+  DurableDLHT db(small_options(), wal(dir, 1));
+  CHECK(db.open() == Status::kOk);
+  CHECK(db.stats().replayed_records == kRecords);
+  audit_exact(db, expect, "unreadable_segment_fails_open");
+  remove_dir(dir);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+#ifdef NDEBUG
+constexpr bool kOptimized = true;
+#else
+constexpr bool kOptimized = false;
+#endif
+
+/// This process's peak resident set (VmHWM), in bytes; 0 if unreadable.
+std::uint64_t peak_rss_bytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %llu kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib * 1024;
+}
+
+/// Reset VmHWM to the current RSS (Linux clear_refs "5").
+bool reset_peak_rss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && ok;
+}
+
+// Recovery memory is O(segments x chunk), not O(log): a log of 2M+ puts
+// over 64 keys (so the table stays tiny) replays while the process's peak
+// RSS grows by less than a quarter of the log's size. The bound holds in
+// optimized, unsanitized builds; sanitizer builds replay a shorter log and
+// check only what it recovers.
+void recovery_memory_is_bounded() {
+  std::puts("recovery_memory_is_bounded");
+  const bool bound = kOptimized && !kSanitized;
+  const std::uint64_t records =
+      bound ? (std::uint64_t{1} << 21) + 4096 : std::uint64_t{1} << 17;
+  const std::string dir = make_dir();
+  DurabilityOptions d = wal(dir);
+  d.wal_fsync_interval_ops = 1u << 16;
+  std::unordered_map<std::uint64_t, std::uint64_t> expect;
+  {
+    DurableDLHT db(small_options(), d);
+    CHECK(db.open() == Status::kOk);
+    std::vector<Request> reqs(64);
+    std::vector<Reply> reps(64);
+    for (std::uint64_t i = 0; i < records; i += reqs.size()) {
+      for (std::size_t j = 0; j < reqs.size(); ++j) {
+        reqs[j] = {OpType::kPut, 1 + j, i + j + 1, 0};
+        expect[1 + j] = i + j + 1;
+      }
+      db.execute_batch(reqs.data(), reps.data(), reqs.size());
+    }
+  }
+  std::uint64_t wal_bytes = 0;
+  for (const std::string& f : wal_files(dir)) {
+    struct stat st {};
+    if (::stat(f.c_str(), &st) == 0) {
+      wal_bytes += static_cast<std::uint64_t>(st.st_size);
+    }
+  }
+  CHECK(wal_bytes == records * kWalRecordBytes);
+  DurableDLHT db(small_options(), d);
+  const bool reset = reset_peak_rss();
+  const std::uint64_t before = peak_rss_bytes();
+  CHECK(db.open() == Status::kOk);
+  const std::uint64_t after = peak_rss_bytes();
+  CHECK(db.stats().replayed_records == records);
+  audit_exact(db, expect, "recovery_memory_is_bounded");
+  std::printf("  wal %.1f MiB, peak RSS grew %.1f MiB during open()\n",
+              static_cast<double>(wal_bytes) / (1 << 20),
+              static_cast<double>(after - before) / (1 << 20));
+  if (bound && reset && before != 0) {
+    CHECK(after - before < wal_bytes / 4);
+  } else {
+    std::puts("  memory bound not checked (sanitized/debug build or no "
+              "clear_refs)");
+  }
+  remove_dir(dir);
 }
 
 // --------------------------------------------------------------- fuzzing
@@ -676,7 +1157,7 @@ void fuzz_wal_and_snapshot_decoders() {
   {
     const std::string dir = make_dir();
     {
-      DurableDLHT db(small_options(), {dir});
+      DurableDLHT db(small_options(), wal(dir));
       CHECK(db.open() == Status::kOk);
       for (std::uint64_t k = 1; k <= 500; ++k) db.put(k, val_of(k));
       CHECK(db.checkpoint() == Status::kOk);
@@ -704,6 +1185,115 @@ void fuzz_wal_and_snapshot_decoders() {
   }
 }
 
+// WalReader (what recovery runs) yields exactly what wal_decode (the
+// reference) yields over the same bytes: records, tail kind and trusted
+// prefix. Driven by random buffers, mutated and truncated real logs, and
+// logs longer than WalReader::kChunkBytes cut, flipped or LSN-swapped
+// around the chunk boundaries its refill crosses.
+void write_bytes(const std::string& path, const std::uint8_t* p,
+                 std::size_t n) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  CHECK(f != nullptr);
+  if (f == nullptr) return;
+  if (n > 0) CHECK(std::fwrite(p, 1, n, f) == n);  // p may be null at n 0
+  std::fclose(f);
+}
+
+bool reader_matches_decode(const std::string& path, const std::uint8_t* p,
+                           std::size_t n) {
+  const WalDecodeResult want = wal_decode(p, n);
+  WalReader reader(path);
+  std::vector<WalRecord> got;
+  for (WalRecord r; reader.next(&r);) got.push_back(r);
+  bool same = reader.ok() && reader.tail() == want.tail &&
+              reader.valid_bytes() == want.valid_bytes &&
+              got.size() == want.records.size();
+  for (std::size_t i = 0; same && i < got.size(); ++i) {
+    const WalRecord& a = got[i];
+    const WalRecord& b = want.records[i];
+    same = a.lsn == b.lsn && a.op == b.op && a.key == b.key &&
+           a.value == b.value;
+  }
+  return same;
+}
+
+std::vector<std::uint8_t> encode_log(std::size_t records, Xoshiro256& rng) {
+  std::vector<std::uint8_t> log(records * kWalRecordBytes);
+  std::uint64_t lsn = 0;
+  for (std::size_t i = 0; i < records; ++i) {
+    WalRecord r;
+    lsn += 1 + rng.next_below(3);
+    r.lsn = lsn;
+    r.op = static_cast<WalOp>(1 + rng.next_below(3));
+    r.key = rng();
+    r.value = r.op == WalOp::kDelete ? 0 : rng();
+    wal_encode(r, log.data() + i * kWalRecordBytes);
+  }
+  return log;
+}
+
+void wal_reader_matches_wal_decode() {
+  std::puts("wal_reader_matches_wal_decode");
+  const std::string dir = make_dir();
+  const std::string path = dir + "/wal-0.log";
+  Xoshiro256 rng(splitmix64(0x5eade7));
+  int mismatches = 0;
+
+  // Random buffers of every size class.
+  for (int round = 0; round < 1000; ++round) {
+    std::vector<std::uint8_t> buf(rng.next_below(257));
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+    write_bytes(path, buf.data(), buf.size());
+    mismatches += !reader_matches_decode(path, buf.data(), buf.size());
+  }
+
+  // Real logs with a few random byte changes, cut at a random length.
+  for (int round = 0; round < 1000; ++round) {
+    auto log = encode_log(1 + rng.next_below(80), rng);
+    for (std::uint64_t m = rng.next_below(3); m > 0; --m) {
+      log[rng.next_below(log.size())] = static_cast<std::uint8_t>(rng());
+    }
+    log.resize(rng.next_below(log.size() + 1));
+    write_bytes(path, log.data(), log.size());
+    mismatches += !reader_matches_decode(path, log.data(), log.size());
+  }
+
+  // A log spanning three chunks, cut at every offset within two records of
+  // each chunk boundary (longest cut first, so one file truncates down).
+  constexpr std::size_t kChunk = WalReader::kChunkBytes;
+  const auto log = encode_log(2 * kChunk / kWalRecordBytes + 5, rng);
+  write_bytes(path, log.data(), log.size());
+  mismatches += !reader_matches_decode(path, log.data(), log.size());
+  for (std::size_t boundary : {2 * kChunk, kChunk}) {
+    for (std::size_t cut = boundary + 2 * kWalRecordBytes;
+         cut + 2 * kWalRecordBytes >= boundary; --cut) {
+      CHECK(::truncate(path.c_str(), static_cast<off_t>(cut)) == 0);
+      mismatches += !reader_matches_decode(path, log.data(), cut);
+    }
+  }
+
+  // A flipped byte or an LSN step back in the records on either side of
+  // the first chunk boundary.
+  const std::size_t last = kChunk / kWalRecordBytes - 1;  // ends chunk 1
+  for (std::size_t rec = last - 1; rec <= last + 2; ++rec) {
+    auto flipped = log;
+    flipped[rec * kWalRecordBytes + 20] ^= 0x04;
+    write_bytes(path, flipped.data(), flipped.size());
+    mismatches += !reader_matches_decode(path, flipped.data(), flipped.size());
+
+    auto swapped = log;  // records rec and rec+1 trade places
+    std::swap_ranges(swapped.begin() + rec * kWalRecordBytes,
+                     swapped.begin() + (rec + 1) * kWalRecordBytes,
+                     swapped.begin() + (rec + 1) * kWalRecordBytes);
+    write_bytes(path, swapped.data(), swapped.size());
+    CHECK(wal_decode(swapped.data(), swapped.size()).tail ==
+          WalTail::kCorrupt);
+    mismatches += !reader_matches_decode(path, swapped.data(), swapped.size());
+  }
+  CHECK(mismatches == 0);
+  remove_dir(dir);
+}
+
 }  // namespace
 
 int main() {
@@ -720,7 +1310,15 @@ int main() {
   checkpoint_crash_keeps_frozen_generations();
   fewer_shards_fold_orphan_logs();
   in_memory_mode();
+  batch_matches_scalar();
+  same_key_sequence_in_one_batch();
+  failsync_inside_batch();
+  batched_writers_beside_checkpoints();
+  merge_orders_alternating_segments();
+  unreadable_segment_fails_open();
+  recovery_memory_is_bounded();
   fuzz_wal_and_snapshot_decoders();
+  wal_reader_matches_wal_decode();
   if (g_failures != 0) {
     std::fprintf(stderr, "%d check(s) FAILED\n", g_failures);
     return 1;
