@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     const std::size_t total =
         (st0.bins + st0.links_capacity) * kSlotsPerBucket;
     std::uint64_t k = 0;
-    while (m.resizes() == 0) {
+    while (m.resizes_completed() == 0) {
       ++k;
       m.insert(k, k);
     }
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     o.resize_chunk_bins = chunk;
     InlinedMap m(o);
     workload::populate(m, args.keys);
-    const std::uint64_t before = m.resizes();
+    const std::uint64_t before = m.resizes_completed();
     const double migrate_secs = workload::run_once(threads, [&m, before,
                                                              threads](int tid) {
       return [&m, before, threads, tid] {
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
           m.grow_now();
         } else {
           std::uint64_t i = 0;
-          while (m.resizes() == before) {
+          while (m.resizes_completed() == before) {
             const std::uint64_t k = (std::uint64_t{1} << 40) +
                                     static_cast<std::uint64_t>(tid) * 1000000 +
                                     (i++ % 1000000);
@@ -130,9 +130,9 @@ int main(int argc, char** argv) {
     print_row("ablation", name, static_cast<double>(factor),
               static_cast<double>(args.keys) / s / 1e6, "Minserts/s");
     print_row("ablation", name + "/migrations", static_cast<double>(factor),
-              static_cast<double>(m.resizes()), "count");
-    if (factor == 2) resizes_x2 = m.resizes();
-    if (factor == 8) resizes_x8 = m.resizes();
+              static_cast<double>(m.resizes_completed()), "count");
+    if (factor == 2) resizes_x2 = m.resizes_completed();
+    if (factor == 8) resizes_x8 = m.resizes_completed();
   }
 
   std::puts(

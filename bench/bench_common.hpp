@@ -28,7 +28,7 @@
 //     --map a,b,...      restrict a comparison bench to the named designs
 //                        (also: DLHT_BENCH_MAPS env knob; the flag wins).
 //                        Names: dlht clht growt folly dramhit mica cuckoo
-//                        tbb leapfrog locked rh mm. Unknown names refuse
+//                        leapfrog locked rh mm. Unknown names refuse
 //                        with exit 2 (same contract as --probe: a typo
 //                        silently dropping a series mislabels the
 //                        trajectory). Empty/unset = every design the
@@ -88,10 +88,10 @@ inline std::uint64_t now_ns() {
 ///                        size multiplier (Options::growth_factor).
 ///   DLHT_ABLATION        comma list of features to disable: nofp
 ///                        (fingerprints), nolink (link chains), noinplace
-///                        (in-place updates), nosimd (the SIMD batched
-///                        probe — forces the SWAR engine). "nobatch" is
-///                        honored by the benches that sweep batching, not
-///                        here.
+///                        (in-place updates), nobatch (read by
+///                        ablate_batching(), not here). Any other token
+///                        refuses with exit 2; see ablations() below. The
+///                        SWAR-only probe is DLHT_PROBE=swar.
 ///   DLHT_PROBE           probe engine (auto|swar|avx2|avx512); see
 ///                        requested_probe() below.
 ///   DLHT_NUMA            bucket/link-pool placement: first_touch
@@ -180,6 +180,56 @@ inline void apply_numa_env(Options& o) {
   }
 }
 
+/// Split a comma list into its non-empty items.
+inline std::vector<std::string> split_list(const char* s) {
+  std::vector<std::string> out;
+  while (s != nullptr && *s != '\0') {
+    const char* comma = std::strchr(s, ',');
+    std::string item =
+        comma != nullptr ? std::string(s, comma) : std::string(s);
+    if (!item.empty()) out.push_back(std::move(item));
+    if (comma == nullptr) break;
+    s = comma + 1;
+  }
+  return out;
+}
+
+/// The DLHT_ABLATION tokens, parsed once. Only nofp, nolink, noinplace and
+/// nobatch are accepted; anything else refuses with exit 2 (the
+/// parse_probe_or_die contract: a misspelled ablation would otherwise run
+/// the full design under an ablation label).
+struct Ablations {
+  bool nofp = false;
+  bool nolink = false;
+  bool noinplace = false;
+  bool nobatch = false;
+};
+
+inline const Ablations& ablations() {
+  static const Ablations a = [] {
+    Ablations r;
+    for (const std::string& t : split_list(std::getenv("DLHT_ABLATION"))) {
+      if (t == "nofp") {
+        r.nofp = true;
+      } else if (t == "nolink") {
+        r.nolink = true;
+      } else if (t == "noinplace") {
+        r.noinplace = true;
+      } else if (t == "nobatch") {
+        r.nobatch = true;
+      } else {
+        std::fprintf(stderr,
+                     "bench: unknown DLHT_ABLATION token '%s'; expected a "
+                     "comma list of: nofp nolink noinplace nobatch\n",
+                     t.c_str());
+        std::exit(2);
+      }
+    }
+    return r;
+  }();
+  return a;
+}
+
 inline Options apply_env_knobs(Options o) {
   o.probe_strategy = requested_probe();
   apply_numa_env(o);
@@ -198,12 +248,9 @@ inline Options apply_env_knobs(Options o) {
     const double f = std::strtod(env, &end);
     if (end != env && f >= 0.0) o.min_load_factor = f;
   }
-  if (const char* env = std::getenv("DLHT_ABLATION")) {
-    if (std::strstr(env, "nofp")) o.ablation.fingerprints = false;
-    if (std::strstr(env, "nolink")) o.ablation.link_chains = false;
-    if (std::strstr(env, "noinplace")) o.ablation.inplace_updates = false;
-    if (std::strstr(env, "nosimd")) o.ablation.simd_probe = false;
-  }
+  if (ablations().nofp) o.ablation.fingerprints = false;
+  if (ablations().nolink) o.ablation.link_chains = false;
+  if (ablations().noinplace) o.ablation.inplace_updates = false;
   return o;
 }
 
@@ -341,42 +388,33 @@ inline Options dlht_options(std::uint64_t keys, unsigned max_threads = 64) {
   return apply_env_knobs(o);
 }
 
-/// True when DLHT_ABLATION contains "nobatch": benches that default to the
-/// batched API fall back to scalar ops so batching itself can be ablated.
-inline bool ablate_batching() {
-  const char* env = std::getenv("DLHT_ABLATION");
-  return env != nullptr && std::strstr(env, "nobatch") != nullptr;
-}
+/// True when DLHT_ABLATION lists "nobatch", the batching ablation. No
+/// bench consults it yet: the figures that compare batching print their
+/// own NoBatch rows.
+inline bool ablate_batching() { return ablations().nobatch; }
 
 /// Every design name --map / DLHT_BENCH_MAPS accepts. One list for every
 /// comparison bench: a name a binary does not host simply selects nothing
 /// there, but a *misspelled* name is refused everywhere (exit 2).
 inline constexpr const char* kMapNames[] = {
-    "dlht", "clht", "growt",    "folly",  "dramhit", "mica",
-    "cuckoo", "tbb", "leapfrog", "locked", "rh",      "mm",
+    "dlht",   "clht",     "growt",  "folly", "dramhit", "mica",
+    "cuckoo", "leapfrog", "locked", "rh",    "mm",
 };
 
 inline std::vector<std::string> parse_map_list_or_die(const char* s,
                                                       const char* origin) {
-  std::vector<std::string> out;
-  while (s != nullptr && *s != '\0') {
-    const char* comma = std::strchr(s, ',');
-    std::string name = comma != nullptr ? std::string(s, comma) : std::string(s);
-    if (!name.empty()) {
-      bool known = false;
-      for (const char* n : kMapNames) known = known || name == n;
-      if (!known) {
-        std::fprintf(stderr,
-                     "bench: unknown map '%s' (from %s); expected a comma "
-                     "list of: dlht clht growt folly dramhit mica cuckoo "
-                     "tbb leapfrog locked rh mm\n",
-                     name.c_str(), origin);
-        std::exit(2);
-      }
-      out.push_back(std::move(name));
+  std::vector<std::string> out = split_list(s);
+  for (const std::string& name : out) {
+    bool known = false;
+    for (const char* n : kMapNames) known = known || name == n;
+    if (!known) {
+      std::fprintf(stderr,
+                   "bench: unknown map '%s' (from %s); expected a comma "
+                   "list of: dlht clht growt folly dramhit mica cuckoo "
+                   "leapfrog locked rh mm\n",
+                   name.c_str(), origin);
+      std::exit(2);
     }
-    if (comma == nullptr) break;
-    s = comma + 1;
   }
   return out;
 }

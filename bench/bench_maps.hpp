@@ -2,8 +2,9 @@
 // benches (Figs. 1, 3, 4, 5, 6, 7).
 //
 // Naming follows Table 3: DLHT (batched), DLHT-NoBatch, CLHT, GrowT, Folly,
-// DRAMHiT, MICA, Cuckoo, TBB, Leapfrog. Baselines are sized so the
-// prepopulated working set fits their design's comfort zone (open
+// DRAMHiT, MICA, Cuckoo, Leapfrog. The paper's TBB has no stand-in: a
+// locked map under that name would only rerun Locked. Baselines are sized
+// so the prepopulated working set fits their design's comfort zone (open
 // addressing gets 4x capacity; growt needs headroom over its 30 % trigger).
 #pragma once
 
@@ -131,7 +132,7 @@ inline std::uint64_t map_footprint_bytes(const std::string& name,
   }
   if (name == "mica") return p2(keys / 4 + 16) * 64 + keys * 32;
   if (name == "cuckoo") return p2(keys * 2) * 32;
-  if (name == "tbb" || name == "locked") return keys * 64;
+  if (name == "locked") return keys * 64;
   if (name == "rh") {
     return (p2(keys * 2) + baselines::RobinHoodMap<>::kMaxProbe) * 24;
   }

@@ -88,12 +88,6 @@ int main(int argc, char** argv) {
     print_row("fig01", "Cuckoo/get", threads,
               get_tput(m, keys, threads, secs, 1), "Mreq/s");
   }
-  if (args.map_enabled("tbb")) {
-    baselines::TbbLike<> m(keys);
-    workload::populate(m, keys);
-    print_row("fig01", "TBB/get", threads,
-              get_tput(m, keys, threads, secs, 1), "Mreq/s");
-  }
   if (args.map_enabled("leapfrog")) {
     baselines::LeapfrogLike<> m(keys * 4);
     workload::populate(m, keys);

@@ -97,13 +97,6 @@ int main(int argc, char** argv) {
       print_row("fig03", "Cuckoo", t, get_tput(m, keys, t, secs, 1), "Mreq/s");
     }
   }
-  if (args.map_enabled("tbb")) {
-    baselines::TbbLike<> m(keys);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig03", "TBB", t, get_tput(m, keys, t, secs, 1), "Mreq/s");
-    }
-  }
   if (args.map_enabled("leapfrog")) {
     baselines::LeapfrogLike<> m(keys * 4);
     workload::populate(m, keys);

@@ -8,14 +8,16 @@
 //   NoLinkChains   bounded one-line index: chain-full inserts fail
 //   NoInplace      puts republish through the two-phase shadow path
 //   NoSimdProbe    batched probes forced onto the portable SWAR engine
+//                  (probe_strategy = kSwar, the DLHT_PROBE=swar table)
 //   NoBatch        scalar Gets instead of the prefetch pipeline
 //
 // Each config reports Get and PutHeavy throughput; NoLinkChains also
 // reports how much of the key set it could hold at all (the capacity the
-// chains buy). The same toggles are reachable in every bench via
-// DLHT_ABLATION=nofp,nolink,noinplace,nosimd,nobatch. The timing shape
-// checks compare Default with each ablation in interleaved slices
-// (bench::interleaved_mops), so host drift hits both sides alike.
+// chains buy). The Options toggles are reachable in every bench via
+// DLHT_ABLATION=nofp,nolink,noinplace and the SWAR engine via
+// DLHT_PROBE=swar. The timing shape checks compare Default with each
+// ablation in interleaved slices (bench::interleaved_mops), so host drift
+// hits both sides alike.
 #include <algorithm>
 #include <functional>
 #include <memory>
@@ -75,7 +77,7 @@ int main(int argc, char** argv) {
   Options noip = base;
   noip.ablation.inplace_updates = false;
   Options nosimd = base;
-  nosimd.ablation.simd_probe = false;
+  nosimd.probe_strategy = ProbeStrategy::kSwar;
 
   // Tables the paired shape checks below reuse stay alive.
   const auto def_map = populated(base, keys);

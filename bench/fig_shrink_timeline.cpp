@@ -117,9 +117,9 @@ int main(int argc, char** argv) {
   // touching the size counters, so in-flight shrinks complete and the
   // reported final geometry is stable.
   const std::uint64_t settle_deadline = now_ns() + 500'000'000ULL;
-  for (std::uint64_t s = m.shrinks();;) {
+  for (std::uint64_t s = m.shrinks_completed();;) {
     for (int i = 0; i < 256; ++i) m.erase(0);
-    const std::uint64_t cur = m.shrinks();
+    const std::uint64_t cur = m.shrinks_completed();
     if (cur == s || now_ns() > settle_deadline) break;
     s = cur;
   }
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   std::printf(
       "# shrinks completed: %llu, bins %zu -> %zu, reclaimed %zu bins + %zu "
       "link buckets, %lld keys left\n",
-      static_cast<unsigned long long>(m.shrinks()), high_bins,
+      static_cast<unsigned long long>(m.shrinks_completed()), high_bins,
       final_stats.bins, final_stats.bins_reclaimed,
       final_stats.links_reclaimed,
       static_cast<long long>(m.approx_size()));
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
               last < 2 || max_zero_run <= 1);
   check_shape("every surviving key stayed readable",
               read_errors.load() == 0);
-  if (m.shrinks() < 1) {
+  if (m.shrinks_completed() < 1) {
     std::fprintf(stderr, "fig_shrink: no shrink completed — bench invalid\n");
     return 1;
   }

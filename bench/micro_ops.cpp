@@ -329,8 +329,8 @@ void run_shape_check(const bench::Args& args) {
 /// differ per-core, not in scalability.
 void run_probe_sweep(const bench::Args& args) {
   const Options base = bench::dlht_options(args.keys);
-  if (!base.ablation.simd_probe || !base.ablation.fingerprints) {
-    std::printf("# probe sweep skipped (SIMD probe ablated away)\n");
+  if (!base.ablation.fingerprints) {
+    std::printf("# probe sweep skipped (fingerprints ablated: SWAR only)\n");
     return;
   }
   std::vector<ProbeStrategy> engines{ProbeStrategy::kSwar};

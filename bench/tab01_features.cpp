@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     const std::size_t total =
         (st0.bins + st0.links_capacity) * kSlotsPerBucket;
     std::uint64_t k = 0;
-    while (m.resizes() == 0) {
+    while (m.resizes_completed() == 0) {
       ++k;
       m.insert(k, k);
     }

@@ -3,7 +3,7 @@
 // behavior — open addressing with tombstones (GrowT/Folly/Leapfrog),
 // CLHT-style cache-line buckets, DRAMHiT-style in-batch reordering,
 // MICA's two-access index+store, 2-choice cuckoo buckets, and a sharded
-// locked std::unordered_map ("Locked", stood in for TBB).
+// locked std::unordered_map ("Locked").
 //
 // These are opponents for throughput figures, not production maps: reads
 // are lock-free but only loosely snapshot-consistent under racing writers.
@@ -606,8 +606,8 @@ class CuckooLike {
   std::mutex write_mu_;
 };
 
-/// The simplest opponent: std::unordered_map sharded under mutexes. Also
-/// stands in for TBB's concurrent_hash_map in the figure benches.
+/// The simplest opponent: std::unordered_map sharded under mutexes (the
+/// single-thread floor of fig16).
 template <class Hash = XxMixHash, std::size_t kShards = 16>
 class Locked {
  public:
@@ -653,9 +653,6 @@ class Locked {
   }
   std::unique_ptr<Shard[]> shards_;
 };
-
-template <class Hash = XxMixHash>
-using TbbLike = Locked<Hash>;
 
 /// A growing open-addressing table with a *blocking* resize: writers hold a
 /// shared lock, and whichever inserter trips the load trigger takes the

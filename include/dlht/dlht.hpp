@@ -112,7 +112,8 @@ struct Options {
   /// kSwar — the core always runs; benches refuse instead (bench `--probe`
   /// / DLHT_PROBE knob). Scalar ops and the write-side slot search always
   /// use the portable SWAR matchers regardless of this setting: SIMD pays
-  /// off where 8 prefetched headers can be matched per instruction.
+  /// off where 8 prefetched headers can be matched per instruction. kSwar
+  /// is also fig14's SIMD ablation.
   ProbeStrategy probe_strategy = ProbeStrategy::kAuto;
 
   /// Runtime ablation toggles (fig14/tab01/ablation_design): each disables
@@ -133,10 +134,6 @@ struct Options {
     /// through the two-phase shadow-insert path (three home-lock
     /// acquisitions) instead of overwriting the value in place under one.
     bool inplace_updates = true;
-    /// Off: the runtime-dispatched SIMD batched probe is disabled and every
-    /// probe runs the portable SWAR path, whatever probe_strategy says —
-    /// fig14's simd_probe ablation (DLHT_ABLATION=nosimd bench knob).
-    bool simd_probe = true;
   };
   Ablation ablation;
 };
@@ -174,13 +171,11 @@ class DLHT {
   };
 
   /// The probe engine a table built with `o` would actually run: cpuid
-  /// resolution of o.probe_strategy, forced to SWAR when the simd_probe or
-  /// fingerprints ablation removes what SIMD accelerates. Exposed so bench
-  /// config tags can record the dispatched engine without building a table.
+  /// resolution of o.probe_strategy, forced to SWAR when the fingerprints
+  /// ablation removes what SIMD accelerates. Exposed so bench config tags
+  /// can record the dispatched engine without building a table.
   static ProbeStrategy resolved_probe(const Options& o) {
-    if (!o.ablation.simd_probe || !o.ablation.fingerprints) {
-      return ProbeStrategy::kSwar;
-    }
+    if (!o.ablation.fingerprints) return ProbeStrategy::kSwar;
     return probe::resolve(o.probe_strategy);
   }
 
@@ -219,17 +214,10 @@ class DLHT {
     return resizes_completed_.load(std::memory_order_relaxed);
   }
 
-  /// Alias for resizes_completed() — the counter name the figure benches
-  /// and the paper's occupancy study use.
-  std::uint64_t resizes() const { return resizes_completed(); }
-
   /// Completed *shrink* (downward) migrations since construction.
   std::uint64_t shrinks_completed() const {
     return shrinks_completed_.load(std::memory_order_relaxed);
   }
-
-  /// Short-form alias, symmetric with resizes().
-  std::uint64_t shrinks() const { return shrinks_completed(); }
 
   /// Point-in-time geometry of the current table generation. links_used is
   /// the number of link (overflow) buckets handed out so far;
@@ -270,10 +258,10 @@ class DLHT {
   }
 
   /// Force a resize now, regardless of load factor, and help migrate until
-  /// one completes: on return resizes() has advanced by at least one. If a
-  /// resize was already active (even one whose shadow is still being
-  /// allocated by the thread that won the publication race), this call
-  /// helps finish that one instead of stacking another.
+  /// one completes: on return resizes_completed() has advanced by at least
+  /// one. If a resize was already active (even one whose shadow is still
+  /// being allocated by the thread that won the publication race), this
+  /// call helps finish that one instead of stacking another.
   void grow_now() {
     EpochManager::Guard g(epoch_);
     force_migration(resizes_completed_, [this](TableInstance* t) {
@@ -283,11 +271,12 @@ class DLHT {
   }
 
   /// Force a downward resize now, regardless of load factor, and help
-  /// migrate until one completes: on return shrinks() has advanced by at
-  /// least one. If a resize is already active (grow or shrink), this call
-  /// helps finish it first — a completed grow is followed by starting the
-  /// requested shrink. No-op when the table is already at its minimum
-  /// geometry (shrink_bins() cannot go below 16 bins).
+  /// migrate until one completes: on return shrinks_completed() has
+  /// advanced by at least one. If a resize is already active (grow or
+  /// shrink), this call helps finish it first — a completed grow is
+  /// followed by starting the requested shrink. No-op when the table is
+  /// already at its minimum geometry (shrink_bins() cannot go below 16
+  /// bins).
   void shrink_now() {
     EpochManager::Guard g(epoch_);
     force_migration(shrinks_completed_, [this](TableInstance* t) {
@@ -356,12 +345,7 @@ class DLHT {
                              SlotState::kShadow);
         } while (st == Status::kFull);
       }
-      if (st == Status::kOk) {
-        for (;;) {
-          const int r = try_commit_on(writer_table(h), h, key);
-          if (r >= 0) break;
-        }
-      }
+      if (st == Status::kOk) commit_pinned(h, key);
       return existed;
     }
     return mutate_pinned(h, key, value, /*upsert=*/true, SlotState::kValid) ==
@@ -378,11 +362,16 @@ class DLHT {
   template <class F>
   std::optional<std::uint64_t> update(std::uint64_t key, F&& f) {
     EpochManager::Guard g(epoch_);
-    const std::uint64_t h = hash_(key);
-    for (;;) {
-      std::optional<std::uint64_t> out;
-      if (try_update_on(writer_table(h), h, key, f, &out)) return out;
-    }
+    std::optional<std::uint64_t> out;
+    // Only kValid slots: a shadow-reserved entry is not yet readable, so it
+    // is not yet updatable either.
+    edit_pinned<probe::valid_slots>(
+        hash_(key), key, [&](Slot& slot, int, std::uint64_t bh) {
+          out = f(slot.value);
+          S::store_relaxed(&slot.value, *out);
+          return bh;
+        });
+    return out;
   }
 
   /// Delete, returning the removed value. The slot is freed in place (no
@@ -402,11 +391,7 @@ class DLHT {
   /// ...then flip it visible once the caller's side effects are durable.
   bool commit_shadow(std::uint64_t key) {
     EpochManager::Guard g(epoch_);
-    const std::uint64_t h = hash_(key);
-    for (;;) {
-      const int r = try_commit_on(writer_table(h), h, key);
-      if (r >= 0) return r == 1;
-    }
+    return commit_pinned(hash_(key), key);
   }
 
   // ----------------------------------------------------------- batched ops
@@ -784,13 +769,12 @@ class DLHT {
         continue;
       }
       if (__builtin_expect(hdr::migrated(v1), 0)) return &kRedirectBucket;
-      // Candidate slots via the probe layer's raw SWAR matchers (bit 8i+7
-      // = slot i — peeled with ctz>>3, skipping the normalized form's
-      // compression). Fingerprint ablation: probe every valid slot by
-      // full-key compare.
+      // Candidate slots via the probe layer's SWAR matchers (bit 8i+7 =
+      // slot i, peeled with ctz>>3). Fingerprint ablation: probe every
+      // valid slot by full-key compare.
       std::uint32_t cand = opts_.ablation.fingerprints
-                               ? probe::match_valid_raw(v1, fp)
-                               : probe::valid_slots_raw(v1);
+                               ? probe::match_valid(v1, fp)
+                               : probe::valid_slots(v1);
       while (cand != 0) {
         const int i = __builtin_ctz(cand) >> 3;
         const std::uint64_t k = S::load_relaxed(&b->slots[i].key);
@@ -934,9 +918,9 @@ class DLHT {
   /// 8-byte load. Returns the lane index where the scalar tail resumes.
   /// Gather one group's 8 headers (acquire) + fingerprints. The unrolled
   /// scalar loads keep each header in its own SSA value so the sweeps can
-  /// hand them to the vector kernels as registers (see the probe.hpp note
-  /// on the array form's store-forwarding hazard); the hd[] copy feeds the
-  /// per-lane seqlock re-checks in consume_group, where same-width 8B
+  /// hand them to the vector kernels as registers (see the probe.hpp AVX2
+  /// note on a stack array's store-forwarding hazard); the hd[] copy feeds
+  /// the per-lane seqlock re-checks in consume_group, where same-width 8B
   /// store/load pairs forward cleanly.
   __attribute__((always_inline)) inline std::uint64_t gather_group(
       const std::uint8_t* fp, const Bucket** cur, const std::uint16_t* active,
@@ -1074,230 +1058,93 @@ class DLHT {
   }
 
   // ------------------------------------------------------------ mutations
+  //
+  // Every write runs one protocol. lock_home takes the home bucket's lock
+  // bit — it guards the whole link chain — or refuses a home that already
+  // migrated, and locked_write then retries at the shadow. search_locked
+  // walks the chain under the lock. publish releases: a link bucket's
+  // header is stored with a version bump before the home unlock bumps the
+  // home's, so an optimistic reader of either line revalidates.
 
-  /// Try the insert/upsert on instance `t`. Returns false (retry at the
-  /// shadow) when the home bucket migrated before we got the lock.
-  /// `force_chain` lets migration append link buckets even when the user
-  /// surface has them ablated off — a resize must never drop entries.
-  bool try_mutate_on(TableInstance* t, std::uint64_t h, std::uint64_t key,
-                     std::uint64_t value, bool upsert,
-                     SlotState publish_state, Status* out,
-                     bool force_chain = false) {
-    const std::uint8_t fp = fp_of(h);
-    Bucket* home = &t->main_[h & t->mask_];
-    const std::uint64_t hh = lock_bucket(home);
-    if (hdr::migrated(hh)) {
-      S::store_release(&home->header, hdr::without_lock(hh));
-      return false;
-    }
-    Bucket* b = home;
-    std::uint64_t bh = hh;
-    Bucket* empty_b = nullptr;
-    int empty_i = -1;
-    std::uint64_t empty_bh = 0;
-    for (;;) {
-      // Duplicate check over occupied slots (valid or shadow-reserved),
-      // fingerprint-filtered through the probe layer; remember the first
-      // free slot of the chain for the insert.
-      const std::uint32_t occ = probe::occupied_slots(bh);
-      if (empty_b == nullptr) {
-        const std::uint32_t e = ~occ & 7u;
-        if (e != 0) {
-          empty_b = b;
-          empty_i = __builtin_ctz(e);
-          empty_bh = bh;
-        }
-      }
-      std::uint32_t cand = opts_.ablation.fingerprints
-                               ? (probe::fp_matches(bh, fp) & occ)
-                               : occ;
-      for (; cand != 0; cand &= cand - 1) {
-        const int i = __builtin_ctz(cand);
-        if (b->slots[i].key != key) continue;
-        // Key already present (valid or shadow-reserved).
-        if (!upsert) {
-          unlock_bucket(home, hh);
-          *out = Status::kExists;
-          return true;
-        }
-        S::store_relaxed(&b->slots[i].value, value);
-        if (b == home) {
-          unlock_bucket(home, bh);
-        } else {
-          S::store_release(&b->header, hdr::bump_version(bh));
-          unlock_bucket(home, hh);
-        }
-        *out = Status::kExists;
-        return true;
-      }
-      if (b->link == 0) break;
-      b = t->link_at(b->link);
-      bh = b->header;
-    }
-
-    if (empty_b != nullptr) {
-      S::store_relaxed(&empty_b->slots[empty_i].key, key);
-      S::store_relaxed(&empty_b->slots[empty_i].value, value);
-      std::uint64_t nh = hdr::with_fingerprint(empty_bh, empty_i, fp);
-      nh = hdr::with_slot_state(nh, empty_i, publish_state);
-      if (empty_b == home) {
-        unlock_bucket(home, nh);
-      } else {
-        S::store_release(&empty_b->header, hdr::bump_version(nh));
-        unlock_bucket(home, hh);
-      }
-      *out = Status::kOk;
-      return true;
-    }
-
-    // Chain is full. With link chains ablated off (and this not being a
-    // migration copy), the bounded index rejects the insert instead.
-    if (!opts_.ablation.link_chains && !force_chain) {
-      unlock_bucket(home, hh);
-      *out = Status::kFull;
-      return true;
-    }
-    // Append a link bucket. Its contents are written before the
-    // release-store of last->link makes it reachable.
-    const std::uint32_t idx = t->alloc_link();
-    Bucket* nb = t->link_at(idx);
-    nb->slots[0].key = key;
-    nb->slots[0].value = value;
-    nb->link = 0;
-    std::uint64_t nh = hdr::with_fingerprint(nb->header, 0, fp);
-    nh = hdr::with_slot_state(nh, 0, publish_state);
-    S::store_release(&nb->header, hdr::bump_version(nh));
-    __atomic_store_n(&b->link, idx, __ATOMIC_RELEASE);
-    unlock_bucket(home, hh);
-    *out = Status::kOk;
-    return true;
+  /// Lock bucket `idx` of `t` and return it with its locked header in
+  /// `hh`; nullptr (lock dropped) when the bucket already migrated.
+  static Bucket* lock_home(TableInstance* t, std::size_t idx,
+                           std::uint64_t& hh) {
+    Bucket* home = &t->main_[idx];
+    hh = lock_bucket(home);
+    if (!hdr::migrated(hh)) return home;
+    S::store_release(&home->header, hdr::without_lock(hh));
+    return nullptr;
   }
 
-  /// Try the delete on instance `t`; false = home migrated, retry.
-  bool try_extract_on(TableInstance* t, std::uint64_t h, std::uint64_t key,
-                      std::optional<std::uint64_t>* out) {
-    const std::uint8_t fp = fp_of(h);
-    Bucket* home = &t->main_[h & t->mask_];
-    const std::uint64_t hh = lock_bucket(home);
-    if (hdr::migrated(hh)) {
-      S::store_release(&home->header, hdr::without_lock(hh));
-      return false;
-    }
-    Bucket* b = home;
-    std::uint64_t bh = hh;
-    for (;;) {
-      std::uint32_t cand = opts_.ablation.fingerprints
-                               ? (probe::fp_matches(bh, fp) &
-                                  probe::occupied_slots(bh))
-                               : probe::occupied_slots(bh);
-      for (; cand != 0; cand &= cand - 1) {
-        const int i = __builtin_ctz(cand);
-        if (b->slots[i].key != key) continue;
-        const std::uint64_t old = b->slots[i].value;
-        const std::uint64_t nh = hdr::with_slot_state(bh, i, SlotState::kEmpty);
-        if (b == home) {
-          unlock_bucket(home, nh);
-        } else {
-          S::store_release(&b->header, hdr::bump_version(nh));
-          unlock_bucket(home, hh);
-        }
-        *out = old;
-        return true;
-      }
-      if (b->link == 0) break;
-      b = t->link_at(b->link);
-      bh = b->header;
+  /// Release a write to bucket `b` of home's locked chain, `nh` being b's
+  /// new header (for the home itself, still carrying the lock bit). An
+  /// appended link bucket (`append_to` = the old tail, `idx` = the new
+  /// bucket) is linked in after its header is stored and before the home
+  /// unlocks: complete before it is reachable, reachable before the lock
+  /// drops.
+  static void publish(Bucket* home, std::uint64_t hh, Bucket* b,
+                      std::uint64_t nh, Bucket* append_to = nullptr,
+                      std::uint32_t idx = 0) {
+    if (b == home) return unlock_bucket(home, nh);
+    S::store_release(&b->header, hdr::bump_version(nh));
+    if (append_to != nullptr) {
+      __atomic_store_n(&append_to->link, idx, __ATOMIC_RELEASE);
     }
     unlock_bucket(home, hh);
-    *out = std::nullopt;
-    return true;
   }
 
-  /// Try the read-modify-write on instance `t`; false = home migrated,
-  /// retry at the shadow. Only kValid slots are eligible: a shadow-reserved
-  /// entry is not yet readable, so it is not yet updatable either.
-  template <class F>
-  bool try_update_on(TableInstance* t, std::uint64_t h, std::uint64_t key,
-                     F&& f, std::optional<std::uint64_t>* out) {
-    const std::uint8_t fp = fp_of(h);
-    Bucket* home = &t->main_[h & t->mask_];
-    const std::uint64_t hh = lock_bucket(home);
-    if (hdr::migrated(hh)) {
-      S::store_release(&home->header, hdr::without_lock(hh));
-      return false;
-    }
-    Bucket* b = home;
-    std::uint64_t bh = hh;
-    for (;;) {
-      std::uint32_t cand = opts_.ablation.fingerprints
-                               ? probe::match_valid(bh, fp)
-                               : probe::valid_slots(bh);
-      for (; cand != 0; cand &= cand - 1) {
-        const int i = __builtin_ctz(cand);
-        if (b->slots[i].key != key) continue;
-        const std::uint64_t nv = f(b->slots[i].value);
-        S::store_relaxed(&b->slots[i].value, nv);
-        if (b == home) {
-          unlock_bucket(home, bh);
-        } else {
-          S::store_release(&b->header, hdr::bump_version(bh));
-          unlock_bucket(home, hh);
-        }
-        *out = nv;
-        return true;
-      }
-      if (b->link == 0) break;
-      b = t->link_at(b->link);
-      bh = b->header;
-    }
-    unlock_bucket(home, hh);
-    *out = std::nullopt;
-    return true;
-  }
+  /// A slot of a locked chain: its bucket (nullptr = none), that bucket's
+  /// header as read under the lock, and the slot index.
+  struct SlotRef {
+    Bucket* b = nullptr;
+    std::uint64_t bh = 0;
+    int i = 0;
+  };
+  struct ChainSearch {
+    SlotRef hit;     // `key` among the slots the state mask selects
+    SlotRef empty;   // the chain's first empty slot
+    Bucket* tail = nullptr;  // the last bucket (set only on a miss)
+  };
 
-  /// Commit on instance `t`: 1 = committed, 0 = no shadow entry, -1 = home
-  /// migrated (retry at the shadow table).
-  int try_commit_on(TableInstance* t, std::uint64_t h, std::uint64_t key) {
-    const std::uint8_t fp = fp_of(h);
-    Bucket* home = &t->main_[h & t->mask_];
-    const std::uint64_t hh = lock_bucket(home);
-    if (hdr::migrated(hh)) {
-      S::store_release(&home->header, hdr::without_lock(hh));
-      return -1;
-    }
+  /// Walk home's locked chain for `key` among the slots `States` selects,
+  /// fingerprint-filtered unless that is ablated, stopping at the hit. On
+  /// the way it notes the first empty slot and the tail, for inserts.
+  /// always_inline is load-bearing: out of line, GCC returns ChainSearch
+  /// through memory, and a cache-resident erase loop ran ~25% slower.
+  template <std::uint32_t (*States)(std::uint64_t)>
+  __attribute__((always_inline)) inline ChainSearch search_locked(
+      const TableInstance* t, Bucket* home, std::uint64_t hh, std::uint8_t fp,
+      std::uint64_t key) const {
+    ChainSearch s;
     Bucket* b = home;
     std::uint64_t bh = hh;
     for (;;) {
-      std::uint32_t cand = opts_.ablation.fingerprints
-                               ? (probe::fp_matches(bh, fp) &
-                                  probe::shadow_slots(bh))
-                               : probe::shadow_slots(bh);
+      if (s.empty.b == nullptr) {
+        const std::uint32_t e = ~probe::occupied_slots(bh) & probe::kSlotMask;
+        if (e != 0) s.empty = {b, bh, __builtin_ctz(e) >> 3};
+      }
+      std::uint32_t cand = States(bh);
+      if (opts_.ablation.fingerprints) cand &= probe::fp_matches(bh, fp);
       for (; cand != 0; cand &= cand - 1) {
-        const int i = __builtin_ctz(cand);
-        if (b->slots[i].key != key) continue;
-        const std::uint64_t nh = hdr::with_slot_state(bh, i, SlotState::kValid);
-        if (b == home) {
-          unlock_bucket(home, nh);
-        } else {
-          S::store_release(&b->header, hdr::bump_version(nh));
-          unlock_bucket(home, hh);
+        const int i = __builtin_ctz(cand) >> 3;
+        if (b->slots[i].key == key) {
+          s.hit = {b, bh, i};
+          return s;
         }
-        return 1;
       }
       if (b->link == 0) break;
       b = t->link_at(b->link);
-      bh = b->header;
+      bh = S::load_relaxed(&b->header);
     }
-    unlock_bucket(home, hh);
-    return 0;
+    s.tail = b;
+    return s;
   }
 
   /// The instance writes should land in for a key hashing to `h`. During a
   /// resize this migrates the key's home bucket first (so the shadow
   /// becomes authoritative for this key), lends a hand with a cursor
-  /// chunk, and returns the shadow; otherwise the current table. Callers
-  /// retry through here when they lose the race with their bucket's
-  /// migration (try_*_on returned "migrated").
+  /// chunk, and returns the shadow; otherwise the current table.
   TableInstance* writer_table(std::uint64_t h) {
     TableInstance* t = cur_.load(std::memory_order_acquire);
     TableInstance* n = t->next.load(std::memory_order_acquire);
@@ -1307,27 +1154,118 @@ class DLHT {
     return n;
   }
 
+  /// The retry-at-shadow loop: run `op(t, home, hh)` with the home bucket
+  /// for `h` locked in the instance writes land in. A home that migrated
+  /// before we locked it sends us back through writer_table. `op` must
+  /// release the lock.
+  template <class Op>
+  auto locked_write(std::uint64_t h, Op&& op) {
+    for (;;) {
+      TableInstance* t = writer_table(h);
+      std::uint64_t hh;
+      if (Bucket* home = lock_home(t, h & t->mask_, hh)) {
+        return op(t, home, hh);
+      }
+    }
+  }
+
+  /// Insert logic, run under home's lock in `t`. A duplicate among the
+  /// occupied slots (valid or shadow-reserved) answers kExists, its value
+  /// first overwritten in place when `upsert`; otherwise the key takes the
+  /// chain's first empty slot, or a link bucket appended at the tail.
+  /// Releases the lock. `force_chain` lets migration append link buckets
+  /// even when the user surface has them ablated off — a resize must never
+  /// drop entries.
+  Status try_mutate_on(TableInstance* t, Bucket* home, std::uint64_t hh,
+                       std::uint64_t h, std::uint64_t key, std::uint64_t value,
+                       bool upsert, SlotState publish_state,
+                       bool force_chain = false) {
+    const std::uint8_t fp = fp_of(h);
+    const ChainSearch s =
+        search_locked<probe::occupied_slots>(t, home, hh, fp, key);
+    if (s.hit.b != nullptr) {
+      if (!upsert) {
+        unlock_bucket(home, hh);
+        return Status::kExists;
+      }
+      S::store_relaxed(&s.hit.b->slots[s.hit.i].value, value);
+      publish(home, hh, s.hit.b, s.hit.bh);
+      return Status::kExists;
+    }
+    if (s.empty.b != nullptr) {
+      S::store_relaxed(&s.empty.b->slots[s.empty.i].key, key);
+      S::store_relaxed(&s.empty.b->slots[s.empty.i].value, value);
+      const std::uint64_t nh =
+          hdr::with_fingerprint(s.empty.bh, s.empty.i, fp);
+      publish(home, hh, s.empty.b,
+              hdr::with_slot_state(nh, s.empty.i, publish_state));
+      return Status::kOk;
+    }
+    // Chain is full. With link chains ablated off (and this not being a
+    // migration copy), the bounded index rejects the insert instead.
+    if (!opts_.ablation.link_chains && !force_chain) {
+      unlock_bucket(home, hh);
+      return Status::kFull;
+    }
+    const std::uint32_t idx = t->alloc_link();
+    Bucket* nb = t->link_at(idx);
+    nb->slots[0].key = key;
+    nb->slots[0].value = value;
+    nb->link = 0;
+    const std::uint64_t nh = hdr::with_fingerprint(nb->header, 0, fp);
+    publish(home, hh, nb, hdr::with_slot_state(nh, 0, publish_state), s.tail,
+            idx);
+    return Status::kOk;
+  }
+
   Status mutate_pinned(std::uint64_t h, std::uint64_t key, std::uint64_t value,
                        bool upsert, SlotState publish_state) {
-    for (;;) {
-      Status st;
-      if (!try_mutate_on(writer_table(h), h, key, value, upsert, publish_state,
-                         &st)) {
-        continue;  // lost the race with this bucket's migration
-      }
-      if (st == Status::kOk) note_insert();
-      return st;
-    }
+    const Status st =
+        locked_write(h, [&](TableInstance* t, Bucket* home, std::uint64_t hh) {
+          return try_mutate_on(t, home, hh, h, key, value, upsert,
+                               publish_state);
+        });
+    if (st == Status::kOk) note_insert();
+    return st;
+  }
+
+  /// Edit an existing entry: find `key` among the slots `States` selects
+  /// and publish the header `edit(slot, i, bh)` returns for its bucket.
+  /// False (lock released, nothing written) when the key is not there.
+  template <std::uint32_t (*States)(std::uint64_t), class Edit>
+  bool edit_pinned(std::uint64_t h, std::uint64_t key, Edit&& edit) {
+    return locked_write(
+        h, [&](TableInstance* t, Bucket* home, std::uint64_t hh) {
+          const SlotRef hit =
+              search_locked<States>(t, home, hh, fp_of(h), key).hit;
+          if (hit.b == nullptr) {
+            unlock_bucket(home, hh);
+            return false;
+          }
+          publish(home, hh, hit.b, edit(hit.b->slots[hit.i], hit.i, hit.bh));
+          return true;
+        });
   }
 
   std::optional<std::uint64_t> extract_pinned(std::uint64_t h,
                                               std::uint64_t key) {
-    for (;;) {
-      std::optional<std::uint64_t> out;
-      if (!try_extract_on(writer_table(h), h, key, &out)) continue;
-      if (out.has_value()) note_erase();
-      return out;
+    std::optional<std::uint64_t> out;
+    if (edit_pinned<probe::occupied_slots>(
+            h, key, [&](Slot& slot, int i, std::uint64_t bh) {
+              out = slot.value;
+              return hdr::with_slot_state(bh, i, SlotState::kEmpty);
+            })) {
+      note_erase();
     }
+    return out;
+  }
+
+  /// Flip `key`'s shadow-reserved slot to kValid; false when none exists.
+  bool commit_pinned(std::uint64_t h, std::uint64_t key) {
+    return edit_pinned<probe::shadow_slots>(
+        h, key, [](Slot&, int i, std::uint64_t bh) {
+          return hdr::with_slot_state(bh, i, SlotState::kValid);
+        });
   }
 
   // ------------------------------------------------------------- resizing
@@ -1340,40 +1278,33 @@ class DLHT {
   /// the chain is already findable in the shadow. Returns true iff this
   /// call performed the migration.
   bool migrate_one(TableInstance* t, TableInstance* n, std::size_t idx) {
-    Bucket* home = &t->main_[idx];
-    if (hdr::migrated(S::load_relaxed(&home->header))) return false;
-    const std::uint64_t hh = lock_bucket(home);
-    if (hdr::migrated(hh)) {
-      S::store_release(&home->header, hdr::without_lock(hh));
-      return false;
-    }
-    Bucket* b = home;
-    std::uint64_t bh = hh;
-    for (;;) {
+    if (hdr::migrated(S::load_relaxed(&t->main_[idx].header))) return false;
+    std::uint64_t hh;
+    Bucket* home = lock_home(t, idx, hh);
+    if (home == nullptr) return false;
+    for (Bucket* b = home; b != nullptr;
+         b = b->link != 0 ? t->link_at(b->link) : nullptr) {
+      const std::uint64_t bh = S::load_relaxed(&b->header);
       for (int i = 0; i < kSlotsPerBucket; ++i) {
         const SlotState st = hdr::slot_state(bh, i);
         if (st == SlotState::kEmpty) continue;
         // Shadow-reserved slots migrate as shadow: a later commit_shadow
         // finds them in the new table.
         const std::uint64_t k = b->slots[i].key;
-        Status ignored;
-        try_mutate_on(n, hash_(k), k, b->slots[i].value, /*upsert=*/false, st,
-                      &ignored, /*force_chain=*/true);
+        const std::uint64_t h = hash_(k);
+        std::uint64_t nhh;
+        if (Bucket* dst = lock_home(n, h & n->mask_, nhh)) {
+          try_mutate_on(n, dst, nhh, h, k, b->slots[i].value,
+                        /*upsert=*/false, st, /*force_chain=*/true);
+        }
       }
-      if (b->link == 0) break;
-      b = t->link_at(b->link);
-      bh = S::load_relaxed(&b->header);
     }
-    b = home->link != 0 ? t->link_at(home->link) : nullptr;
-    while (b != nullptr) {
-      const std::uint64_t lbh = S::load_relaxed(&b->header);
-      S::store_release(&b->header,
-                       hdr::bump_version(hdr::with_migrated(lbh)));
-      b = b->link != 0 ? t->link_at(b->link) : nullptr;
+    for (Bucket* b = home->link != 0 ? t->link_at(home->link) : nullptr;
+         b != nullptr; b = b->link != 0 ? t->link_at(b->link) : nullptr) {
+      S::store_release(&b->header, hdr::bump_version(hdr::with_migrated(
+                                       S::load_relaxed(&b->header))));
     }
-    S::store_release(
-        &home->header,
-        hdr::bump_version(hdr::with_migrated(hdr::without_lock(hh))));
+    unlock_bucket(home, hdr::with_migrated(hh));
     return true;
   }
 

@@ -3,8 +3,8 @@
 // measurable component instead of logic inlined into dlht.hpp.
 //
 // Three engines share one contract — "given a header word (and, batched,
-// eight of them) plus a lookup fingerprint, return the 3-bit candidate-slot
-// mask" — and differ only in how many headers they match per instruction:
+// eight of them) plus a lookup fingerprint, return the candidate slots" —
+// and differ only in how many headers they match per instruction:
 //
 //   kSwar    portable baseline: one XOR + zero-byte trick over the 24
 //            fingerprint bits of a single header word. No ISA requirement;
@@ -122,41 +122,48 @@ constexpr std::uint8_t fp_of(std::uint64_t h) {
 
 // ------------------------------------------------------ SWAR baseline
 //
-// All helpers return normalized 3-bit masks: bit i set <=> slot i.
+// Every helper returns a byte-stride mask: bit 8i+7 set <=> slot i, so
+// kSlotMask holds all three slots. Callers peel slots with
+// `__builtin_ctz(mask) >> 3` — the zero-byte test yields this form
+// directly, so the scalar Get loop never pays to compress it.
+
+inline constexpr std::uint32_t kSlotMask = 0x808080u;
 
 /// Slots whose header fingerprint byte equals fp (state ignored): one XOR
-/// + zero-byte test matches all three fingerprints branch-free.
+/// + zero-byte test matches all three fingerprints branch-free. The result
+/// is a superset of the exact matches — the subtraction's borrow can also
+/// flag the byte just above a match — so callers confirm every candidate
+/// with a full-key compare.
 constexpr std::uint32_t fp_matches(std::uint64_t header, std::uint8_t fp) {
   const std::uint32_t fps = static_cast<std::uint32_t>(header) & 0xffffffu;
   const std::uint32_t x = fps ^ (0x010101u * fp);
-  const std::uint32_t m = (x - 0x010101u) & ~x & 0x808080u;
-  return ((m >> 7) | (m >> 14) | (m >> 21)) & 7u;
+  return (x - 0x010101u) & ~x & kSlotMask;
 }
 
 namespace detail {
-// The 2-bit slot states live at header bits [24..29]; `pick` receives the
-// six state bits and must leave bit 2i set iff slot i qualifies.
-constexpr std::uint32_t compress_states(std::uint32_t bits2i) {
-  return (bits2i & 1u) | ((bits2i >> 1) & 2u) | ((bits2i >> 2) & 4u);
+// The 2-bit slot states live at header bits [24..29]; callers reduce them
+// to one flag per slot at bit 2i, which this moves to bit 8i+7.
+constexpr std::uint32_t spread_states(std::uint32_t bits2i) {
+  return ((bits2i & 1u) << 7) | ((bits2i & 4u) << 13) | ((bits2i & 16u) << 19);
 }
 }  // namespace detail
 
 /// Slots in state kValid (2-bit state == 01): readable by Gets.
 constexpr std::uint32_t valid_slots(std::uint64_t header) {
   const std::uint32_t st = static_cast<std::uint32_t>(header >> 24) & 0x3fu;
-  return detail::compress_states(st & ~(st >> 1) & 0x15u);
+  return detail::spread_states(st & ~(st >> 1) & 0x15u);
 }
 
 /// Slots in state kShadow (== 10): reserved, not yet visible to Gets.
 constexpr std::uint32_t shadow_slots(std::uint64_t header) {
   const std::uint32_t st = static_cast<std::uint32_t>(header >> 24) & 0x3fu;
-  return detail::compress_states((st >> 1) & ~st & 0x15u);
+  return detail::spread_states((st >> 1) & ~st & 0x15u);
 }
 
 /// Slots holding an entry in either state (valid or shadow).
 constexpr std::uint32_t occupied_slots(std::uint64_t header) {
   const std::uint32_t st = static_cast<std::uint32_t>(header >> 24) & 0x3fu;
-  return detail::compress_states((st | (st >> 1)) & 0x15u);
+  return detail::spread_states((st | (st >> 1)) & 0x15u);
 }
 
 /// Fingerprint matches restricted to readable (kValid) slots — the Get
@@ -165,42 +172,16 @@ constexpr std::uint32_t match_valid(std::uint64_t header, std::uint8_t fp) {
   return fp_matches(header, fp) & valid_slots(header);
 }
 
-// Raw byte-granularity forms (bit 8i+7 = slot i): the scalar Get probe is
-// the hottest loop in the system, and compressing candidates down to the
-// normalized 3-bit shape costs ~6 ALU ops it never needed — it can peel
-// slots straight off the SWAR byte mask with `ctz >> 3`. Kept alongside
-// the normalized helpers (same candidate sets, probe_equivalence_test
-// cross-checks them) because the vector kernels' packed contract wants
-// the dense form.
-
-constexpr std::uint32_t fp_matches_raw(std::uint64_t header,
-                                       std::uint8_t fp) {
-  const std::uint32_t fps = static_cast<std::uint32_t>(header) & 0xffffffu;
-  const std::uint32_t x = fps ^ (0x010101u * fp);
-  return (x - 0x010101u) & ~x & 0x808080u;
-}
-
-constexpr std::uint32_t valid_slots_raw(std::uint64_t header) {
-  const std::uint32_t st = static_cast<std::uint32_t>(header >> 24) & 0x3fu;
-  const std::uint32_t v = st & ~(st >> 1) & 0x15u;  // bit 2i per valid slot
-  return ((v & 1u) << 7) | ((v & 4u) << 13) | ((v & 16u) << 19);
-}
-
-constexpr std::uint32_t match_valid_raw(std::uint64_t header,
-                                        std::uint8_t fp) {
-  return fp_matches_raw(header, fp) & valid_slots_raw(header);
-}
-
 // --------------------------------------------------- SIMD batch kernels
 //
-// Contract: given 8 header words plus 8 lookup fingerprints packed into
-// one uint64 (byte j = lane j's fp), return a packed candidate mask whose
-// bits [8j .. 8j+2] are match_valid(headers[j], fp_j) — the caller peels
-// lane j's 3-bit mask with `(mask >> 8*j) & 7`. The packed in/out shapes
-// matter: the batched sweep gathers headers as individual 64-bit stores
-// and ORs fingerprints into a register, so the kernels read each header
-// with a same-width load (8B-over-8B store-forwards cleanly, where one
-// 32B load over four 8B stores stalls) and move the fp word straight into
+// Contract: given 8 header words in one vector register plus 8 lookup
+// fingerprints packed into one uint64 (byte j = lane j's fp), return a
+// packed mask holding lane j's candidate slots — the exact-match subset of
+// match_valid(header j, fp j) — as a 3-bit set (bit i = slot i) at a
+// per-lane stride of 4 bits (AVX2) or 8 bits (AVX-512); the caller peels
+// lane j with `(mask >> stride*j) & 7`. The batched sweep gathers the
+// headers as scalar loads and builds the register from them (see the AVX2
+// note on why not from a stack array), and moves the fp word straight into
 // a vector register — no byte-array round-trips on either side.
 // Lock/migrated bits do NOT affect the result (they live in state-byte
 // bits the kernels mask off); callers must check them per lane before
@@ -208,16 +189,14 @@ constexpr std::uint32_t match_valid_raw(std::uint64_t header,
 
 #if DLHT_PROBE_X86_SIMD
 
-/// Vector-register-input form of the AVX2 kernel. Matching only reads the
-/// low 32 bits of each header (3 fp bytes + the state byte), so all eight
-/// lanes fit one ymm: hlo's dword j = low dword of header j. Returns the
-/// COMPACT mask — lane j's 3-bit candidate set at bits [4j..4j+2] — which
-/// is what vpmovmskb naturally yields in this layout; spread_nibbles()
-/// converts to the byte-stride contract when needed. Callers that already
-/// hold the headers in scalar registers should pack dword pairs and build
-/// hlo with _mm256_set_epi64x — routing the headers through a stack array
-/// invites the compiler to coalesce the kernel's reads into one 32B load
-/// over eight 8B stores, which store-forwarding cannot satisfy (~20 stall
+/// AVX2 kernel. Matching only reads the low 32 bits of each header (3 fp
+/// bytes + the state byte), so all eight lanes fit one ymm: hlo's dword j
+/// = low dword of header j. Returns lane j's candidates at bits
+/// [4j..4j+2], the layout vpmovmskb naturally yields here. Callers pack
+/// dword pairs from headers held in scalar registers (pack_lo_pair) and
+/// build hlo with _mm256_set_epi64x — routing the headers through a stack
+/// array invites the compiler to coalesce the reads into one 32B load over
+/// eight 8B stores, which store-forwarding cannot satisfy (~20 stall
 /// cycles per group, silently eating the kernel's whole advantage).
 __attribute__((target("avx2"))) inline std::uint32_t match_valid_x8v_avx2(
     __m256i hlo, std::uint64_t fps) {
@@ -258,30 +237,8 @@ constexpr std::uint64_t pack_lo_pair(std::uint64_t even, std::uint64_t odd) {
   return (even & 0xffffffffu) | (odd << 32);
 }
 
-/// Spread a compact 4-bit-stride mask (AVX2 kernel output) to the 8-bit
-/// byte-stride contract the dispatcher exposes: nibble j -> byte j.
-constexpr std::uint64_t spread_nibbles(std::uint32_t m) {
-  std::uint64_t a = m & 0x0f0f0f0fu;         // even nibbles, in bytes 0-3
-  std::uint64_t b = (m >> 4) & 0x0f0f0f0fu;  // odd nibbles, in bytes 0-3
-  a = (a | (a << 16)) & 0x0000ffff0000ffffull;
-  a = (a | (a << 8)) & 0x00ff00ff00ff00ffull;
-  b = (b | (b << 16)) & 0x0000ffff0000ffffull;
-  b = (b | (b << 8)) & 0x00ff00ff00ff00ffull;
-  return a | (b << 8);
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t match_valid_x8_avx2(
-    const std::uint64_t* headers, std::uint64_t fps) {
-  const __m256i hlo = _mm256_set_epi64x(
-      static_cast<long long>(pack_lo_pair(headers[6], headers[7])),
-      static_cast<long long>(pack_lo_pair(headers[4], headers[5])),
-      static_cast<long long>(pack_lo_pair(headers[2], headers[3])),
-      static_cast<long long>(pack_lo_pair(headers[0], headers[1])));
-  return spread_nibbles(match_valid_x8v_avx2(hlo, fps));
-}
-
-/// Vector-register-input form of the AVX-512 kernel — see the AVX2 note
-/// above for why callers should prefer this over the array form.
+/// AVX-512 kernel: the same match over whole headers in one zmm (qword j
+/// = header j), returning lane j's candidates at bits [8j..8j+2].
 __attribute__((target("avx512f,avx512bw"))) inline std::uint64_t
 match_valid_x8v_avx512(__m512i h, std::uint64_t fps) {
   alignas(64) static constexpr std::uint8_t kFctl[64] = {
@@ -319,46 +276,7 @@ match_valid_x8v_avx512(__m512i h, std::uint64_t fps) {
   return static_cast<std::uint64_t>(eq & va);
 }
 
-__attribute__((target("avx512f,avx512bw"))) inline std::uint64_t
-match_valid_x8_avx512(const std::uint64_t* headers, std::uint64_t fps) {
-  const __m512i h = _mm512_set_epi64(static_cast<long long>(headers[7]),
-                                     static_cast<long long>(headers[6]),
-                                     static_cast<long long>(headers[5]),
-                                     static_cast<long long>(headers[4]),
-                                     static_cast<long long>(headers[3]),
-                                     static_cast<long long>(headers[2]),
-                                     static_cast<long long>(headers[1]),
-                                     static_cast<long long>(headers[0]));
-  return match_valid_x8v_avx512(h, fps);
-}
-
 #endif  // DLHT_PROBE_X86_SIMD
-
-/// Batched dispatch: packed candidate mask with lane j's 3-bit result at
-/// bits [8j..8j+2] — bit 8j+i set <=> match_valid(headers[j], fp byte j).
-/// `resolved` must come from resolve() — an unsupported kind here would
-/// fault, which is exactly why resolution happens once at construction.
-inline std::uint64_t match_valid_x8(ProbeStrategy resolved,
-                                    const std::uint64_t* headers,
-                                    std::uint64_t fps) {
-  switch (resolved) {
-#if DLHT_PROBE_X86_SIMD
-    case ProbeStrategy::kAvx2:
-      return match_valid_x8_avx2(headers, fps);
-    case ProbeStrategy::kAvx512:
-      return match_valid_x8_avx512(headers, fps);
-#endif
-    default: {
-      std::uint64_t m = 0;
-      for (int j = 0; j < 8; ++j) {
-        m |= static_cast<std::uint64_t>(match_valid(
-                 headers[j], static_cast<std::uint8_t>(fps >> (8 * j))))
-             << (8 * j);
-      }
-      return m;
-    }
-  }
-}
 
 }  // namespace probe
 }  // namespace dlht

@@ -38,7 +38,7 @@ run_docs() {
   # what a trajectory number *means* on a NUMA box.
   # ...and the bench-scale knobs: a trajectory row is only interpretable
   # if its scale profile and competitor filter are documented.
-  for knob in DLHT_PROBE nosimd DLHT_SERVER_BATCH DLHT_SERVER_THREADS \
+  for knob in DLHT_PROBE DLHT_ABLATION DLHT_SERVER_BATCH DLHT_SERVER_THREADS \
               DLHT_PIN DLHT_NUMA DLHT_SYSFS_ROOT DLHT_COUNTERS \
               DLHT_BENCH_SCALE DLHT_BENCH_MAPS DLHT_MEM_AVAILABLE_MB; do
     if ! grep -q "$knob" docs/REPRODUCING.md; then
@@ -51,7 +51,7 @@ run_docs() {
   for name in $(grep -oE '"[a-z]+"' bench/bench_common.hpp \
                   | sed -n 's/"\([a-z]*\)"/\1/p' | sort -u); do
     case "$name" in
-      dlht|clht|growt|folly|dramhit|mica|cuckoo|tbb|leapfrog|locked|rh|mm)
+      dlht|clht|growt|folly|dramhit|mica|cuckoo|leapfrog|locked|rh|mm)
         if ! grep -q "\`$name\`" docs/BENCHMARKING.md; then
           echo "FAIL: --map name '$name' is not documented in docs/BENCHMARKING.md" >&2
           exit 1

@@ -87,6 +87,115 @@ void test_shadow_insert() {
   CHECK(m.erase(5));
 }
 
+/// Keys that all land in bin `bin` of a 16-bin table: inserted in order,
+/// they fill the home bucket and then one link bucket per three keys.
+std::vector<std::uint64_t> same_bin_keys(std::size_t count, std::uint64_t bin) {
+  XxMixHash hash;
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t k = 1; out.size() < count; ++k) {
+    if ((hash(k) & 15u) == bin) out.push_back(k);
+  }
+  return out;
+}
+
+/// Every write path on entries that sit in link buckets. One chain of 12
+/// keys (home + 3 link buckets) in a 16-bin table that never resizes; after
+/// each step the op's reply, get() and get_batch() must match a reference.
+void test_deep_chain_writes() {
+  std::puts("test_deep_chain_writes");
+  Options o;
+  o.initial_bins = 16;
+  o.max_load_factor = 1e9;  // never resize out of the one-chain shape
+  InlinedMap m(o);
+  const auto keys = same_bin_keys(14, 5);
+  std::vector<std::optional<std::uint64_t>> ref(keys.size());
+  auto check_all = [&](const char* step) {
+    std::vector<DLHT::Reply> out(keys.size());
+    m.get_batch(keys.data(), out.data(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const auto v = m.get(keys[i]);
+      const bool ok = v == ref[i] &&
+                      (out[i].status == Status::kOk) == ref[i].has_value() &&
+                      (!ref[i] || out[i].value == *ref[i]);
+      if (!ok) {
+        std::fprintf(stderr, "FAIL deep chain after %s: key #%zu\n", step, i);
+        ++g_failures;
+      }
+    }
+  };
+  for (std::size_t i = 0; i < 12; ++i) {
+    CHECK(m.insert(keys[i], 100 + i));
+    ref[i] = 100 + i;
+  }
+  check_all("populate");
+  CHECK(m.stats().links_used == 3);
+  // keys[10] sits in the third link bucket.
+  CHECK(!m.insert(keys[10], 1));
+  check_all("duplicate insert");
+  CHECK(m.put(keys[10], 7));
+  ref[10] = 7;
+  check_all("overwriting put");
+  CHECK(m.update(keys[10], [](std::uint64_t v) { return v * 3; }).value_or(0) ==
+        21);
+  ref[10] = 21;
+  check_all("update");
+  CHECK(!m.update(keys[12], [](std::uint64_t v) { return v; }).has_value());
+  // keys[7] sits in the second link bucket.
+  CHECK(m.extract(keys[7]).value_or(0) == 107);
+  ref[7].reset();
+  check_all("extract");
+  CHECK(!m.extract(keys[7]).has_value());
+  // The freed slot is now the chain's first empty one: the next insert of
+  // the bin refills it instead of appending a link bucket.
+  CHECK(m.insert_shadow(keys[12], 500));
+  check_all("insert_shadow");  // reserved, not yet visible
+  CHECK(!m.insert(keys[12], 1));
+  CHECK(!m.update(keys[12], [](std::uint64_t v) { return v; }).has_value());
+  CHECK(m.commit_shadow(keys[12]));
+  ref[12] = 500;
+  check_all("commit_shadow");
+  CHECK(!m.commit_shadow(keys[12]));
+  CHECK(m.stats().links_used == 3);
+  // The chain is full again, so one more key appends a fourth link bucket.
+  CHECK(m.insert(keys[13], 113));
+  ref[13] = 113;
+  check_all("append");
+  CHECK(m.stats().links_used == 4);
+  CHECK(m.bins() == 16);
+}
+
+/// A shadow-reserved entry deep in a chain survives a grow and a shrink
+/// (migrate_one copies it as shadow): still invisible and still blocking a
+/// duplicate insert after each, then committable.
+void test_shadow_across_migrations() {
+  std::puts("test_shadow_across_migrations");
+  Options o;
+  o.initial_bins = 16;
+  o.max_load_factor = 1e9;  // only the forced migrations below
+  InlinedMap m(o);
+  const auto keys = same_bin_keys(9, 2);
+  for (std::size_t i = 0; i < 8; ++i) CHECK(m.insert(keys[i], keys[i] + 1));
+  CHECK(m.insert_shadow(keys[8], 77));  // lands in the third bucket
+  auto check_reserved = [&] {
+    CHECK(!m.get(keys[8]).has_value());
+    CHECK(!m.insert(keys[8], 1));
+    for (std::size_t i = 0; i < 8; ++i) {
+      CHECK(m.get(keys[i]).value_or(0) == keys[i] + 1);
+    }
+  };
+  m.grow_now();
+  CHECK(m.resizes_completed() == 1);
+  CHECK(m.bins() == 32);
+  check_reserved();
+  m.shrink_now();
+  CHECK(m.shrinks_completed() == 1);
+  CHECK(m.bins() == 16);
+  check_reserved();
+  CHECK(m.commit_shadow(keys[8]));
+  CHECK(m.get(keys[8]).value_or(0) == 77);
+  CHECK(m.approx_size() == 9);
+}
+
 void test_batch_matches_scalar() {
   std::puts("test_batch_matches_scalar");
   InlinedMap batched(tiny_options());
@@ -465,6 +574,8 @@ void test_fingerprint_false_positive_rate() {
 int main() {
   test_put_get_delete();
   test_shadow_insert();
+  test_deep_chain_writes();
+  test_shadow_across_migrations();
   test_batch_matches_scalar();
   test_numa_policies();
   test_ablation_toggles();

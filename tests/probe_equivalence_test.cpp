@@ -294,26 +294,39 @@ void test_mid_probe_mutation() {
   }
 }
 
-// The scalar Get probe iterates the raw byte-granularity SWAR masks (bit
-// 8i+7 = slot i) while the batch kernels use the normalized 3-bit form;
-// both must describe the same candidate sets for every header/fp combo.
-void test_raw_mask_agreement() {
-  std::puts("test_raw_mask_agreement");
+// The SWAR masks against a per-slot reference decoded with hdr::slot_state
+// and hdr::fingerprint, over random headers (so state 3, which no writer
+// stores, shows up too). Bit 8i+7 = slot i. The state masks are exact —
+// state 3 counts only as occupied. fp_matches may flag more than the exact
+// matches (the zero-byte test's borrow can flag the byte just above one),
+// but only there, and never a bit outside kSlotMask.
+void test_mask_reference() {
+  std::puts("test_mask_reference");
   Xoshiro256 rng(0x9a7eULL);
-  auto compress = [](std::uint32_t raw) {
-    return ((raw >> 7) | (raw >> 14) | (raw >> 21)) & 7u;
-  };
   for (int n = 0; n < 200000; ++n) {
     const std::uint64_t header = rng();
-    const std::uint8_t fp = static_cast<std::uint8_t>(rng());
-    CHECK(compress(probe::fp_matches_raw(header, fp)) ==
-          probe::fp_matches(header, fp));
-    CHECK(compress(probe::valid_slots_raw(header)) ==
-          probe::valid_slots(header));
-    CHECK(compress(probe::match_valid_raw(header, fp)) ==
-          probe::match_valid(header, fp));
-    // Raw masks must never set non-high bits (ctz>>3 depends on it).
-    CHECK((probe::match_valid_raw(header, fp) & ~0x808080u) == 0u);
+    // Half the lookups reuse a slot's fingerprint, so matches are common.
+    const std::uint8_t fp =
+        (n & 1) != 0 ? hdr::fingerprint(header, n % kSlotsPerBucket)
+                     : static_cast<std::uint8_t>(rng());
+    std::uint32_t valid = 0, shadow = 0, occupied = 0, exact = 0;
+    for (int i = 0; i < kSlotsPerBucket; ++i) {
+      const std::uint32_t bit = 0x80u << (8 * i);
+      const SlotState st = hdr::slot_state(header, i);
+      if (st == SlotState::kValid) valid |= bit;
+      if (st == SlotState::kShadow) shadow |= bit;
+      if (st != SlotState::kEmpty) occupied |= bit;
+      if (hdr::fingerprint(header, i) == fp) exact |= bit;
+    }
+    CHECK(probe::valid_slots(header) == valid);
+    CHECK(probe::shadow_slots(header) == shadow);
+    CHECK(probe::occupied_slots(header) == occupied);
+    const std::uint32_t fm = probe::fp_matches(header, fp);
+    CHECK((fm & exact) == exact);
+    CHECK((fm & ~probe::kSlotMask) == 0u);
+    CHECK(((fm & ~exact) & ~(exact << 8)) == 0u);  // extras sit above a match
+    CHECK(probe::match_valid(header, fp) == (fm & probe::valid_slots(header)));
+    if (g_failures != 0) return;  // one failing header is enough
   }
 }
 
@@ -323,7 +336,7 @@ int main() {
   std::printf("probe engines under test:");
   for (const auto& s : host_strategies()) std::printf(" %s", s.label);
   std::printf("\n");
-  test_raw_mask_agreement();
+  test_mask_reference();
   test_randomized_equivalence();
   test_adversarial_same_fingerprint();
   test_mid_probe_mutation();

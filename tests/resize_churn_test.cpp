@@ -186,9 +186,10 @@ void sequential_growth() {
   CHECK(walked == kN);
 }
 
-// The resizes() counter and Options::growth_factor: the counter ticks once
-// per completed migration, a larger factor reaches the same capacity in
-// strictly fewer migrations, and grow_now() forces exactly one more.
+// The resizes_completed() counter and Options::growth_factor: the counter
+// ticks once per completed migration, a larger factor reaches the same
+// capacity in strictly fewer migrations, and grow_now() forces exactly one
+// more.
 void growth_factor_policy() {
   std::puts("growth_factor_policy");
   constexpr std::uint64_t kN = 50000;
@@ -200,24 +201,23 @@ void growth_factor_policy() {
     o.initial_bins = 64;
     o.growth_factor = factors[i];
     InlinedMap m(o);
-    CHECK(m.resizes() == 0);
+    CHECK(m.resizes_completed() == 0);
     for (std::uint64_t k = 1; k <= kN; ++k) {
       if (!m.insert(k, k)) CHECK(false);
     }
-    CHECK(m.resizes() == m.resizes_completed());
-    CHECK(m.resizes() >= 1);  // 64 bins cannot hold 50K keys
+    CHECK(m.resizes_completed() >= 1);  // 64 bins cannot hold 50K keys
     // Capacity reached: the table holds everything it was fed.
     CHECK(m.approx_size() == static_cast<std::int64_t>(kN));
     for (std::uint64_t k = 1; k <= kN; k += 997) {
       CHECK(m.get(k).value_or(0) == k);
     }
-    counts[i] = m.resizes();
+    counts[i] = m.resizes_completed();
 
     // grow_now() forces exactly one more migration and keeps every key.
-    const std::uint64_t before = m.resizes();
+    const std::uint64_t before = m.resizes_completed();
     const std::size_t bins_before = m.bins();
     m.grow_now();
-    CHECK(m.resizes() == before + 1);
+    CHECK(m.resizes_completed() == before + 1);
     CHECK(m.bins() > bins_before);
     for (std::uint64_t k = 1; k <= kN; k += 997) {
       CHECK(m.get(k).value_or(0) == k);
@@ -245,9 +245,9 @@ void grow_shrink_grow_cycle() {
   for (std::uint64_t k = 1; k <= kN; ++k) {
     if (!m.insert(k, k * 3 + 1)) CHECK(false);
   }
-  const std::uint64_t grows1 = m.resizes();
+  const std::uint64_t grows1 = m.resizes_completed();
   CHECK(grows1 >= 1);
-  CHECK(m.shrinks() == 0);
+  CHECK(m.shrinks_completed() == 0);
   CHECK(m.approx_size() == static_cast<std::int64_t>(kN));
   const std::size_t high_bins = m.bins();
 
@@ -257,15 +257,15 @@ void grow_shrink_grow_cycle() {
   for (std::uint64_t k = kKeep + 1; k <= kN; ++k) {
     if (!m.erase(k)) CHECK(false);
   }
-  CHECK(m.shrinks() >= 1);
+  CHECK(m.shrinks_completed() >= 1);
   CHECK(m.bins() < high_bins);
   CHECK(m.approx_size() == static_cast<std::int64_t>(kKeep));
   // shrink_now() deterministically lands one more completed shrink even
   // if the final cascade was still mid-flight when the erases ran out.
-  const std::uint64_t shrinks_before = m.shrinks();
+  const std::uint64_t shrinks_before = m.shrinks_completed();
   const std::size_t bins_before = m.bins();
   m.shrink_now();
-  CHECK(m.shrinks() == shrinks_before + 1);
+  CHECK(m.shrinks_completed() == shrinks_before + 1);
   CHECK(m.bins() <= bins_before);
   for (std::uint64_t k = 1; k <= kKeep; ++k) {
     CHECK(m.get(k).value_or(0) == k * 3 + 1);
@@ -282,7 +282,7 @@ void grow_shrink_grow_cycle() {
   for (std::uint64_t k = kN + 1; k <= 2 * kN; ++k) {
     if (!m.insert(k, k * 3 + 1)) CHECK(false);
   }
-  CHECK(m.resizes() > grows1);
+  CHECK(m.resizes_completed() > grows1);
   CHECK(m.approx_size() == static_cast<std::int64_t>(kKeep + kN));
   for (std::uint64_t k = kN + 1; k <= 2 * kN; k += 997) {
     CHECK(m.get(k).value_or(0) == k * 3 + 1);
@@ -291,8 +291,8 @@ void grow_shrink_grow_cycle() {
   m.for_each([&](std::uint64_t, std::uint64_t) { ++walked; });
   CHECK(walked == kKeep + kN);
   std::printf("  %llu grows + %llu shrinks, bins %zu high-water -> %zu\n",
-              static_cast<unsigned long long>(m.resizes()),
-              static_cast<unsigned long long>(m.shrinks()), high_bins,
+              static_cast<unsigned long long>(m.resizes_completed()),
+              static_cast<unsigned long long>(m.shrinks_completed()), high_bins,
               m.bins());
 }
 

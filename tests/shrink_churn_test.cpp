@@ -63,7 +63,7 @@ void churn_across_shrinks() {
     }
   }
   CHECK(failures.load() == 0);
-  CHECK(m.shrinks() == 0);
+  CHECK(m.shrinks_completed() == 0);
   const std::size_t high_bins = m.stats().bins;
 
   // Writers drain their stripe from the top down to kKeep survivors, with
@@ -97,7 +97,7 @@ void churn_across_shrinks() {
     }
     // Bounded settle churn: keep helping until two downward migrations
     // have fully completed (cap so a bug cannot hang the test).
-    for (int round = 0; round < 20000 && m.shrinks() < 2; ++round) {
+    for (int round = 0; round < 20000 && m.shrinks_completed() < 2; ++round) {
       const std::uint64_t k = base + rng.next_below(kKeep);
       if (!m.erase(k)) failures.fetch_add(1);
       if (!m.insert(k, val_of(k, false))) failures.fetch_add(1);
@@ -139,7 +139,7 @@ void churn_across_shrinks() {
   for (auto& t : rthreads) t.join();
 
   CHECK(failures.load() == 0);
-  CHECK(m.shrinks() >= 2);
+  CHECK(m.shrinks_completed() >= 2);
 
   // Audit: exactly the survivors remain — present once each with a sane
   // value, nothing lost into a retired instance, nothing duplicated
@@ -180,7 +180,7 @@ void churn_across_shrinks() {
   std::printf("  %llu survivors audited across %llu shrinks "
               "(bins %zu -> %zu, %zu bins + %zu links reclaimed)\n",
               static_cast<unsigned long long>(expected),
-              static_cast<unsigned long long>(m.shrinks()), high_bins,
+              static_cast<unsigned long long>(m.shrinks_completed()), high_bins,
               s.bins, s.bins_reclaimed, s.links_reclaimed);
 }
 
@@ -197,12 +197,12 @@ void sequential_shrink() {
   for (std::uint64_t k = 1; k <= kN; ++k) {
     if (!m.insert(k, k * 7 + 1)) CHECK(false);
   }
-  CHECK(m.shrinks() == 0);  // auto-shrink disabled by default
+  CHECK(m.shrinks_completed() == 0);  // auto-shrink disabled by default
   std::size_t bins = m.bins();
   while (m.bins() > 64) {
-    const std::uint64_t before = m.shrinks();
+    const std::uint64_t before = m.shrinks_completed();
     m.shrink_now();
-    CHECK(m.shrinks() == before + 1);
+    CHECK(m.shrinks_completed() == before + 1);
     CHECK(m.bins() < bins);
     bins = m.bins();
     for (std::uint64_t k = 1; k <= kN; k += 13) {
@@ -211,9 +211,9 @@ void sequential_shrink() {
   }
   // At the 16-bin floor shrink_now() must return without forcing anything.
   while (m.bins() > 16) m.shrink_now();
-  const std::uint64_t at_floor = m.shrinks();
+  const std::uint64_t at_floor = m.shrinks_completed();
   m.shrink_now();
-  CHECK(m.shrinks() == at_floor);
+  CHECK(m.shrinks_completed() == at_floor);
   CHECK(m.bins() == 16);
   std::uint64_t walked = 0;
   m.for_each([&](std::uint64_t, std::uint64_t) { ++walked; });
