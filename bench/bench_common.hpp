@@ -88,10 +88,9 @@ inline std::uint64_t now_ns() {
 ///                        size multiplier (Options::growth_factor).
 ///   DLHT_ABLATION        comma list of features to disable: nofp
 ///                        (fingerprints), nolink (link chains), noinplace
-///                        (in-place updates), nobatch (read by
-///                        ablate_batching(), not here). Any other token
-///                        refuses with exit 2; see ablations() below. The
-///                        SWAR-only probe is DLHT_PROBE=swar.
+///                        (in-place updates). Any other token refuses with
+///                        exit 2; see ablations() below. The SWAR-only
+///                        probe is DLHT_PROBE=swar.
 ///   DLHT_PROBE           probe engine (auto|swar|avx2|avx512); see
 ///                        requested_probe() below.
 ///   DLHT_NUMA            bucket/link-pool placement: first_touch
@@ -194,15 +193,14 @@ inline std::vector<std::string> split_list(const char* s) {
   return out;
 }
 
-/// The DLHT_ABLATION tokens, parsed once. Only nofp, nolink, noinplace and
-/// nobatch are accepted; anything else refuses with exit 2 (the
+/// The DLHT_ABLATION tokens, parsed once. Only nofp, nolink and noinplace
+/// are accepted; anything else refuses with exit 2 (the
 /// parse_probe_or_die contract: a misspelled ablation would otherwise run
 /// the full design under an ablation label).
 struct Ablations {
   bool nofp = false;
   bool nolink = false;
   bool noinplace = false;
-  bool nobatch = false;
 };
 
 inline const Ablations& ablations() {
@@ -215,12 +213,10 @@ inline const Ablations& ablations() {
         r.nolink = true;
       } else if (t == "noinplace") {
         r.noinplace = true;
-      } else if (t == "nobatch") {
-        r.nobatch = true;
       } else {
         std::fprintf(stderr,
                      "bench: unknown DLHT_ABLATION token '%s'; expected a "
-                     "comma list of: nofp nolink noinplace nobatch\n",
+                     "comma list of: nofp nolink noinplace\n",
                      t.c_str());
         std::exit(2);
       }
@@ -387,11 +383,6 @@ inline Options dlht_options(std::uint64_t keys, unsigned max_threads = 64) {
   o.max_threads = max_threads;
   return apply_env_knobs(o);
 }
-
-/// True when DLHT_ABLATION lists "nobatch", the batching ablation. No
-/// bench consults it yet: the figures that compare batching print their
-/// own NoBatch rows.
-inline bool ablate_batching() { return ablations().nobatch; }
 
 /// Every design name --map / DLHT_BENCH_MAPS accepts. One list for every
 /// comparison bench: a name a binary does not host simply selects nothing

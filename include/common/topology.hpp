@@ -271,9 +271,10 @@ inline int real_node_count() {
 
 /// Memory-placement policy for the core's bucket/link arrays
 /// (Options::numa_policy). kFirstTouch is the kernel default — pages land
-/// on the node of the thread that first touches them (the allocating
-/// thread, since alloc_buckets zeroes eagerly). The other two need >= 2
-/// real nodes and a working mbind; otherwise the allocation proceeds
+/// on the node of the thread that first writes them: for arrays of 2 MiB
+/// or more, the populating or migrating writer; smaller arrays are
+/// populated when mapped, by the allocating thread. The other two need
+/// >= 2 real nodes and a working mbind; otherwise the allocation proceeds
 /// unplaced and stats().numa_fallback counts it.
 enum class NumaPolicy : std::uint8_t {
   kFirstTouch = 0,
@@ -325,9 +326,9 @@ inline bool numa_bind_region(void* p, std::size_t bytes, NumaPolicy policy,
     }
     set_node(node);
   }
-  // mbind wants page-aligned bounds; aligned_alloc'd small arrays may not
-  // be. Shrink to the contained page range — sub-page remainders are too
-  // small to matter for placement.
+  // mbind wants page-aligned bounds; a caller's region may not be. Shrink
+  // to the contained page range — sub-page remainders are too small to
+  // matter for placement.
   const long page = ::sysconf(_SC_PAGESIZE);
   if (page <= 0) return false;
   const std::uintptr_t lo =

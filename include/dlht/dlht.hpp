@@ -31,16 +31,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <new>
 #include <optional>
 #include <vector>
 
-#if defined(__linux__)
 #include <sys/mman.h>
-#endif
+#include <unistd.h>
 
 #include "alloc/pool_allocator.hpp"
 #include "common/topology.hpp"
@@ -58,8 +56,10 @@ struct Options {
   /// the first resize is ~3 * initial_bins * max_load_factor.
   std::size_t initial_bins = 1 << 16;
   /// Link-bucket (overflow-chain) pool, as a fraction of the main buckets.
-  /// The pool grows on demand, so this sets the pre-allocated floor, not a
-  /// ceiling. The paper's occupancy study (tab01) uses 0.2.
+  /// The pool grows on demand, so this sets the pre-mapped floor, not a
+  /// ceiling. A floor of 2 MiB or more is faulted in as links are handed
+  /// out, so its untouched part costs address space, not memory. The
+  /// paper's occupancy study (tab01) uses 0.2.
   double link_ratio = 0.125;
   /// Upper bound on concurrently live threads touching this table: sizes
   /// the per-thread epoch slots. Exceeding it aborts with a diagnostic.
@@ -96,7 +96,9 @@ struct Options {
   /// NUMA placement for the bucket array and link pools (every
   /// TableInstance this table ever allocates, including resize shadows and
   /// demand-grown link chunks). kFirstTouch is the kernel default — pages
-  /// land on the allocating thread's node. kInterleave round-robins pages
+  /// land on the node of the thread that first writes them (arrays under
+  /// 2 MiB are populated when mapped, so on the allocating thread's
+  /// node). kInterleave round-robins pages
   /// across all real nodes (the multi-socket serving configuration);
   /// kNodeLocal binds to Options::numa_node (the paper's remote-socket /
   /// CXL-style placement). Placement needs >= 2 real NUMA nodes and a
@@ -119,8 +121,7 @@ struct Options {
   /// Runtime ablation toggles (fig14/tab01/ablation_design): each disables
   /// one design feature so its contribution can be measured. Defaults are
   /// the paper's design. Batching has no toggle here because it is a
-  /// call-site choice: use the scalar API (or the DLHT_ABLATION=nobatch
-  /// bench knob) to ablate it.
+  /// call-site choice: use the scalar API to ablate it.
   struct Ablation {
     /// Off: probes compare full keys in every valid slot instead of
     /// SWAR-matching the 8-bit header fingerprints first.
@@ -153,6 +154,89 @@ enum class Status : std::uint8_t {
   /// aborting (see durability.hpp).
   kIOError,
 };
+
+namespace detail {
+
+/// NUMA placement request threaded from Options through every bucket
+/// mapping a table makes. `fallback` counts placements that could not be
+/// applied (single-node host, bogus node, kernel refusal) — surfaced as
+/// stats().numa_fallback so callers can tell "placed" from "silently
+/// local".
+struct NumaBinding {
+  NumaPolicy policy = NumaPolicy::kFirstTouch;
+  unsigned node = 0;
+  std::atomic<std::uint64_t>* fallback = nullptr;
+};
+
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+inline std::size_t page_bytes() {
+  static const std::size_t page =
+      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+/// The whole pages an array of `count` buckets occupies.
+inline std::size_t bucket_span(std::size_t count) {
+  const std::size_t page = page_bytes();
+  return (count * sizeof(Bucket) + page - 1) & ~(page - 1);
+}
+
+/// Map `count` zeroed buckets with anonymous mmap. The array ends exactly
+/// at a PROT_NONE guard page, so writing past it faults. Arrays of 2 MiB or
+/// more get a 2 MiB-aligned mapping madvised for transparent huge pages
+/// (without them random probes also miss the dTLB, and x86 drops
+/// prefetches that need a page walk, killing the batched pipeline) and are
+/// left untouched: the kernel zeroes each page when a writer first stores
+/// to it, so the threads populating a table, or the helpers migrating into
+/// a shadow, zero it in parallel. Smaller arrays (small tables, link grow
+/// chunks) are populated here, because faulting them 4 KiB at a time would
+/// land on the write path. NUMA placement is bound before any page is
+/// touched.
+inline Bucket* map_buckets(std::size_t count, const NumaBinding* nb) {
+  const std::size_t page = page_bytes();
+  const std::size_t bytes = count * sizeof(Bucket);
+  const std::size_t span = bucket_span(count);
+  const bool huge = bytes >= kHugePageBytes;
+  const std::size_t len = span + page + (huge ? kHugePageBytes - page : 0);
+  void* raw = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  char* const lo = static_cast<char*>(raw);
+  char* base = lo;
+  if (huge) {  // trim the mapping to a 2 MiB-aligned array plus its guard
+    base = reinterpret_cast<char*>(
+        (reinterpret_cast<std::uintptr_t>(lo) + kHugePageBytes - 1) &
+        ~(kHugePageBytes - 1));
+    char* const end = base + span + page;
+    if (base != lo) ::munmap(lo, static_cast<std::size_t>(base - lo));
+    if (end != lo + len) {
+      ::munmap(end, static_cast<std::size_t>(lo + len - end));
+    }
+  }
+  ::mprotect(base + span, page, PROT_NONE);
+#if defined(MADV_HUGEPAGE)
+  if (huge) ::madvise(base, span, MADV_HUGEPAGE);
+#endif
+  if (nb != nullptr && nb->policy != NumaPolicy::kFirstTouch) {
+    if (!numa_bind_region(base, span, nb->policy, nb->node) &&
+        nb->fallback != nullptr) {
+      nb->fallback->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+#if defined(MADV_POPULATE_WRITE)
+  if (!huge) ::madvise(base, span, MADV_POPULATE_WRITE);
+#endif
+  return reinterpret_cast<Bucket*>(base + span - bytes);
+}
+
+/// Unmap an array map_buckets(count, ...) returned, guard page included.
+inline void unmap_buckets(Bucket* p, std::size_t count) {
+  const std::size_t span = bucket_span(count);
+  ::munmap(reinterpret_cast<char*>(p + count) - span, span + page_bytes());
+}
+
+}  // namespace detail
 
 class DLHT {
  public:
@@ -591,43 +675,6 @@ class DLHT {
   /// top bytes, disjoint from the bin-index bits).
   static std::uint8_t fp_of(std::uint64_t h) { return probe::fp_of(h); }
 
-  /// NUMA placement request threaded from Options through every bucket
-  /// allocation this table makes. `fallback` counts placements that could
-  /// not be applied (single-node host, bogus node, kernel refusal) —
-  /// surfaced as stats().numa_fallback so callers can tell "placed" from
-  /// "silently local".
-  struct NumaBinding {
-    NumaPolicy policy = NumaPolicy::kFirstTouch;
-    unsigned node = 0;
-    std::atomic<std::uint64_t>* fallback = nullptr;
-  };
-
-  static Bucket* alloc_buckets(std::size_t count, const NumaBinding* nb) {
-    const std::size_t bytes = count * sizeof(Bucket);
-    // 2 MiB alignment lets the kernel back the array with transparent huge
-    // pages; without them random probes also miss the dTLB, and x86 drops
-    // prefetches that need a page walk — killing the batched pipeline.
-    const std::size_t align =
-        bytes >= (std::size_t{2} << 20) ? (std::size_t{2} << 20) : 64;
-    const std::size_t alloc_bytes = (bytes + align - 1) & ~(align - 1);
-    void* p = std::aligned_alloc(align, alloc_bytes);
-    if (p == nullptr) throw std::bad_alloc();
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    if (align > 64) madvise(p, bytes, MADV_HUGEPAGE);
-#endif
-    // Placement policy must be set before the zeroing pass touches the
-    // pages: every page then faults in under the requested policy (mbind
-    // on an untouched anonymous region only records the policy).
-    if (nb != nullptr && nb->policy != NumaPolicy::kFirstTouch) {
-      if (!numa_bind_region(p, alloc_bytes, nb->policy, nb->node) &&
-          nb->fallback != nullptr) {
-        nb->fallback->fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    std::memset(p, 0, bytes);
-    return static_cast<Bucket*>(p);
-  }
-
   // ------------------------------------------------------- table instance
 
   /// One generation of the table: the main bucket array plus its private
@@ -639,26 +686,28 @@ class DLHT {
     static constexpr std::size_t kMaxGrowChunks = 1024;
 
     TableInstance(std::size_t bins_request, double link_ratio,
-                  const NumaBinding* numa)
+                  const detail::NumaBinding* numa)
         : numa_(numa) {
       const std::size_t bins =
           ceil_pow2(bins_request < 16 ? std::size_t{16} : bins_request);
       mask_ = bins - 1;
-      main_ = alloc_buckets(bins, numa_);
+      main_ = detail::map_buckets(bins, numa_);
       double ratio = link_ratio < 0.0 ? 0.0 : link_ratio;
       chunk0_count_ =
           static_cast<std::size_t>(static_cast<double>(bins) * ratio);
       if (chunk0_count_ < 1024) chunk0_count_ = 1024;
-      chunk0_ = alloc_buckets(chunk0_count_, numa_);
+      chunk0_ = detail::map_buckets(chunk0_count_, numa_);
       link_capacity_.store(chunk0_count_, std::memory_order_relaxed);
       for (auto& c : grow_chunks_) c.store(nullptr, std::memory_order_relaxed);
     }
 
     ~TableInstance() {
-      std::free(main_);
-      std::free(chunk0_);
+      detail::unmap_buckets(main_, mask_ + 1);
+      detail::unmap_buckets(chunk0_, chunk0_count_);
       for (auto& c : grow_chunks_) {
-        if (Bucket* p = c.load(std::memory_order_relaxed)) std::free(p);
+        if (Bucket* p = c.load(std::memory_order_relaxed)) {
+          detail::unmap_buckets(p, kGrowChunkBuckets);
+        }
       }
     }
 
@@ -683,8 +732,11 @@ class DLHT {
       return static_cast<std::uint32_t>(i + 1);
     }
 
-    static void delete_cb(void* p, void*) {
+    /// Epoch deleter; `ctx` is the owning DLHT's drained_in_limbo_.
+    static void delete_cb(void* p, void* ctx) {
       delete static_cast<TableInstance*>(p);
+      static_cast<std::atomic<std::uint32_t>*>(ctx)->fetch_sub(
+          1, std::memory_order_relaxed);
     }
 
     /// Link buckets handed out by this generation so far.
@@ -715,12 +767,12 @@ class DLHT {
       if (link_bump_.load(std::memory_order_relaxed) < cap) return;
       const std::size_t n = (cap - chunk0_count_) / kGrowChunkBuckets;
       if (n >= kMaxGrowChunks) throw std::bad_alloc();
-      grow_chunks_[n].store(alloc_buckets(kGrowChunkBuckets, numa_),
+      grow_chunks_[n].store(detail::map_buckets(kGrowChunkBuckets, numa_),
                             std::memory_order_release);
       link_capacity_.store(cap + kGrowChunkBuckets, std::memory_order_release);
     }
 
-    const NumaBinding* numa_ = nullptr;  // owned by the DLHT, outlives us
+    const detail::NumaBinding* numa_ = nullptr;  // owned by the DLHT
     Bucket* chunk0_ = nullptr;  // initial link pool, sized by link_ratio
     std::size_t chunk0_count_ = 0;
     std::atomic<Bucket*> grow_chunks_[kMaxGrowChunks];
@@ -1353,9 +1405,10 @@ class DLHT {
         resizes_completed_.fetch_add(1, std::memory_order_relaxed);
       }
       resize_active_.store(false, std::memory_order_release);
-      epoch_.retire(t, &TableInstance::delete_cb, nullptr);
-      // Checkpoint now so sustained growth keeps at most ~two drained
-      // generations in limbo instead of one per resize.
+      drained_in_limbo_.fetch_add(1, std::memory_order_relaxed);
+      epoch_.retire(t, &TableInstance::delete_cb, &drained_in_limbo_);
+      // The first of the two advances that free it; the writers' next
+      // checkpoints (reclaim_drained) supply the second.
       epoch_.quiesce();
     }
   }
@@ -1364,6 +1417,7 @@ class DLHT {
     Shard& s = shards_[this_thread_index() & (kSizeShards - 1)];
     s.count.fetch_add(1, std::memory_order_relaxed);
     if ((s.inserts.fetch_add(1, std::memory_order_relaxed) & 255u) == 255u) {
+      reclaim_drained();
       maybe_start_resize();
     }
   }
@@ -1372,7 +1426,18 @@ class DLHT {
     Shard& s = shards_[this_thread_index() & (kSizeShards - 1)];
     s.count.fetch_sub(1, std::memory_order_relaxed);
     if ((s.erases.fetch_add(1, std::memory_order_relaxed) & 255u) == 255u) {
+      reclaim_drained();
       maybe_start_shrink();
+    }
+  }
+
+  /// The writers' every-256-ops checkpoint: while a drained generation
+  /// waits in limbo, try to advance the epoch, so the generation is freed
+  /// within a grace period of its migration, not at the next resize. Never
+  /// waits: a pinned straggler only defers it to a later checkpoint.
+  void reclaim_drained() {
+    if (drained_in_limbo_.load(std::memory_order_relaxed) != 0) {
+      epoch_.quiesce();
     }
   }
 
@@ -1517,7 +1582,10 @@ class DLHT {
   /// Declared before epoch_/numa_binding_ users: epoch_'s destructor can
   /// still be retiring TableInstances that point at numa_binding_.
   std::atomic<std::uint64_t> numa_fallback_{0};
-  NumaBinding numa_binding_{};
+  detail::NumaBinding numa_binding_{};
+  /// Drained generations retired but not yet freed (before epoch_ for the
+  /// same reason: its destructor's deleters count down here).
+  std::atomic<std::uint32_t> drained_in_limbo_{0};
   mutable EpochManager epoch_;
   std::atomic<TableInstance*> cur_{nullptr};
   std::atomic<bool> resize_active_{false};

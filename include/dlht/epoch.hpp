@@ -124,6 +124,14 @@ class EpochManager {
   /// Defer destruction of `obj` until every epoch that could reference it
   /// has drained. Callable with or without an active pin.
   void retire(void* obj, Deleter fn, void* ctx) {
+    // The caller unlinked `obj` with a release store (DLHT's cur_ swap,
+    // AllocatorMap's erase unlock), and a release store may be reordered
+    // after the load of the tag below. Then the tag could predate the
+    // unlink: an advance lands, a reader pins the new epoch and still loads
+    // the old pointer, and the next advance frees it under that reader. The
+    // fence pairs with pin_slot's: a reader that pins past the tag sees the
+    // unlink.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     Limbo& l = limbo_[slot_index()];
     const std::uint64_t e = global_.load(std::memory_order_seq_cst);
     {
@@ -157,6 +165,17 @@ class EpochManager {
 
   std::uint64_t global_epoch() const {
     return global_.load(std::memory_order_relaxed);
+  }
+
+  /// Retired objects not yet freed, over every slot's limbo list. Takes
+  /// each list's lock in turn: a cold-path count for stats and tests.
+  std::size_t limbo_objects() const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < slots_; ++i) {
+      SpinGuard g(limbo_[i].lock);
+      n += limbo_[i].items.size();
+    }
+    return n;
   }
 
  private:

@@ -1,7 +1,11 @@
 // Tier-1 correctness tests for the DLHT core. No framework: each check
 // prints its name, asserts loudly on failure, and main returns nonzero if
 // anything failed, so the binary works under ctest and ASan alike.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -162,6 +166,110 @@ void test_deep_chain_writes() {
   check_all("append");
   CHECK(m.stats().links_used == 4);
   CHECK(m.bins() == 16);
+}
+
+/// Every link bucket a table hands out starts empty: first from chunk0_
+/// (1024 buckets for a 16-bin table), then from a demand-mapped grow chunk.
+/// Same-bin keys inserted round-robin over the 16 bins grow every chain in
+/// step, so after each insert links_used must be exactly what empty link
+/// buckets need; a stale header would take slots and show as extra links.
+void test_new_link_buckets_are_empty() {
+  std::puts("test_new_link_buckets_are_empty");
+  Options o;
+  o.initial_bins = 16;
+  o.max_load_factor = 1e9;  // never resize: all 16 chains stay in place
+  InlinedMap m(o);
+  constexpr std::size_t kPerBin = 240;  // 79 links a chain, 1264 in all
+  std::vector<std::vector<std::uint64_t>> keys;
+  for (std::uint64_t b = 0; b < 16; ++b) {
+    keys.push_back(same_bin_keys(kPerBin, b));
+  }
+  // Link buckets a chain of n keys needs beyond its home bucket.
+  auto links = [](std::size_t n) { return n <= 3 ? 0 : (n - 1) / 3; };
+  bool exact = true;
+  for (std::size_t j = 0; j < kPerBin && exact; ++j) {
+    for (std::size_t b = 0; b < 16 && exact; ++b) {
+      CHECK(m.insert(keys[b][j], j));
+      const std::size_t want = (b + 1) * links(j + 1) + (15 - b) * links(j);
+      if (m.stats().links_used != want) {
+        std::fprintf(stderr,
+                     "FAIL links_used %zu, want %zu (key %zu of bin %zu)\n",
+                     m.stats().links_used, want, j, b);
+        exact = false;
+        ++g_failures;
+      }
+    }
+  }
+  CHECK(m.stats().links_used == 16 * links(kPerBin));
+  CHECK(m.stats().links_capacity > 1024);  // a grow chunk was mapped
+  std::size_t seen = 0;
+  m.for_each([&](std::uint64_t, std::uint64_t) { ++seen; });
+  CHECK(seen == 16 * kPerBin);
+  for (std::size_t b = 0; b < 16; ++b) {
+    for (std::size_t j = 0; j < kPerBin; ++j) {
+      CHECK(m.get(keys[b][j]).value_or(~0ull) == j);
+    }
+  }
+}
+
+/// Each new table maps fresh memory: whatever an earlier table of the same
+/// size wrote, the next one starts empty. The sizes cover a sub-page array,
+/// one populated when mapped, exactly 2 MiB (the smallest lazily faulted
+/// array) and a 64 MiB one, each built and destroyed three times.
+void test_fresh_tables_are_empty() {
+  std::puts("test_fresh_tables_are_empty");
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t bins : {std::size_t{16}, std::size_t{1024},
+                                   std::size_t{32768}, std::size_t{1} << 20}) {
+      Options o;
+      o.initial_bins = bins;
+      o.max_load_factor = 1e9;  // keep this geometry while writing
+      InlinedMap m(o);
+      const std::uint64_t n = bins * 2 < (1u << 16) ? bins * 2 : 1u << 16;
+      std::size_t seen = 0;
+      m.for_each([&](std::uint64_t, std::uint64_t) { ++seen; });
+      CHECK(seen == 0);
+      CHECK(m.stats().links_used == 0);
+      bool hit = false;
+      for (std::uint64_t k = 1; k <= n; ++k) hit |= m.get(k).has_value();
+      CHECK(!hit);  // the previous round's table held exactly these keys
+      for (std::uint64_t k = 1; k <= n; ++k) CHECK(m.insert(k, ~k));
+    }
+  }
+}
+
+/// map_buckets ends every array at a PROT_NONE guard page, whatever its
+/// size: the array reads as zeroes and its last byte is writable, and a
+/// forked child writing the byte after it dies with SIGSEGV.
+void test_bucket_arrays_end_at_a_guard_page() {
+  std::puts("test_bucket_arrays_end_at_a_guard_page");
+  for (const std::size_t count : {std::size_t{16}, std::size_t{1000},
+                                  std::size_t{16384}, std::size_t{32768},
+                                  std::size_t{40001}}) {
+    Bucket* b = detail::map_buckets(count, nullptr);
+    char* const begin = reinterpret_cast<char*>(b);
+    char* const end = reinterpret_cast<char*>(b + count);
+    bool zero = true;
+    for (const char* p = begin; p < end; ++p) zero &= *p == 0;
+    CHECK(zero);
+    end[-1] = 1;
+    std::fflush(nullptr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      std::signal(SIGSEGV, SIG_DFL);  // die of the fault, unreported
+      *reinterpret_cast<volatile char*>(end) = 1;
+      ::_exit(0);
+    }
+    int status = 0;
+    CHECK(pid > 0 && ::waitpid(pid, &status, 0) == pid);
+    if (!(WIFSIGNALED(status) && WTERMSIG(status) == SIGSEGV)) {
+      std::fprintf(stderr,
+                   "FAIL %zu buckets: overrun did not fault (status %d)\n",
+                   count, status);
+      ++g_failures;
+    }
+    detail::unmap_buckets(b, count);
+  }
 }
 
 /// A shadow-reserved entry deep in a chain survives a grow and a shrink
@@ -575,6 +683,9 @@ int main() {
   test_put_get_delete();
   test_shadow_insert();
   test_deep_chain_writes();
+  test_new_link_buckets_are_empty();
+  test_fresh_tables_are_empty();
+  test_bucket_arrays_end_at_a_guard_page();
   test_shadow_across_migrations();
   test_batch_matches_scalar();
   test_numa_policies();

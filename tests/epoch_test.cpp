@@ -152,6 +152,23 @@ void allocator_map_reclaims() {
   CHECK(m.allocator().outstanding_blocks() == 0);
 }
 
+/// Insert fresh keys, or erase present ones, from `first` upward until the
+/// table's limbo is empty; returns how many writes that took (at most
+/// `limit`).
+std::uint64_t writes_until_limbo_empty(InlinedMap& m, bool erase,
+                                       std::uint64_t first,
+                                       std::uint64_t limit) {
+  std::uint64_t n = 0;
+  for (; n < limit && m.epoch().limbo_objects() != 0; ++n) {
+    if (erase) {
+      CHECK(m.erase(first + n));
+    } else {
+      CHECK(m.insert(first + n, 1));
+    }
+  }
+  return n;
+}
+
 // Retired TableInstances from completed resizes are reclaimed while
 // concurrent readers keep probing (ASan catches a premature free).
 void table_instances_reclaimed() {
@@ -185,6 +202,140 @@ void table_instances_reclaimed() {
     }
   }
   CHECK(failures.load() == 0);
+  // Limbo drains while the table is in use, not only at destruction: the
+  // last drained generation is freed within 1024 more writes, with no
+  // explicit quiesce(). (Usually the inserts above already freed it.)
+  writes_until_limbo_empty(m, false, 50001, 1024);
+  CHECK(m.epoch().limbo_objects() == 0);
+}
+
+// A drained generation is freed within a grace period of its migration:
+// after grow_now() then shrink_now(), at most 1024 inserts (or erases)
+// from the same thread empty the limbo, without quiesce() or another
+// resize.
+void limbo_drains_after_resize() {
+  std::puts("limbo_drains_after_resize");
+  for (const bool erase : {false, true}) {
+    Options o;
+    o.initial_bins = 1024;
+    InlinedMap m(o);
+    for (std::uint64_t k = 1; k <= 2048; ++k) m.insert(k, k);
+    m.grow_now();
+    m.shrink_now();
+    CHECK(m.bins() == 1024);
+    CHECK(m.epoch().limbo_objects() == 1);  // the shrink's drained source
+    const std::uint64_t n =
+        writes_until_limbo_empty(m, erase, erase ? 1 : 1u << 20, 1024);
+    std::printf("  %s: limbo empty after %llu writes\n",
+                erase ? "erases" : "inserts",
+                static_cast<unsigned long long>(n));
+    CHECK(m.epoch().limbo_objects() == 0);
+  }
+}
+
+// A reader pinned before a shrink keeps the drained generation alive
+// through 10K writes; once it unpins, at most 1024 writes free it.
+void pinned_reader_holds_drained_generation() {
+  std::puts("pinned_reader_holds_drained_generation");
+  Options o;
+  o.initial_bins = 1024;
+  InlinedMap m(o);
+  for (std::uint64_t k = 1; k <= 2048; ++k) m.insert(k, k);
+  m.grow_now();
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int stage = 0;  // 0: starting, 1: pinned, 2: release requested
+  std::thread reader([&] {
+    EpochManager::Guard g(m.epoch());
+    std::unique_lock<std::mutex> l(mu);
+    stage = 1;
+    cv.notify_all();
+    cv.wait(l, [&] { return stage == 2; });
+  });
+  {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return stage == 1; });
+  }
+
+  m.shrink_now();
+  // 10K writes, half inserts and half erases, so the table keeps its size.
+  for (std::uint64_t k = 1u << 20; k < (1u << 20) + 5000; ++k) {
+    CHECK(m.insert(k, k));
+    CHECK(m.erase(k));
+  }
+  CHECK(m.epoch().limbo_objects() == 1);
+
+  {
+    std::lock_guard<std::mutex> l(mu);
+    stage = 2;
+  }
+  cv.notify_all();
+  reader.join();
+  const std::uint64_t n = writes_until_limbo_empty(m, false, 1u << 21, 1024);
+  std::printf("  limbo empty %llu writes after the reader unpinned\n",
+              static_cast<unsigned long long>(n));
+  CHECK(m.epoch().limbo_objects() == 0);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+#ifdef NDEBUG
+constexpr bool kOptimized = true;
+#else
+constexpr bool kOptimized = false;
+#endif
+
+/// This process's resident set (VmRSS), in bytes; 0 if unreadable.
+std::uint64_t rss_bytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %llu kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib * 1024;
+}
+
+// A shrink gives memory back without an explicit quiesce(): after a
+// 4M -> 1M-bin shrink, 1024 erases free the drained generation, and VmRSS
+// falls by at least its 256 MiB main array. Checked in optimized,
+// unsanitized builds only (sanitizers keep their own shadow memory).
+void shrink_returns_memory() {
+  std::puts("shrink_returns_memory");
+  if (!kOptimized || kSanitized) {
+    std::puts("  not checked (sanitized/debug build)");
+    return;
+  }
+  constexpr std::size_t kBins = std::size_t{1} << 22;
+  Options o;
+  o.initial_bins = kBins;
+  o.shrink_factor = 4;
+  InlinedMap m(o);
+  for (std::uint64_t k = 1; k <= (1u << 20); ++k) m.insert(k, k);
+  m.shrink_now();
+  CHECK(m.bins() == kBins / 4);
+  const std::uint64_t before = rss_bytes();
+  for (std::uint64_t k = 1; k <= 1024; ++k) CHECK(m.erase(k));
+  const std::uint64_t after = rss_bytes();
+  const std::uint64_t drained = kBins * sizeof(Bucket);
+  std::printf("  VmRSS %.1f -> %.1f MiB (drained main array %.1f MiB)\n",
+              static_cast<double>(before) / (1 << 20),
+              static_cast<double>(after) / (1 << 20),
+              static_cast<double>(drained) / (1 << 20));
+  CHECK(m.epoch().limbo_objects() == 0);
+  if (before != 0) CHECK(before >= after + drained);
 }
 
 }  // namespace
@@ -194,6 +345,9 @@ int main() {
   reentrant_guard();
   allocator_map_reclaims();
   table_instances_reclaimed();
+  limbo_drains_after_resize();
+  pinned_reader_holds_drained_generation();
+  shrink_returns_memory();
   if (g_failures != 0) {
     std::fprintf(stderr, "%d check(s) FAILED\n", g_failures);
     return 1;
