@@ -234,11 +234,6 @@ inline Options apply_env_knobs(Options o) {
     const auto f = std::strtoull(env, &end, 10);
     if (end != env) o.growth_factor = f;  // non-numeric: keep the default
   }
-  if (const char* env = std::getenv("DLHT_SHRINK_FACTOR")) {
-    char* end = nullptr;
-    const auto f = std::strtoull(env, &end, 10);
-    if (end != env) o.shrink_factor = f;
-  }
   if (const char* env = std::getenv("DLHT_MIN_LOAD_FACTOR")) {
     char* end = nullptr;
     const double f = std::strtod(env, &end);
@@ -376,11 +371,10 @@ inline void require_memory_or_die(const char* fig,
   std::exit(2);
 }
 
-inline Options dlht_options(std::uint64_t keys, unsigned max_threads = 64) {
+inline Options dlht_options(std::uint64_t keys) {
   Options o;
   o.initial_bins = static_cast<std::size_t>(keys * 2 / 3 + 64);
   o.link_ratio = 0.125;
-  o.max_threads = max_threads;
   return apply_env_knobs(o);
 }
 

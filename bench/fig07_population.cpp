@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   // helping across the batch.
   for (const int t : args.threads_list) {
     InlinedMap m(apply_env_knobs(Options{.initial_bins = 1024,
-                                           .link_ratio = 0.125,
-                                           .max_threads = 64}));
+                                           .link_ratio = 0.125}));
     const std::uint64_t per = keys / static_cast<std::uint64_t>(t);
     const double secs = workload::run_once(t, [&m, per](int tid) {
       return [&m, per, tid] {
@@ -52,8 +51,7 @@ int main(int argc, char** argv) {
 
   for (const int t : args.threads_list) {
     InlinedMap m(apply_env_knobs(Options{.initial_bins = 1024,
-                                           .link_ratio = 0.125,
-                                           .max_threads = 64}));
+                                           .link_ratio = 0.125}));
     const std::uint64_t per = keys / static_cast<std::uint64_t>(t);
     const double secs = workload::run_once(t, [&m, per](int tid) {
       return [&m, per, tid] {

@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   // `target` (4x prepop) forces at least one full migration mid-run.
   InlinedMap m(apply_env_knobs(Options{.initial_bins = args.keys / 3 + 64,
                                        .link_ratio = 0.125,
-                                       .max_threads = 64,
                                        .resize_chunk_bins = 4096}));
   workload::populate(m, prepop);
 

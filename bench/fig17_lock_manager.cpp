@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kLocksPerTxn = 8;
   print_header("fig17", "lock manager over HashSet: locks+unlocks/s");
 
-  apps::LockManager lm(dlht_options(records, 64));
+  apps::LockManager lm(dlht_options(records));
 
   double batched_peak = 0, nobatch_peak = 0;
 

@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
   {
     apps::Tatp tatp(apps::Tatp::Config{
         .subscribers = subscribers,
-        .initial_bins = static_cast<std::size_t>(subscribers * 4),
-        .max_threads = 64});
+        .initial_bins = static_cast<std::size_t>(subscribers * 4)});
     for (const int t : args.threads_list) {
       const double v = run_tput(t, secs, [&tatp](int tid) {
         return [&tatp, rng = Xoshiro256(splitmix64(tid + 1)),
@@ -51,8 +50,7 @@ int main(int argc, char** argv) {
   {
     apps::Smallbank bank(apps::Smallbank::Config{
         .accounts = accounts,
-        .initial_bins = static_cast<std::size_t>(accounts * 2),
-        .max_threads = 64});
+        .initial_bins = static_cast<std::size_t>(accounts * 2)});
     for (const int t : args.threads_list) {
       const double v = run_tput(t, secs, [&bank](int tid) {
         return [&bank, rng = Xoshiro256(splitmix64(tid + 9)),

@@ -36,10 +36,8 @@ int main(int argc, char** argv) {
   Options o;
   o.initial_bins = keys / 2;  // pow2-ceil ≤ 2/3 load after populate
   o.link_ratio = 0.125;
-  o.max_threads = 64;
   o.resize_chunk_bins = 1024;
   o.min_load_factor = 0.2;
-  o.shrink_factor = 2;
   InlinedMap m(apply_env_knobs(o));
   workload::populate(m, keys);
   const std::size_t high_bins = m.stats().bins;

@@ -31,7 +31,6 @@ class Smallbank {
   struct Config {
     std::uint64_t accounts = 1000000;    // paper runs 10M
     std::size_t initial_bins = 1 << 16;  // per table
-    unsigned max_threads = 64;
     int populate_threads = 0;  // 0 = auto (min(hw, 8))
     std::int64_t initial_balance = 10000;
   };
@@ -155,7 +154,6 @@ class Smallbank {
     Options o;
     o.initial_bins = cfg_.initial_bins;
     o.link_ratio = 0.125;
-    o.max_threads = cfg_.max_threads;
     return o;
   }
 

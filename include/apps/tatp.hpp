@@ -28,7 +28,6 @@ class Tatp {
   struct Config {
     std::uint64_t subscribers = 100000;  // paper runs 1M
     std::size_t initial_bins = 1 << 16;  // for the subscriber table
-    unsigned max_threads = 64;
     int populate_threads = 0;  // 0 = auto (min(hw, 8))
   };
 
@@ -121,7 +120,6 @@ class Tatp {
     Options o;
     o.initial_bins = bins;
     o.link_ratio = 0.125;
-    o.max_threads = cfg_.max_threads;
     return o;
   }
 

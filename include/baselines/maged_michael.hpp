@@ -45,11 +45,10 @@ class MagedMichaelMap {
   using Request = DLHT::Request;
   using Reply = DLHT::Reply;
 
-  explicit MagedMichaelMap(std::uint64_t buckets, unsigned max_threads = 64)
+  explicit MagedMichaelMap(std::uint64_t buckets)
       : nbuckets_(ceil_pow2(buckets < 64 ? 64 : buckets)),
         mask_(nbuckets_ - 1),
-        heads_(std::make_unique<Head[]>(nbuckets_)),
-        epoch_(max_threads) {}
+        heads_(std::make_unique<Head[]>(nbuckets_)) {}
 
   ~MagedMichaelMap() {
     // Live nodes are freed here; already-unlinked ones sit in the epoch

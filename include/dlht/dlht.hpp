@@ -61,9 +61,6 @@ struct Options {
   /// out, so its untouched part costs address space, not memory. The
   /// paper's occupancy study (tab01) uses 0.2.
   double link_ratio = 0.125;
-  /// Upper bound on concurrently live threads touching this table: sizes
-  /// the per-thread epoch slots. Exceeding it aborts with a diagnostic.
-  unsigned max_threads = 64;
   /// AllocatorMap only: nonzero pins every value block to this size (one
   /// pool size class, no length header); 0 stores variable-size values.
   std::size_t fixed_value_size = 0;
@@ -87,11 +84,8 @@ struct Options {
   /// Hysteresis guards against grow/shrink flapping: a shrink starts only
   /// if the survivors fill at most half the grow trigger of the smaller
   /// table, so one shrink can never bounce straight back into a grow.
+  /// A shrink halves the table, floored at the 16-bin minimum.
   double min_load_factor = 0.0;
-  /// growth_factor's downward mirror: a shrink migrates into a table of
-  /// bins / shrink_factor main buckets (floored at the 16-bin minimum).
-  /// Values below 2 behave as 2.
-  std::size_t shrink_factor = 2;
 
   /// NUMA placement for the bucket array and link pools (every
   /// TableInstance this table ever allocates, including resize shadows and
@@ -266,8 +260,7 @@ class DLHT {
   explicit DLHT(const Options& o)
       : opts_(o),
         probe_(resolved_probe(o)),
-        numa_binding_{o.numa_policy, o.numa_node, &numa_fallback_},
-        epoch_(o.max_threads) {
+        numa_binding_{o.numa_policy, o.numa_node, &numa_fallback_} {
     cur_.store(new TableInstance(o.initial_bins, o.link_ratio, &numa_binding_),
                std::memory_order_release);
   }
@@ -349,7 +342,7 @@ class DLHT {
   void grow_now() {
     EpochManager::Guard g(epoch_);
     force_migration(resizes_completed_, [this](TableInstance* t) {
-      start_resize(t);
+      publish_shadow(t, next_bins(t->mask_ + 1));
       return true;
     });
   }
@@ -359,13 +352,13 @@ class DLHT {
   /// advanced by at least one. If a resize is already active (grow or
   /// shrink), this call helps finish it first — a completed grow is
   /// followed by starting the requested shrink. No-op when the table is
-  /// already at its minimum geometry (shrink_bins() cannot go below 16
-  /// bins).
+  /// already at its 16-bin minimum.
   void shrink_now() {
     EpochManager::Guard g(epoch_);
     force_migration(shrinks_completed_, [this](TableInstance* t) {
-      if (shrink_bins(t->mask_ + 1) >= t->mask_ + 1) return false;  // floor
-      start_shrink(t);
+      const std::size_t nb = shrink_bins(t->mask_ + 1);
+      if (nb == t->mask_ + 1) return false;  // at the 16-bin floor
+      publish_shadow(t, nb);
       return true;
     });
   }
@@ -483,21 +476,14 @@ class DLHT {
   /// Batched Get: hash + prefetch every home bucket up front, then probe.
   /// Requests that chain into link buckets prefetch the next line and are
   /// revisited on the next sweep, so link-chain misses also overlap.
-  /// During a migration the chunk falls back to migration-aware scalar
-  /// probes (correctness first; the window is transient).
+  /// During a migration, keys whose bucket migrated follow the redirect
+  /// to the shadow one at a time.
   void get_batch(const std::uint64_t* keys, Reply* out, std::size_t n) const {
     EpochManager::Guard g(epoch_);
     for (std::size_t base = 0; base < n; base += kGetChunk) {
       const std::size_t m = n - base < kGetChunk ? n - base : kGetChunk;
-      const TableInstance* t = cur_.load(std::memory_order_acquire);
-      if (t->next.load(std::memory_order_acquire) != nullptr) {
-        for (std::size_t j = 0; j < m; ++j) {
-          const std::uint64_t k = keys[base + j];
-          get_on(t, hash_(k), k, out[base + j]);
-        }
-        continue;
-      }
-      probe_chunk(t, keys + base, out + base, m);
+      probe_chunk(cur_.load(std::memory_order_acquire), keys + base,
+                  out + base, m);
     }
   }
 
@@ -527,15 +513,14 @@ class DLHT {
         if (rq.op == OpType::kGet) {
           std::size_t e = j + 1;
           while (e < m && reqs[base + e].op == OpType::kGet) ++e;
-          const TableInstance* ct = cur_.load(std::memory_order_acquire);
-          if (e - j >= 8 &&
-              ct->next.load(std::memory_order_acquire) == nullptr) {
+          if (e - j >= 8) {
             std::uint64_t ks[kChunk];
             for (std::size_t r = j; r < e; ++r) {
               ks[r - j] = reqs[base + r].key;
               reps[base + r].user = reqs[base + r].user;
             }
-            probe_chunk(ct, ks, &reps[base + j], e - j);
+            probe_chunk(cur_.load(std::memory_order_acquire), ks,
+                        &reps[base + j], e - j);
             j = e - 1;
             continue;
           }
@@ -565,44 +550,19 @@ class DLHT {
     }
   }
 
-  /// Iterate live (valid) entries of the current table chain. Only legal
-  /// when no mutator is running; tests use it to detect lost or duplicated
-  /// keys after churn. Entries mid-migration are visited exactly once:
-  /// migrated buckets are skipped here and picked up in the shadow table.
+  /// Iterate the live (valid) entries; legal while mutators and resizes
+  /// run. The walk holds an epoch Guard (no visited instance is reclaimed
+  /// under it) and reads each bucket through the seqlock (header, slots,
+  /// fence, header re-check), so no torn slot is emitted. A migrated chain
+  /// is walked in the shadow instead; its migrated bits are published
+  /// under its home lock, so with no writer running every entry is
+  /// emitted exactly once. Under concurrent writes the view is *fuzzy*: a
+  /// chain migrating mid-walk can be emitted from both instances, and a
+  /// mutated entry surfaces as whichever version the seqlock captured, so
+  /// consumers treat emissions last-writer-wins per key (durability.hpp
+  /// loads snapshots as upserts and replays the WAL suffix on top).
   template <class F>
   void for_each(F&& f) const {
-    const TableInstance* t = cur_.load(std::memory_order_acquire);
-    while (t != nullptr) {
-      for (std::size_t idx = 0; idx <= t->mask_; ++idx) {
-        const Bucket* b = &t->main_[idx];
-        if (hdr::migrated(S::load_relaxed(&b->header))) continue;
-        while (b != nullptr) {
-          const std::uint64_t bh = S::load_relaxed(&b->header);
-          for (int i = 0; i < kSlotsPerBucket; ++i) {
-            if (hdr::slot_state(bh, i) == SlotState::kValid) {
-              f(b->slots[i].key, b->slots[i].value);
-            }
-          }
-          b = b->link != 0 ? t->link_at(b->link) : nullptr;
-        }
-      }
-      t = t->next.load(std::memory_order_acquire);
-    }
-  }
-
-  /// Snapshot-grade iteration: like for_each, but legal while mutators and
-  /// resizes run. Pins an epoch Guard for the whole walk (no visited
-  /// instance can be reclaimed underneath it) and reads each bucket through
-  /// the seqlock (header, slots, fence, header re-check), so no torn slot
-  /// is ever emitted. The view is *fuzzy*, not a point-in-time cut: a
-  /// bucket whose chain migrates mid-walk can be emitted from both the old
-  /// and the shadow instance, and entries mutated during the walk surface
-  /// as whichever version the seqlock captured. Consumers must therefore
-  /// treat emissions last-writer-wins per key (durability.hpp loads
-  /// snapshots as upserts and replays the WAL suffix on top, which makes
-  /// the fuzziness converge to the true final state).
-  template <class F>
-  void for_each_snapshot(F&& f) const {
     EpochManager::Guard g(epoch_);
     const TableInstance* t = cur_.load(std::memory_order_acquire);
     std::uint64_t keys[kSlotsPerBucket];
@@ -1046,9 +1006,9 @@ class DLHT {
 
   /// The software-pipelined core of a batched-Get chunk (m <= kGetChunk)
   /// against instance `t` — shared by get_batch and execute_batch's
-  /// consecutive-Get runs. Fills out[j].status/value only. Safe even if a
-  /// migration starts mid-chunk (redirected lanes resolve via get_on);
-  /// callers just shouldn't enter here when one is already known-active.
+  /// consecutive-Get runs. Fills out[j].status/value only. Correct during
+  /// a migration, including one that starts mid-chunk: migrated, locked
+  /// and torn lanes resolve through get_on / resolve_scalar.
   ///
   /// Stage 1 hashes and prefetches every home bucket; stage 2 sweeps the
   /// still-active lanes, one bucket per lane per sweep, so link-chain
@@ -1449,7 +1409,7 @@ class DLHT {
         opts_.max_load_factor * static_cast<double>(capacity)) {
       return;
     }
-    start_resize(t);
+    publish_shadow(t, next_bins(t->mask_ + 1));
   }
 
   /// Erase-side twin of maybe_start_resize(): start a downward migration
@@ -1461,7 +1421,7 @@ class DLHT {
     TableInstance* t = cur_.load(std::memory_order_acquire);
     const std::size_t bins = t->mask_ + 1;
     const std::size_t new_bins = shrink_bins(bins);
-    if (new_bins >= bins) return;  // already at the minimum geometry
+    if (new_bins == bins) return;  // already at the minimum geometry
     const double size = static_cast<double>(approx_size());
     if (size >= opts_.min_load_factor *
                     static_cast<double>(bins * kSlotsPerBucket)) {
@@ -1471,7 +1431,7 @@ class DLHT {
                    static_cast<double>(new_bins * kSlotsPerBucket)) {
       return;  // hysteresis: would land too close to the grow trigger
     }
-    start_shrink(t);
+    publish_shadow(t, new_bins);
   }
 
   /// Shadow-table size for a resize of a table with `bins` main buckets:
@@ -1488,29 +1448,24 @@ class DLHT {
     return bins * f;
   }
 
-  /// Destination size for a shrink of a table with `bins` main buckets:
-  /// bins / shrink_factor, floored at the 16-bin TableInstance minimum.
-  /// Returns `bins` unchanged when no smaller table is possible.
-  std::size_t shrink_bins(std::size_t bins) const {
-    std::size_t f = opts_.shrink_factor;
-    if (f < 2) f = 2;
-    const std::size_t nb = bins / f;
-    if (nb < 16) return bins <= 16 ? bins : 16;
-    return nb;
+  /// Destination size for a shrink of a table with `bins` (a power of
+  /// two) main buckets: half of it, or `bins` itself at the 16-bin floor.
+  static std::size_t shrink_bins(std::size_t bins) {
+    return bins > 16 ? bins / 2 : bins;
   }
 
   /// The one shadow-publication protocol, shared by both directions: win
   /// the resize flag, revalidate that `t` is still current with no shadow
-  /// pending, size the destination via `size_fn` (returning 0 aborts —
-  /// nothing to do at this geometry), and publish it. Losing any check
-  /// means someone else got there first, which is fine.
-  template <class SizeFn>
-  void publish_shadow(TableInstance* t, SizeFn&& size_fn) {
+  /// pending, and publish an `nb`-bin shadow. Losing any check means
+  /// someone else got there first, which is fine. From here a shrink
+  /// shares the growth machinery: writers cooperatively migrate into the
+  /// shadow (force-chaining where a smaller destination's bucket
+  /// overflows), Gets follow the migrated-bit redirect, and
+  /// credit_migrated() retires the drained source through the epochs.
+  void publish_shadow(TableInstance* t, std::size_t nb) {
     if (resize_active_.exchange(true, std::memory_order_acq_rel)) return;
-    std::size_t nb = 0;
     if (cur_.load(std::memory_order_acquire) != t ||
-        t->next.load(std::memory_order_relaxed) != nullptr ||
-        (nb = size_fn(t->mask_ + 1)) == 0) {
+        t->next.load(std::memory_order_relaxed) != nullptr) {
       resize_active_.store(false, std::memory_order_release);
       return;
     }
@@ -1522,25 +1477,6 @@ class DLHT {
       throw;
     }
     t->next.store(n, std::memory_order_release);
-  }
-
-  /// Publish a growth_factor-sized shadow instance for `t`.
-  void start_resize(TableInstance* t) {
-    publish_shadow(t, [this](std::size_t bins) { return next_bins(bins); });
-  }
-
-  /// Publish a shrink_factor-smaller shadow instance for `t` (no-op when
-  /// `t` cannot shrink further). From here the machinery is shared with
-  /// growth: writers cooperatively migrate into the smaller table
-  /// (force-chaining when a destination bucket overflows, which is the
-  /// common case since shrink_factor source buckets fold into one), Gets
-  /// follow the migrated-bit redirect, and credit_migrated() retires the
-  /// drained source through the epochs.
-  void start_shrink(TableInstance* t) {
-    publish_shadow(t, [this](std::size_t bins) {
-      const std::size_t nb = shrink_bins(bins);
-      return nb < bins ? nb : std::size_t{0};
-    });
   }
 
   /// grow_now()/shrink_now() driver: help until `counter` advances,
@@ -1745,7 +1681,7 @@ class AllocatorMap {
   }
 
   /// Epoch checkpoint: advance if possible and free provably unreachable
-  /// retired blocks. Replaces the PR-1 gc_checkpoint() retire list.
+  /// retired blocks.
   void quiesce() { core_.epoch().quiesce(); }
 
   const Alloc& allocator() const { return pool_; }

@@ -18,7 +18,7 @@
 //    *committed* only once a sync covering it has succeeded.
 //  * Snapshot. checkpoint() rotates the WAL segments, takes an LSN barrier
 //    (all ops with lsn <= L are applied: it holds every shard mutex while
-//    it reads the LSN counter), then streams DLHT::for_each_snapshot into
+//    it reads the LSN counter), then streams DLHT::for_each into
 //    snapshot-<L>.dlht: a CRC32C-framed header, [klen|vlen|key|value]
 //    entries in CRC-framed chunks, a count footer, fsync, and an atomic
 //    rename into place. The snapshot is fuzzy (taken under concurrent
@@ -1054,7 +1054,7 @@ class DurableDLHT {
       bytes += 8 + chunk.size();
       chunk.clear();
     };
-    core_.for_each_snapshot([&](std::uint64_t k, std::uint64_t v) {
+    core_.for_each([&](std::uint64_t k, std::uint64_t v) {
       if (!ok) return;
       std::uint8_t e[24];
       const std::uint32_t kl = 8, vl = 8;

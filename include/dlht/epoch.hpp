@@ -1,22 +1,19 @@
 // Per-thread epoch-based memory reclamation (the paper's GC scheme).
 //
 // Every table operation pins the current global epoch into a per-thread
-// slot (one cache line per slot, sized by Options::max_threads). Retiring
-// an object tags it with the epoch at retirement; the object is freed once
-// the global epoch has advanced two steps past that tag, which proves every
-// thread that could have held a reference has since passed through a
-// quiescent point. The global epoch advances only when every pinned slot
-// has caught up to it — the classic three-epoch invariant.
-//
-// This replaces the PR-1 stand-in (a mutex-guarded retire list drained by
-// gc_checkpoint()) for both AllocatorMap value blocks and, new in this PR,
-// whole TableInstance bucket arrays retired by the resize coordinator.
+// slot (one cache line per slot). Slots are allocated as threads arrive,
+// in segments of 64, 128, 256, ... slots, so any number of live threads
+// has one. Retiring an object tags it with the epoch at retirement; the
+// object is freed once the global epoch has advanced two steps past that
+// tag, which proves every thread that could have held a reference has
+// since passed through a quiescent point. The global epoch advances only
+// when every pinned slot has caught up to it — the classic three-epoch
+// invariant.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -73,21 +70,16 @@ inline unsigned this_thread_index() {
 }
 
 class EpochManager {
+  struct PinSlot;
+
  public:
   using Deleter = void (*)(void* obj, void* ctx);
 
-  explicit EpochManager(unsigned max_threads) {
-    std::size_t n = 4u * (max_threads != 0 ? max_threads : 1u) + 64u;
-    if (n < kMinSlots) n = kMinSlots;
-    slots_ = n;
-    pins_ = new PinSlot[n];
-    limbo_ = new Limbo[n];
-  }
+  EpochManager() = default;
 
   ~EpochManager() {
     drain_all();
-    delete[] pins_;
-    delete[] limbo_;
+    for (auto& seg : dir_) delete[] seg.load(std::memory_order_relaxed);
   }
 
   EpochManager(const EpochManager&) = delete;
@@ -103,20 +95,17 @@ class EpochManager {
   /// operation, not for a phase.
   class Guard {
    public:
-    explicit Guard(EpochManager& m) : m_(&m), slot_(m.slot_index()) {
-      PinSlot& s = m_->pins_[slot_];
-      if (s.depth++ == 0) m_->pin_slot(s);
+    explicit Guard(EpochManager& m) : pin_(&m.slot().pin) {
+      if (pin_->depth++ == 0) m.pin_slot(*pin_);
     }
     ~Guard() {
-      PinSlot& s = m_->pins_[slot_];
-      if (--s.depth == 0) s.epoch.store(0, std::memory_order_release);
+      if (--pin_->depth == 0) pin_->epoch.store(0, std::memory_order_release);
     }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 
    private:
-    EpochManager* m_;
-    unsigned slot_;
+    PinSlot* pin_;
   };
 
   Guard pin() { return Guard(*this); }
@@ -132,7 +121,7 @@ class EpochManager {
     // fence pairs with pin_slot's: a reader that pins past the tag sees the
     // unlink.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    Limbo& l = limbo_[slot_index()];
+    Limbo& l = slot().limbo;
     const std::uint64_t e = global_.load(std::memory_order_seq_cst);
     {
       SpinGuard g(l.lock);
@@ -149,18 +138,17 @@ class EpochManager {
   /// concurrently with readers; frees nothing a pinned thread could touch.
   void quiesce() {
     try_advance();
-    for (std::size_t i = 0; i < slots_; ++i) reclaim(limbo_[i]);
+    for_each_slot([this](Slot& s) { reclaim(s.limbo); });
   }
 
   /// Free everything still in limbo. Only legal when the caller guarantees
   /// no thread is inside a Guard (destructor / single-threaded teardown).
   void drain_all() {
-    for (std::size_t i = 0; i < slots_; ++i) {
-      Limbo& l = limbo_[i];
-      SpinGuard g(l.lock);
-      for (const Retired& r : l.items) r.fn(r.obj, r.ctx);
-      l.items.clear();
-    }
+    for_each_slot([](Slot& s) {
+      SpinGuard g(s.limbo.lock);
+      for (const Retired& r : s.limbo.items) r.fn(r.obj, r.ctx);
+      s.limbo.items.clear();
+    });
   }
 
   std::uint64_t global_epoch() const {
@@ -171,16 +159,14 @@ class EpochManager {
   /// each list's lock in turn: a cold-path count for stats and tests.
   std::size_t limbo_objects() const {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < slots_; ++i) {
-      SpinGuard g(limbo_[i].lock);
-      n += limbo_[i].items.size();
-    }
+    for_each_slot([&n](Slot& s) {
+      SpinGuard g(s.limbo.lock);
+      n += s.limbo.items.size();
+    });
     return n;
   }
 
  private:
-  static constexpr std::size_t kMinSlots = 256;
-
   struct alignas(64) PinSlot {
     std::atomic<std::uint64_t> epoch{0};  // 0 = quiescent
     std::uint32_t depth = 0;              // owner-thread only (reentrancy)
@@ -210,16 +196,47 @@ class EpochManager {
     std::atomic<std::uint64_t> retires{0};
   };
 
-  unsigned slot_index() const {
-    const unsigned idx = this_thread_index();
-    if (idx >= slots_) {
-      std::fprintf(stderr,
-                   "dlht: %u live threads exceed epoch slots (%zu); raise "
-                   "Options::max_threads\n",
-                   idx + 1, slots_);
-      std::abort();
+  struct Slot {
+    PinSlot pin;
+    Limbo limbo;
+  };
+
+  /// Segment k holds kSegment0 << k slots, for thread indices from
+  /// kSegment0 * (2^k - 1) on; 17 segments cover more live threads than
+  /// Linux allows (PID_MAX_LIMIT is 2^22).
+  static constexpr unsigned kSegment0 = 64;
+  static constexpr unsigned kSegments = 17;
+
+  /// The calling thread's slot. Its first pin or retire allocates the
+  /// slot's segment, if no thread has yet.
+  Slot& slot() {
+    const unsigned v = this_thread_index() + kSegment0;
+    const unsigned k = std::bit_width(v) - std::bit_width(kSegment0);
+    Slot* seg = dir_[k].load(std::memory_order_seq_cst);
+    if (__builtin_expect(seg == nullptr, 0)) seg = add_segment(k);
+    return seg[v - (kSegment0 << k)];
+  }
+
+  /// Out of line, so that every Guard inlines the lookup above.
+  __attribute__((noinline)) Slot* add_segment(unsigned k) {
+    std::lock_guard<std::mutex> g(segment_mu_);
+    Slot* seg = dir_[k].load(std::memory_order_relaxed);
+    if (seg == nullptr) {
+      seg = new Slot[kSegment0 << k];
+      dir_[k].store(seg, std::memory_order_seq_cst);
     }
-    return idx;
+    return seg;
+  }
+
+  /// Visit the slots of every segment allocated so far.
+  template <class F>
+  void for_each_slot(F&& f) const {
+    for (unsigned k = 0; k < kSegments; ++k) {
+      Slot* seg = dir_[k].load(std::memory_order_seq_cst);
+      for (std::size_t i = 0; seg != nullptr && i < (kSegment0 << k); ++i) {
+        f(seg[i]);
+      }
+    }
   }
 
   void pin_slot(PinSlot& s) {
@@ -236,12 +253,22 @@ class EpochManager {
     }
   }
 
+  /// A segment that appears mid-scan is covered by pin_slot's re-read. A
+  /// thread T in it pins only after the segment's seq_cst publication
+  /// (its own store, or another thread's seen through a seq_cst load or
+  /// segment_mu_), and this scan's seq_cst load of the directory saw
+  /// nullptr, so it came first. T's re-read of global_ then follows our
+  /// load too: if our CAS to e + 1 lands first, T re-pins at e + 1;
+  /// otherwise T holds e under e + 1, which blocks the next advance — as
+  /// if we had read T's slot as 0.
   void try_advance() {
     const std::uint64_t e = global_.load(std::memory_order_seq_cst);
-    for (std::size_t i = 0; i < slots_; ++i) {
-      const std::uint64_t p = pins_[i].epoch.load(std::memory_order_seq_cst);
-      if (p != 0 && p != e) return;  // a straggler still in an older epoch
-    }
+    bool straggler = false;  // a thread still pinned in an older epoch
+    for_each_slot([&](Slot& s) {
+      const std::uint64_t p = s.pin.epoch.load(std::memory_order_seq_cst);
+      straggler |= p != 0 && p != e;
+    });
+    if (straggler) return;
     std::uint64_t expected = e;
     global_.compare_exchange_strong(expected, e + 1,
                                     std::memory_order_seq_cst);
@@ -263,9 +290,8 @@ class EpochManager {
   }
 
   std::atomic<std::uint64_t> global_{2};  // starts past the 0 sentinel
-  PinSlot* pins_ = nullptr;
-  Limbo* limbo_ = nullptr;
-  std::size_t slots_ = 0;
+  std::atomic<Slot*> dir_[kSegments] = {};
+  std::mutex segment_mu_;
 };
 
 }  // namespace dlht

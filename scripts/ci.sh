@@ -65,6 +65,20 @@ run_docs() {
     fi
   done
 
+  echo "=== docs: every documented DLHT_* name is read by the code ==="
+  # A deleted knob must not stay documented: each DLHT_ name in README.md
+  # and docs/*.md must be a string literal somewhere in the code, or a
+  # CMake option.
+  unread=0
+  for name in $(grep -ohE 'DLHT_[A-Z0-9_]+' README.md docs/*.md | sort -u); do
+    if ! grep -rqF "\"$name\"" include bench server tests scripts perfbench &&
+       ! grep -qE "^option\($name[[:space:]]" CMakeLists.txt; then
+      echo "FAIL: '$name' is documented but read nowhere in the code" >&2
+      unread=1
+    fi
+  done
+  if [ "$unread" -ne 0 ]; then exit 1; fi
+
   echo "=== docs: relative links in docs/*.md and README.md resolve ==="
   # A handbook that points at renamed files is worse than none: walk every
   # relative markdown link (skip http(s) and #anchors) and require the

@@ -189,8 +189,8 @@ void test_hashjoin() {
 
 void test_tatp() {
   std::puts("test_tatp");
-  apps::Tatp tatp(apps::Tatp::Config{
-      .subscribers = 2000, .initial_bins = 4096, .max_threads = 16});
+  apps::Tatp tatp(
+      apps::Tatp::Config{.subscribers = 2000, .initial_bins = 4096});
   Xoshiro256 rng(splitmix64(11));
   apps::Tatp::Counters c;
   constexpr std::uint64_t kTxns = 20000;
@@ -210,7 +210,6 @@ void test_smallbank_conservation() {
   constexpr std::int64_t kInit = 10000;
   apps::Smallbank bank(apps::Smallbank::Config{.accounts = kAccounts,
                                                .initial_bins = 2048,
-                                               .max_threads = 16,
                                                .populate_threads = 2,
                                                .initial_balance = kInit});
   CHECK(bank.total_balance() ==

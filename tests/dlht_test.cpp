@@ -377,6 +377,76 @@ void test_batch_matches_scalar() {
   }
 }
 
+// Batched Gets while a migration is pending: a shadow is published and
+// the writes since then landed in it, so get_batch and execute_batch's
+// Get runs must follow migrated bits through the pipelined probe exactly
+// as scalar get does, under each probe engine; then again once grow_now()
+// has finished the migration.
+void test_batched_gets_across_migration() {
+  std::puts("test_batched_gets_across_migration");
+  for (const ProbeStrategy ps : {ProbeStrategy::kAuto, ProbeStrategy::kSwar}) {
+    Options o;
+    o.initial_bins = 1024;
+    o.resize_chunk_bins = 1;
+    o.probe_strategy = ps;
+    InlinedMap m(o);
+    // The grow trigger (0.75 * 3 * 1024 = 2304 entries) is checked every
+    // 256 inserts on one thread, so the 2560th insert publishes a shadow.
+    constexpr std::uint64_t kKeys = 2560;
+    std::vector<std::uint64_t> ref(kKeys + 65, 0);  // value, 0 = absent
+    for (std::uint64_t k = 1; k <= kKeys; ++k) {
+      CHECK(m.insert(k, k));
+      ref[k] = k;
+    }
+    // Each write migrates at most its home and one cursor bucket, so 300
+    // writes leave the 1024-bucket migration open. An erase that lands in
+    // the shadow leaves a stale copy that debug_probe_candidates, which
+    // walks only the current instance, still counts.
+    std::size_t stale = 0;
+    for (std::uint64_t k = 7; k <= 7 * 300; k += 7) {
+      if (k % 2 != 0) {
+        CHECK(m.put(k, k + 1000000));
+        ref[k] = k + 1000000;
+      } else {
+        CHECK(m.erase(k));
+        ref[k] = 0;
+        stale += m.debug_probe_candidates(k) >= 1;
+      }
+    }
+    CHECK(m.resizes_completed() == 0);
+    CHECK(stale == 150);
+    auto check_batches = [&] {
+      const std::size_t n = ref.size();
+      std::vector<std::uint64_t> keys(n);
+      std::vector<InlinedMap::Request> reqs(n);
+      for (std::uint64_t k = 0; k < n; ++k) {
+        keys[k] = k;
+        reqs[k] = {OpType::kGet, k, 0, k};
+      }
+      std::vector<InlinedMap::Reply> got(n), ran(n);
+      m.get_batch(keys.data(), got.data(), n);
+      m.execute_batch(reqs.data(), ran.data(), n);
+      std::size_t wrong = 0;
+      for (std::uint64_t k = 0; k < n; ++k) {
+        const auto v = m.get(k);
+        const bool present = ref[k] != 0;
+        wrong += v.has_value() != present || (present && *v != ref[k]);
+        for (const InlinedMap::Reply& rp : {got[k], ran[k]}) {
+          wrong += (rp.status == Status::kOk) != present ||
+                   (present && rp.value != ref[k]);
+        }
+        wrong += ran[k].user != k;
+      }
+      CHECK(wrong == 0);
+    };
+    check_batches();
+    m.grow_now();
+    CHECK(m.resizes_completed() == 1);
+    CHECK(m.bins() == 2048);
+    check_batches();
+  }
+}
+
 // Every numa_policy value must construct, populate through a resize, and
 // keep scalar/batch equivalence — with placement either in force or
 // honestly counted in stats().numa_fallback. Single-node hosts (every CI
@@ -688,6 +758,7 @@ int main() {
   test_bucket_arrays_end_at_a_guard_page();
   test_shadow_across_migrations();
   test_batch_matches_scalar();
+  test_batched_gets_across_migration();
   test_numa_policies();
   test_ablation_toggles();
   test_variable_kv();

@@ -2,8 +2,11 @@
 // thread is pinned in an older epoch, and must actually be freed (not just
 // deferred forever) once readers drain. Run under ASan to catch both
 // use-after-free and leaks; under TSan for the pin/advance races.
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
+#include <functional>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -38,7 +41,7 @@ void counting_deleter(void* obj, void*) {
 // A pinned reader blocks reclamation; unpinning releases it.
 void pin_blocks_reclamation() {
   std::puts("pin_blocks_reclamation");
-  EpochManager em(8);
+  EpochManager em;
   g_freed.store(0);
 
   std::mutex mu;
@@ -79,7 +82,7 @@ void pin_blocks_reclamation() {
 // exit (this is what lets batched ops call scalar internals).
 void reentrant_guard() {
   std::puts("reentrant_guard");
-  EpochManager em(8);
+  EpochManager em;
   g_freed.store(0);
   {
     EpochManager::Guard outer(em);
@@ -278,6 +281,174 @@ void pinned_reader_holds_drained_generation() {
   CHECK(m.epoch().limbo_objects() == 0);
 }
 
+/// Takes every process-wide thread index below `n` that no live thread
+/// holds, so threads started meanwhile get indices from `n` up, or the
+/// ones give() hands back. Returns the rest on destruction, smallest last,
+/// so later threads reuse small indices first.
+class HeldIndices {
+ public:
+  explicit HeldIndices(unsigned n) {
+    const unsigned mine = this_thread_index();
+    std::vector<unsigned> high;
+    while (held_.size() + (mine < n ? 1 : 0) < n) {
+      const unsigned i = detail::ThreadIndexAllocator::acquire();
+      (i < n ? held_ : high).push_back(i);
+    }
+    for (const unsigned i : high) detail::ThreadIndexAllocator::release(i);
+  }
+  ~HeldIndices() {
+    std::sort(held_.begin(), held_.end(), std::greater<>());
+    for (const unsigned i : held_) detail::ThreadIndexAllocator::release(i);
+  }
+  HeldIndices(const HeldIndices&) = delete;
+  HeldIndices& operator=(const HeldIndices&) = delete;
+
+  /// Release held index `i`: the next thread to start takes it.
+  void give(unsigned i) {
+    const auto it = std::find(held_.begin(), held_.end(), i);
+    CHECK(it != held_.end());
+    if (it == held_.end()) return;
+    held_.erase(it);
+    detail::ThreadIndexAllocator::release(i);
+  }
+
+ private:
+  std::vector<unsigned> held_;
+};
+
+/// The epoch-slot segment that thread index `idx` falls in (64, 128, 256,
+/// ... slots each).
+unsigned segment_of(unsigned idx) { return std::bit_width(idx + 64u) - 7; }
+
+// Threads with indices past 1000 get epoch slots: with every smaller index
+// held, three threads run table ops, a resize and retire/quiesce, and a
+// Guard on such a thread holds back an object retired after its pin, so
+// try_advance scans their segment.
+void high_thread_indices() {
+  std::puts("high_thread_indices");
+  HeldIndices hold(1024);
+  Options o;
+  o.initial_bins = 1024;
+  InlinedMap m(o);
+  EpochManager em;
+  g_freed.store(0);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      if (this_thread_index() < 1024) failures.fetch_add(1);
+      const std::uint64_t base = (t + 1) << 32;
+      for (std::uint64_t k = 0; k < 4000; ++k) m.insert(base + k, k);
+      if (t == 0) m.grow_now();
+      for (std::uint64_t k = 0; k < 4000; ++k) {
+        if (m.get(base + k) != k) failures.fetch_add(1);
+        if (k % 2 == 0 && !m.erase(base + k)) failures.fetch_add(1);
+      }
+      em.retire(new int(1), &counting_deleter, nullptr);
+      em.quiesce();
+    });
+  }
+  for (auto& th : threads) th.join();
+  CHECK(failures.load() == 0);
+  CHECK(m.approx_size() == 3 * 2000);
+  CHECK(m.resizes_completed() >= 2);
+  for (int i = 0; i < 8 && g_freed.load() < 3; ++i) em.quiesce();
+  CHECK(g_freed.load() == 3);
+
+  g_freed.store(0);
+  std::mutex mu;
+  std::condition_variable cv;
+  int stage = 0;  // 0: starting, 1: pinned, 2: release requested
+  std::thread reader([&] {
+    if (this_thread_index() < 1024) failures.fetch_add(1);
+    EpochManager::Guard g(em);
+    std::unique_lock<std::mutex> l(mu);
+    stage = 1;
+    cv.notify_all();
+    cv.wait(l, [&] { return stage == 2; });
+  });
+  {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return stage == 1; });
+  }
+  em.retire(new int(2), &counting_deleter, nullptr);
+  for (int i = 0; i < 8; ++i) em.quiesce();
+  CHECK(g_freed.load() == 0);
+  {
+    std::lock_guard<std::mutex> l(mu);
+    stage = 2;
+  }
+  cv.notify_all();
+  reader.join();
+  for (int i = 0; i < 8 && g_freed.load() == 0; ++i) em.quiesce();
+  CHECK(g_freed.load() == 1);
+  CHECK(failures.load() == 0);
+}
+
+// Eight threads whose indices fall in four segments no thread has used yet
+// start together and pin, retire and quiesce concurrently. Each object
+// they swap out of `published` is freed exactly once, and never while a
+// Guard taken before its retirement is still held.
+void segments_appear_concurrently() {
+  std::puts("segments_appear_concurrently");
+  struct Obj {
+    std::atomic<int> frees{0};
+  };
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 1000;
+  const unsigned picks[kThreads] = {40, 41, 100, 101, 300, 301, 1000, 1001};
+  CHECK(this_thread_index() < picks[0]);
+  HeldIndices hold(1024);
+  for (const unsigned i : picks) hold.give(i);
+
+  EpochManager em;
+  std::vector<Obj> objs(kThreads * kRounds + 1);
+  std::atomic<std::size_t> next_obj{1};
+  std::atomic<Obj*> published{&objs[0]};
+  const EpochManager::Deleter count_free = [](void* p, void*) {
+    static_cast<Obj*>(p)->frees.fetch_add(1, std::memory_order_relaxed);
+  };
+  std::atomic<int> ready{0};
+  std::atomic<int> early{0};  // freed under a Guard that predates retirement
+  unsigned seen[kThreads] = {};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      seen[t] = this_thread_index();
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int r = 0; r < kRounds; ++r) {
+        {
+          EpochManager::Guard g(em);
+          Obj* p = published.load(std::memory_order_acquire);
+          if (r % 8 == 0) em.quiesce();
+          if (p->frees.load(std::memory_order_relaxed) != 0) early.fetch_add(1);
+        }
+        Obj* old = published.exchange(&objs[next_obj.fetch_add(1)],
+                                      std::memory_order_acq_rel);
+        em.retire(old, count_free, nullptr);
+        if (r % 32 == 0) em.quiesce();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::vector<unsigned> segments;
+  for (const unsigned idx : seen) segments.push_back(segment_of(idx));
+  std::sort(segments.begin(), segments.end());
+  segments.erase(std::unique(segments.begin(), segments.end()),
+                 segments.end());
+  std::printf("  thread indices in %zu segments\n", segments.size());
+  CHECK(segments.size() >= 3);
+  CHECK(early.load() == 0);
+  em.retire(published.load(), count_free, nullptr);
+  em.drain_all();
+  int wrong = 0;
+  for (std::size_t i = 0; i < next_obj.load(); ++i) {
+    wrong += objs[i].frees.load() != 1;
+  }
+  CHECK(wrong == 0);
+}
+
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr bool kSanitized = true;
 #elif defined(__has_feature)
@@ -309,7 +480,7 @@ std::uint64_t rss_bytes() {
 }
 
 // A shrink gives memory back without an explicit quiesce(): after a
-// 4M -> 1M-bin shrink, 1024 erases free the drained generation, and VmRSS
+// 4M -> 2M-bin shrink, 1024 erases free the drained generation, and VmRSS
 // falls by at least its 256 MiB main array. Checked in optimized,
 // unsanitized builds only (sanitizers keep their own shadow memory).
 void shrink_returns_memory() {
@@ -321,11 +492,10 @@ void shrink_returns_memory() {
   constexpr std::size_t kBins = std::size_t{1} << 22;
   Options o;
   o.initial_bins = kBins;
-  o.shrink_factor = 4;
   InlinedMap m(o);
   for (std::uint64_t k = 1; k <= (1u << 20); ++k) m.insert(k, k);
   m.shrink_now();
-  CHECK(m.bins() == kBins / 4);
+  CHECK(m.bins() == kBins / 2);
   const std::uint64_t before = rss_bytes();
   for (std::uint64_t k = 1; k <= 1024; ++k) CHECK(m.erase(k));
   const std::uint64_t after = rss_bytes();
@@ -347,6 +517,8 @@ int main() {
   table_instances_reclaimed();
   limbo_drains_after_resize();
   pinned_reader_holds_drained_generation();
+  high_thread_indices();
+  segments_appear_concurrently();
   shrink_returns_memory();
   if (g_failures != 0) {
     std::fprintf(stderr, "%d check(s) FAILED\n", g_failures);

@@ -237,7 +237,6 @@ void grow_shrink_grow_cycle() {
   o.initial_bins = 256;
   o.resize_chunk_bins = 64;
   o.min_load_factor = 0.2;  // automatic shrinking on
-  o.shrink_factor = 2;
   InlinedMap m(o);
 
   // Phase 1 — grow: 20K keys cannot fit in 256 bins.

@@ -42,7 +42,6 @@ void churn_across_shrinks() {
   o.link_ratio = 0.25;
   o.resize_chunk_bins = 64;   // small chunks: many threads help migrate
   o.min_load_factor = 0.25;   // trigger: live < 0.25 * (3 * bins)
-  o.shrink_factor = 2;
   InlinedMap m(o);
 
   constexpr int kWriters = 4;
