@@ -193,6 +193,13 @@ run_main() {
 
 run_tsan() {
   echo "=== TSan build + concurrency tests ==="
+  # Blind spot: TSan does not model standalone fences (GCC's -Wtsan warns
+  # "'atomic_thread_fence' is not supported" while building these), so
+  # this job does not check the seqlock re-check fences in dlht.hpp
+  # (for_each, probe_bucket, consume_group) or EpochManager's seq_cst
+  # fences. ROADMAP item 4's controlled schedules are meant to. The WAL
+  # shard lock uses no standalone fence, only its atomic word, which TSan
+  # does model.
   cmake -B build-tsan -S . "${launcher[@]}" \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -O1" \

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <bit>
 #include <condition_variable>
-#include <functional>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -283,8 +282,7 @@ void pinned_reader_holds_drained_generation() {
 
 /// Takes every process-wide thread index below `n` that no live thread
 /// holds, so threads started meanwhile get indices from `n` up, or the
-/// ones give() hands back. Returns the rest on destruction, smallest last,
-/// so later threads reuse small indices first.
+/// ones give() hands back. Returns the rest on destruction.
 class HeldIndices {
  public:
   explicit HeldIndices(unsigned n) {
@@ -297,7 +295,6 @@ class HeldIndices {
     for (const unsigned i : high) detail::ThreadIndexAllocator::release(i);
   }
   ~HeldIndices() {
-    std::sort(held_.begin(), held_.end(), std::greater<>());
     for (const unsigned i : held_) detail::ThreadIndexAllocator::release(i);
   }
   HeldIndices(const HeldIndices&) = delete;
@@ -449,6 +446,23 @@ void segments_appear_concurrently() {
   CHECK(wrong == 0);
 }
 
+// A new thread gets the smallest free index: after 1000 indices come back
+// in ascending order (as threads exiting oldest-first return them), the
+// next acquire() is the first one returned, not the last, so the new
+// thread does not make its managers allocate and scan a large segment.
+void smallest_free_index_first() {
+  std::puts("smallest_free_index_first");
+  std::vector<unsigned> idx;
+  for (int i = 0; i < 1000; ++i) {
+    idx.push_back(detail::ThreadIndexAllocator::acquire());
+  }
+  std::sort(idx.begin(), idx.end());
+  for (const unsigned i : idx) detail::ThreadIndexAllocator::release(i);
+  const unsigned next = detail::ThreadIndexAllocator::acquire();
+  CHECK(next == idx.front());
+  detail::ThreadIndexAllocator::release(next);
+}
+
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr bool kSanitized = true;
 #elif defined(__has_feature)
@@ -519,6 +533,7 @@ int main() {
   pinned_reader_holds_drained_generation();
   high_thread_indices();
   segments_appear_concurrently();
+  smallest_free_index_first();
   shrink_returns_memory();
   if (g_failures != 0) {
     std::fprintf(stderr, "%d check(s) FAILED\n", g_failures);

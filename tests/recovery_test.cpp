@@ -6,14 +6,19 @@
 // beside checkpoints), streamed recovery (LSN merge across segments, a
 // read error in either pass, a memory bound), a fuzz pass over the WAL and
 // snapshot decoders (random bytes + every truncation; run under ASan/UBSan
-// in CI), and the streaming WalReader checked against wal_decode. The
-// SIGKILL-mid-churn variant lives in kill_recover_test.sh.
+// in CI), the streaming WalReader checked against wal_decode, and the WAL
+// shard lock (mutual exclusion, try_lock, waiters that park instead of
+// spinning). The SIGKILL-mid-churn variant lives in kill_recover_test.sh.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <iterator>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -1294,9 +1299,106 @@ void wal_reader_matches_wal_decode() {
   remove_dir(dir);
 }
 
+// ------------------------------------------------------------ shard lock
+
+// Mutual exclusion: 8 threads increment a plain counter under the lock.
+void shard_lock_counts_exactly() {
+  std::puts("shard_lock_counts_exactly");
+  constexpr int kThreads = 8, kRounds = 100000;
+  detail_wal::ShardLock lock;
+  std::uint64_t counter = 0;
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        std::lock_guard g(lock);
+        ++counter;
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  CHECK(counter == std::uint64_t{kThreads} * kRounds);
+}
+
+void shard_lock_try_lock() {
+  std::puts("shard_lock_try_lock");
+  detail_wal::ShardLock lock;
+  std::atomic<int> stage{0};
+  std::thread holder([&] {
+    lock.lock();
+    stage.store(1);
+    while (stage.load() != 2) std::this_thread::yield();
+    lock.unlock();
+  });
+  while (stage.load() != 1) std::this_thread::yield();
+  CHECK(!lock.try_lock());
+  stage.store(2);
+  holder.join();
+  CHECK(lock.try_lock());
+  lock.unlock();
+}
+
+double thread_cpu_s() {
+  struct timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// Waiters park: 4 threads wait while the holder sleeps 20 ms under the
+// lock. Each must take the lock within 1 s of the release, and together
+// they must burn under a tenth of the 4 x 20 ms they waited; a lock that
+// only spins burns all of it, and one whose unlock never wakes a parked
+// waiter leaves them asleep (the case then exits instead of hanging).
+void shard_lock_waiters_park() {
+  std::puts("shard_lock_waiters_park");
+  constexpr int kWaiters = 4;
+  constexpr auto kHold = std::chrono::milliseconds(20);
+  using Clock = std::chrono::steady_clock;
+  detail_wal::ShardLock lock;
+  std::atomic<int> arrived{0}, acquired{0};
+  std::atomic<double> cpu_s{0};
+  lock.lock();
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kWaiters; ++t) {
+    ts.emplace_back([&] {
+      const double c0 = thread_cpu_s();
+      arrived.fetch_add(1);
+      lock.lock();
+      cpu_s.fetch_add(thread_cpu_s() - c0);
+      lock.unlock();
+      acquired.fetch_add(1);
+    });
+  }
+  while (arrived.load() != kWaiters) std::this_thread::yield();
+  std::this_thread::sleep_for(kHold);
+  const Clock::time_point released = Clock::now();
+  lock.unlock();
+  while (acquired.load() != kWaiters) {
+    if (Clock::now() - released > std::chrono::seconds(1)) {
+      std::fprintf(stderr,
+                   "FAIL %s:%d: %d of %d waiters took the lock within 1 s\n",
+                   __FILE__, __LINE__, acquired.load(), kWaiters);
+      std::fflush(stderr);
+      std::_Exit(1);  // the others may sleep forever: fail, do not hang
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (auto& t : ts) t.join();
+  const double budget_s =
+      0.1 * kWaiters * std::chrono::duration<double>(kHold).count();
+  std::printf("  waiters' CPU time %.3f ms (limit %.1f ms)\n",
+              cpu_s.load() * 1e3, budget_s * 1e3);
+  CHECK(cpu_s.load() < budget_s);
+}
+
 }  // namespace
 
 int main() {
+  // The shard lock first: a lock that loses a wake-up would hang the
+  // multi-writer cases below, while shard_lock_waiters_park exits.
+  shard_lock_try_lock();
+  shard_lock_waiters_park();
+  shard_lock_counts_exactly();
   clean_snapshot_roundtrip();
   wal_only_recovery();
   snapshot_plus_wal_suffix();
