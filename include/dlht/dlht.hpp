@@ -139,8 +139,11 @@ enum class Status : std::uint8_t {
   kOk = 0,
   kNotFound,
   kExists,
-  /// Insert rejected because the home bucket is full and link chains are
-  /// ablated away (Options::Ablation::link_chains == false).
+  /// Write refused because its key's chain is full and cannot take a link
+  /// bucket: link chains are ablated away (Options::Ablation::link_chains
+  /// == false), or the link pool could not grow (its chunk limit was
+  /// reached or the mapping failed). The write changed nothing, and the
+  /// bin keeps serving.
   kFull,
   /// A durability operation (WAL append/sync, snapshot write) hit a disk
   /// failure. The in-memory table is unaffected: DurableDLHT reports the
@@ -246,6 +249,12 @@ class DLHT {
     Status status = Status::kNotFound;
     std::uint64_t value = 0;
     std::uint64_t user = 0;
+  };
+
+  /// The log callback of the plain write path: it does nothing and
+  /// compiles away (see execute_batch(reqs, reps, n, log)).
+  struct NoLog {
+    void operator()(OpType, std::uint64_t, std::uint64_t) const {}
   };
 
   /// The probe engine a table built with `o` would actually run: cpuid
@@ -388,10 +397,9 @@ class DLHT {
     return std::nullopt;
   }
 
-  /// Insert if absent. Returns false if the key already exists — or, with
-  /// link chains ablated off, if the bounded home bucket is full
-  /// (mutate_pinned reports Status::kFull; callers that care can use
-  /// execute_batch to distinguish the two).
+  /// Insert if absent. Returns false if the key already exists — or if its
+  /// chain is full and cannot take a link bucket (Status::kFull; callers
+  /// that care can use execute_batch to distinguish the two).
   bool insert(std::uint64_t key, std::uint64_t value) {
     EpochManager::Guard g(epoch_);
     return mutate_pinned(hash_(key), key, value, /*upsert=*/false,
@@ -438,6 +446,14 @@ class DLHT {
   /// value written, or nullopt when the key is absent.
   template <class F>
   std::optional<std::uint64_t> update(std::uint64_t key, F&& f) {
+    return update(key, std::forward<F>(f), NoLog{});
+  }
+
+  /// update() that reports the write to `log` as log(OpType::kPut, key,
+  /// value written), under the same rules as execute_batch's log. Nothing
+  /// is reported when the key is absent.
+  template <class F, class Log>
+  std::optional<std::uint64_t> update(std::uint64_t key, F&& f, Log log) {
     EpochManager::Guard g(epoch_);
     std::optional<std::uint64_t> out;
     // Only kValid slots: a shadow-reserved entry is not yet readable, so it
@@ -446,6 +462,7 @@ class DLHT {
         hash_(key), key, [&](Slot& slot, int, std::uint64_t bh) {
           out = f(slot.value);
           S::store_relaxed(&slot.value, *out);
+          log(OpType::kPut, key, *out);
           return bh;
         });
     return out;
@@ -491,6 +508,24 @@ class DLHT {
   /// buckets, then execute in request order (so an insert followed by a
   /// delete of the same key in one batch behaves like the scalar sequence).
   void execute_batch(const Request* reqs, Reply* reps, std::size_t n) {
+    execute_batch(reqs, reps, n, NoLog{});
+  }
+
+  /// execute_batch() that reports every change it makes to `log` as
+  /// log(op, key, value): a Put that wrote (value = the value stored), an
+  /// Insert that took a slot, a Delete that removed the key (value = 0).
+  /// Nothing is reported for Gets, for an Insert answering kExists, a
+  /// Delete answering kNotFound, or a kFull, nor for a resize's migration
+  /// copies. `log` runs inside the key's home-bucket critical section,
+  /// after the slot (or link bucket) is secured and just before the store
+  /// that publishes the change, so it sees each key's writes in their
+  /// apply order. Gets spin on that locked bucket: `log` must be short and
+  /// must not block or throw. It is passed by value, so a callback that
+  /// keeps state must refer to it (as a lambda capturing by reference does);
+  /// the empty NoLog then costs no argument at all.
+  template <class Log>
+  void execute_batch(const Request* reqs, Reply* reps, std::size_t n,
+                     Log log) {
     EpochManager::Guard g(epoch_);
     constexpr std::size_t kChunk = 64;
     std::uint64_t hs[kChunk];
@@ -531,16 +566,16 @@ class DLHT {
             break;
           case OpType::kPut:
             rp.status = mutate_pinned(hs[j], rq.key, rq.value, true,
-                                      SlotState::kValid);
+                                      SlotState::kValid, log);
             rp.value = 0;
             break;
           case OpType::kInsert:
             rp.status = mutate_pinned(hs[j], rq.key, rq.value, false,
-                                      SlotState::kValid);
+                                      SlotState::kValid, log);
             rp.value = 0;
             break;
           case OpType::kDelete: {
-            const auto v = extract_pinned(hs[j], rq.key);
+            const auto v = extract_pinned(hs[j], rq.key, log);
             rp.status = v ? Status::kOk : Status::kNotFound;
             rp.value = v ? *v : 0;
             break;
@@ -1184,15 +1219,20 @@ class DLHT {
   /// Insert logic, run under home's lock in `t`. A duplicate among the
   /// occupied slots (valid or shadow-reserved) answers kExists, its value
   /// first overwritten in place when `upsert`; otherwise the key takes the
-  /// chain's first empty slot, or a link bucket appended at the tail.
-  /// Releases the lock. `force_chain` lets migration append link buckets
-  /// even when the user surface has them ablated off — a resize must never
-  /// drop entries.
+  /// chain's first empty slot, or a link bucket appended at the tail. A
+  /// write that changes the table reports itself to `log` just before it
+  /// publishes (as a kPut when `upsert`, else a kInsert). Releases the
+  /// lock. `force_chain` marks a migration copy: it appends link buckets
+  /// even when the user surface has them ablated off (a resize must never
+  /// drop entries), and a link pool that cannot grow throws instead of
+  /// answering kFull.
+  template <class Log>
   Status try_mutate_on(TableInstance* t, Bucket* home, std::uint64_t hh,
                        std::uint64_t h, std::uint64_t key, std::uint64_t value,
-                       bool upsert, SlotState publish_state,
+                       bool upsert, SlotState publish_state, Log log,
                        bool force_chain = false) {
     const std::uint8_t fp = fp_of(h);
+    const OpType op = upsert ? OpType::kPut : OpType::kInsert;
     const ChainSearch s =
         search_locked<probe::occupied_slots>(t, home, hh, fp, key);
     if (s.hit.b != nullptr) {
@@ -1201,6 +1241,7 @@ class DLHT {
         return Status::kExists;
       }
       S::store_relaxed(&s.hit.b->slots[s.hit.i].value, value);
+      log(op, key, value);
       publish(home, hh, s.hit.b, s.hit.bh);
       return Status::kExists;
     }
@@ -1209,6 +1250,7 @@ class DLHT {
       S::store_relaxed(&s.empty.b->slots[s.empty.i].value, value);
       const std::uint64_t nh =
           hdr::with_fingerprint(s.empty.bh, s.empty.i, fp);
+      log(op, key, value);
       publish(home, hh, s.empty.b,
               hdr::with_slot_state(nh, s.empty.i, publish_state));
       return Status::kOk;
@@ -1219,23 +1261,32 @@ class DLHT {
       unlock_bucket(home, hh);
       return Status::kFull;
     }
-    const std::uint32_t idx = t->alloc_link();
+    std::uint32_t idx;
+    try {
+      idx = t->alloc_link();
+    } catch (const std::bad_alloc&) {
+      if (force_chain) throw;
+      unlock_bucket(home, hh);  // never leave the bin locked
+      return Status::kFull;
+    }
     Bucket* nb = t->link_at(idx);
     nb->slots[0].key = key;
     nb->slots[0].value = value;
     nb->link = 0;
     const std::uint64_t nh = hdr::with_fingerprint(nb->header, 0, fp);
+    log(op, key, value);
     publish(home, hh, nb, hdr::with_slot_state(nh, 0, publish_state), s.tail,
             idx);
     return Status::kOk;
   }
 
+  template <class Log = NoLog>
   Status mutate_pinned(std::uint64_t h, std::uint64_t key, std::uint64_t value,
-                       bool upsert, SlotState publish_state) {
+                       bool upsert, SlotState publish_state, Log log = {}) {
     const Status st =
         locked_write(h, [&](TableInstance* t, Bucket* home, std::uint64_t hh) {
           return try_mutate_on(t, home, hh, h, key, value, upsert,
-                               publish_state);
+                               publish_state, log);
         });
     if (st == Status::kOk) note_insert();
     return st;
@@ -1259,12 +1310,15 @@ class DLHT {
         });
   }
 
+  template <class Log = NoLog>
   std::optional<std::uint64_t> extract_pinned(std::uint64_t h,
-                                              std::uint64_t key) {
+                                              std::uint64_t key,
+                                              Log log = {}) {
     std::optional<std::uint64_t> out;
     if (edit_pinned<probe::occupied_slots>(
             h, key, [&](Slot& slot, int i, std::uint64_t bh) {
               out = slot.value;
+              log(OpType::kDelete, key, 0);
               return hdr::with_slot_state(bh, i, SlotState::kEmpty);
             })) {
       note_erase();
@@ -1290,7 +1344,10 @@ class DLHT {
   /// the chain is already findable in the shadow. Returns true iff this
   /// call performed the migration.
   bool migrate_one(TableInstance* t, TableInstance* n, std::size_t idx) {
-    if (hdr::migrated(S::load_relaxed(&t->main_[idx].header))) return false;
+    // Acquire: a writer that skips an already-migrated home then writes
+    // its key in the shadow, after every write the migration carried
+    // over (the per-key write order that DurableDLHT's log relies on).
+    if (hdr::migrated(S::load_acquire(&t->main_[idx].header))) return false;
     std::uint64_t hh;
     Bucket* home = lock_home(t, idx, hh);
     if (home == nullptr) return false;
@@ -1307,7 +1364,7 @@ class DLHT {
         std::uint64_t nhh;
         if (Bucket* dst = lock_home(n, h & n->mask_, nhh)) {
           try_mutate_on(n, dst, nhh, h, k, b->slots[i].value,
-                        /*upsert=*/false, st, /*force_chain=*/true);
+                        /*upsert=*/false, st, NoLog{}, /*force_chain=*/true);
         }
       }
     }

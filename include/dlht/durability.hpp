@@ -5,20 +5,30 @@
 //
 // Design:
 //  * WAL. Mutations append fixed 32-byte records [crc|op|lsn|key|value] to
-//    one of wal_shards log files (shard = hash(key) & mask, so every
-//    operation on a key lands in one file in apply order). Writes go
-//    through execute_batch (scalar mutations are a batch of one): a batch
-//    is grouped by WAL shard, and each group takes its shard lock once,
-//    gets one contiguous LSN range, buffers its records and applies through
-//    one DLHT::execute_batch call. A writer that finds the lock held spins
-//    for a bounded budget (~10 µs), then parks until the holder's unlock
-//    wakes it (detail_wal::ShardLock). A record is flushed+fsynced by group
-//    commit: once a shard has DurabilityOptions::wal_fsync_interval_ops
-//    records pending, or a background committer thread notices a record
-//    older than DurabilityOptions::wal_group_commit_us, one fsync covers
-//    the whole batch. Group commit still writes and fsyncs under the shard
-//    lock, so that shard's writers wait out the fsync (parked, past the
-//    spin budget). wal_sync() forces durability explicitly — an op is
+//    one of wal_shards log files. A WAL shard belongs to writer threads,
+//    not to keys: a thread logs into shard this_thread_index() &
+//    (wal_shards - 1). Writes go through execute_batch (scalar mutations
+//    are a batch of one), in chunks of up to 64 requests: a chunk with a
+//    mutation takes its thread's shard lock once and applies through one
+//    DLHT::execute_batch call whose log callback draws each change's LSN
+//    (one fetch_add on the shared counter) and encodes its record inside
+//    the key's home-bucket critical section, just before the store that
+//    publishes the change. The bucket lock serializes a key's writes, so a
+//    key's LSN order is its apply order, wherever its records land; only
+//    the shard lock's holder appends to a shard, and it draws increasing
+//    LSNs, so each shard file is strictly LSN-ordered. A request that
+//    changes nothing (an insert of a present key, a delete of an absent
+//    one, kFull) logs nothing. A writer that finds the shard lock held
+//    spins for a bounded budget (~10 µs), then parks until the holder's
+//    unlock wakes it (detail_wal::ShardLock). A record is flushed+fsynced
+//    by group commit: once a shard has
+//    DurabilityOptions::wal_fsync_interval_ops records pending (checked
+//    after the core call returns, with no bucket locked), or a background
+//    committer thread notices a record older than
+//    DurabilityOptions::wal_group_commit_us, one fsync covers the whole
+//    batch. Group commit still writes and fsyncs under the shard lock, so
+//    that shard's writers wait out the fsync (parked, past the spin
+//    budget). wal_sync() forces durability explicitly — an op is
 //    *committed* only once a sync covering it has succeeded.
 //  * Snapshot. checkpoint() rotates the WAL segments, takes an LSN barrier
 //    (all ops with lsn <= L are applied: it holds every shard lock while
@@ -604,11 +614,12 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
 }
 
 /// One shard of the log: a lock-serialized append buffer over an
-/// append-only file. DurableDLHT assigns LSNs, buffers records and applies
-/// their table ops inside one critical section on `mu` — so within a shard
-/// (and therefore per key), file order, LSN order, and apply order are all
-/// the same order.
-struct Shard {
+/// append-only file, written by the threads that map to it. DurableDLHT
+/// draws each record's LSN and encodes it while it holds `mu`, so file
+/// order and LSN order are the same order. A shard has cache lines of its
+/// own: with one writer per shard, a neighbour's writes must not migrate
+/// its lines.
+struct alignas(64) Shard {
   ShardLock mu;
   std::string path;
   std::unique_ptr<WritableFile> file;
@@ -653,8 +664,11 @@ struct DurabilityOptions {
   /// absent. Empty string = durability disabled (pure in-memory tier that
   /// still answers the API, with degraded() == false and nothing logged).
   std::string dir;
-  /// Log shards (rounded up to a power of two). More shards = more append
-  /// concurrency and more files to fsync per wal_sync().
+  /// Log shards (rounded up to a power of two). A WAL shard belongs to
+  /// writer threads, not keys: a thread logs into shard
+  /// this_thread_index() & (wal_shards - 1), so threads with distinct
+  /// indices below wal_shards never share a shard lock. More shards = fewer
+  /// writers per shard lock and more files to fsync per wal_sync().
   unsigned wal_shards = 4;
   /// Non-null: wrap every file in a FaultyFile driven by this spec.
   FaultSpec* faults = nullptr;
@@ -670,11 +684,12 @@ struct DurabilityOptions {
 };
 
 /// DLHT + durability. All table reads pass straight through to the core;
-/// mutations write ahead to a WAL shard and apply inside the same shard
-/// critical section. See the file header for the full contract.
+/// mutations log to the calling thread's WAL shard from inside the core's
+/// bucket critical section. See the file header for the full contract.
 ///
-/// Concurrent same-key writers serialize through the key's shard, so the
-/// recovered state is always a legal serialization of the pre-crash ops.
+/// Concurrent same-key writers serialize through the key's home-bucket
+/// lock, and each draws its LSN under it, so the recovered state is always
+/// a legal serialization of the pre-crash ops.
 class DurableDLHT {
  public:
   using Request = DLHT::Request;
@@ -757,7 +772,7 @@ class DurableDLHT {
 
   // --------------------------------------------------------- mutations
   //
-  // Each returns the table outcome, except that a mutation whose WAL group
+  // Each returns the table outcome, except that a mutation whose chunk
   // first observes a WAL failure returns kIOError (its table effect still
   // happened); from then on the tier is degraded() and memory-only.
 
@@ -773,25 +788,22 @@ class DurableDLHT {
     return execute_one(OpType::kDelete, key, 0);
   }
 
-  /// Batched mixed ops, the tier's write path. The batch is grouped by WAL
-  /// shard, keeping request order inside each group, so all requests on
-  /// one key run in request order. A group with a mutation takes its shard
-  /// lock once: one contiguous LSN range, its records buffered (fsynced
-  /// by the group-commit rule), then the whole group — Gets included —
-  /// applied through one DLHT::execute_batch call before the unlock. A
-  /// group of Gets skips the lock: reads never need the log. Requests on
-  /// different keys may apply out of request order; each still takes
-  /// effect while the whole batch is unanswered. reps[i] answers reqs[i]
-  /// as the scalar call would: a Put answers kOk whether or not it
-  /// overwrote, and if a group's flush fails its mutations answer kIOError
-  /// (their table effect stands; the tier degrades).
+  /// Batched mixed ops, the tier's write path, applied in request order
+  /// in chunks of kGroupChunk requests. A chunk with a mutation holds the
+  /// calling thread's WAL shard lock across one DLHT::execute_batch call,
+  /// which logs each change it makes from inside the key's bucket critical
+  /// section (see the file header); then group commit decides, with no
+  /// bucket locked, whether the shard flushes. A chunk of Gets skips the
+  /// lock: reads never need the log. reps[i] answers reqs[i] as the scalar
+  /// call would: a Put answers kOk whether or not it overwrote, and if a
+  /// chunk's flush fails its mutations answer kIOError (their table effect
+  /// stands; the tier degrades).
   void execute_batch(const Request* reqs, Reply* reps, std::size_t n) {
     if (!logging()) {
       core_.execute_batch(reqs, reps, n);
     } else {
       for (std::size_t base = 0; base < n; base += kGroupChunk) {
-        execute_chunk(reqs + base, reps + base,
-                      std::min(kGroupChunk, n - base));
+        log_chunk(reqs + base, reps + base, std::min(kGroupChunk, n - base));
       }
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -808,15 +820,10 @@ class DurableDLHT {
   template <class F>
   std::optional<std::uint64_t> update(std::uint64_t key, F&& f,
                                       Status* io_out = nullptr) {
-    detail_wal::Shard& sh = shard_of(key);
-    std::unique_lock g(sh.mu);
-    auto out = core_.update(key, std::forward<F>(f));
-    Status io = Status::kOk;
-    if (out.has_value()) {
-      const Request rq{OpType::kPut, key, *out, 0};
-      io = append_locked(sh, &rq, 1, 1);
-    }
-    g.unlock();
+    std::optional<std::uint64_t> out;
+    const Status io = logged(1, [&](const auto& log) {
+      out = core_.update(key, std::forward<F>(f), log);
+    });
     if (io_out != nullptr) *io_out = io;
     return out;
   }
@@ -963,10 +970,6 @@ class DurableDLHT {
     return Status::kIOError;
   }
 
-  detail_wal::Shard& shard_of(std::uint64_t key) {
-    return *shards_[hash_(key) & (shards_.size() - 1)];
-  }
-
   std::string shard_path(std::size_t i) const {
     return dopts_.dir + "/wal-" + std::to_string(i) + ".log";
   }
@@ -987,94 +990,71 @@ class DurableDLHT {
     return rp.status;
   }
 
-  /// Group up to kGroupChunk requests by WAL shard, run each group, and
-  /// scatter the replies back to request order. A chunk on one shard
-  /// (every scalar op) runs in place, without the scratch arrays.
-  void execute_chunk(const Request* reqs, Reply* reps, std::size_t n) {
-    constexpr std::size_t kTaken = ~std::size_t{0};
-    std::size_t shard[kGroupChunk];
-    std::size_t chunk_mutations = 0;
-    bool one_shard = true;
+  /// Run one chunk of a logging batch. A chunk with no mutation skips the
+  /// shard lock; otherwise one flush failure answers all its mutations.
+  void log_chunk(const Request* reqs, Reply* reps, std::size_t n) {
+    std::size_t mutations = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      shard[i] = hash_(reqs[i].key) & (shards_.size() - 1);
-      one_shard &= shard[i] == shard[0];
-      chunk_mutations += reqs[i].op != OpType::kGet;
+      mutations += reqs[i].op != OpType::kGet;
     }
-    if (one_shard) {
-      run_group(*shards_[shard[0]], reqs, reps, n, chunk_mutations);
-      return;
-    }
-    Request greqs[kGroupChunk];
-    Reply greps[kGroupChunk];
-    std::size_t from[kGroupChunk];  // grouped slot -> request index
-    std::size_t end = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (shard[i] == kTaken) continue;
-      const std::size_t s = shard[i];
-      const std::size_t begin = end;
-      std::size_t mutations = 0;
-      for (std::size_t j = i; j < n; ++j) {
-        if (shard[j] != s) continue;
-        shard[j] = kTaken;
-        from[end] = j;
-        greqs[end++] = reqs[j];
-        mutations += reqs[j].op != OpType::kGet;
-      }
-      run_group(*shards_[s], greqs + begin, greps + begin, end - begin,
-                mutations);
-    }
-    for (std::size_t g = 0; g < n; ++g) reps[from[g]] = greps[g];
-  }
-
-  /// Log and apply one WAL-shard group inside its shard's critical section.
-  void run_group(detail_wal::Shard& sh, const Request* reqs, Reply* reps,
-                 std::size_t n, std::size_t mutations) {
     if (mutations == 0) {
       core_.execute_batch(reqs, reps, n);
       return;
     }
-    std::unique_lock g(sh.mu);
-    // Write ahead: the records are buffered (not yet durable) before the
-    // table changes. Replay of an unapplied logged op is harmless — a
-    // logged insert that lost its race replays as insert-if-absent, a
-    // logged put replays as the same upsert.
-    const Status io = append_locked(sh, reqs, n, mutations);
-    core_.execute_batch(reqs, reps, n);
-    g.unlock();
+    const Status io = logged(mutations, [&](const auto& log) {
+      core_.execute_batch(reqs, reps, n, log);
+    });
     if (io == Status::kOk) return;
     for (std::size_t i = 0; i < n; ++i) {
       if (reqs[i].op != OpType::kGet) reps[i].status = io;
     }
   }
 
-  /// Buffer a record for each of the `mutations` non-Get requests among
-  /// reqs[0..n), under the shard lock and with one contiguous LSN range;
-  /// group commit decides when they hit the disk. Returns kIOError when a
-  /// flush this append triggered failed (the tier degrades); the caller's
-  /// table ops proceed regardless.
-  Status append_locked(detail_wal::Shard& sh, const Request* reqs,
-                       std::size_t n, std::size_t mutations) {
-    if (!logging()) return Status::kOk;
-    std::uint64_t lsn = lsn_.fetch_add(mutations, std::memory_order_relaxed);
-    std::size_t at = sh.buf.size();
-    sh.buf.resize(at + mutations * kWalRecordBytes);
-    for (std::size_t i = 0; i < n; ++i) {
-      WalRecord r;
-      switch (reqs[i].op) {
-        case OpType::kGet: continue;
-        case OpType::kPut: r.op = WalOp::kPut; break;
-        case OpType::kInsert: r.op = WalOp::kInsert; break;
-        case OpType::kDelete: r.op = WalOp::kDelete; break;
-      }
-      r.lsn = ++lsn;
-      r.key = reqs[i].key;
-      r.value = r.op == WalOp::kDelete ? 0 : reqs[i].value;
-      wal_encode(r, sh.buf.data() + at);
-      at += kWalRecordBytes;
+  /// Run `apply(log)`, one core call that makes at most `changes` changes,
+  /// under the calling thread's WAL shard lock. `log` appends each change's
+  /// record to the shard buffer (sized beforehand, so it never allocates
+  /// under a bucket lock) with an LSN drawn as it runs; then group commit
+  /// fsyncs the shard once wal_fsync_interval_ops records are pending.
+  /// Returns kIOError when that flush failed (the tier degrades); the
+  /// table changes stand regardless.
+  template <class Apply>
+  Status logged(std::size_t changes, Apply&& apply) {
+    if (logging()) {
+      detail_wal::Shard& sh =
+          *shards_[this_thread_index() & (shards_.size() - 1)];
+      std::lock_guard g(sh.mu);
+      if (logging()) return log_locked(sh, changes, apply);
     }
-    detail_wal::bump(sh.records, mutations);
+    apply(DLHT::NoLog{});
+    return Status::kOk;
+  }
+
+  /// logged()'s body, run with `sh` locked while the tier logs.
+  template <class Apply>
+  Status log_locked(detail_wal::Shard& sh, std::size_t changes,
+                    Apply& apply) {
+    const std::size_t at = sh.buf.size();
+    sh.buf.resize(at + changes * kWalRecordBytes);
+    std::uint8_t* const first = sh.buf.data() + at;
+    std::uint8_t* next = first;
+    apply([&](OpType op, std::uint64_t key, std::uint64_t value) {
+      WalRecord r;
+      r.lsn = lsn_.fetch_add(1, std::memory_order_relaxed) + 1;
+      r.op = op == OpType::kInsert   ? WalOp::kInsert
+             : op == OpType::kDelete ? WalOp::kDelete
+                                     : WalOp::kPut;
+      r.key = key;
+      r.value = value;
+      wal_encode(r, next);
+      next += kWalRecordBytes;
+    });
+    const std::size_t added =
+        static_cast<std::size_t>(next - first) / kWalRecordBytes;
+    sh.buf.resize(at + added * kWalRecordBytes);
+    if (added == 0) return Status::kOk;
+    detail_wal::bump(sh.records, added);
     if (sh.pending_ops == 0) sh.oldest_pending_ns = detail_wal::wall_ns();
-    sh.pending_ops += mutations;
+    sh.pending_ops += added;
     if (sh.pending_ops >=
         std::max<std::size_t>(dopts_.wal_fsync_interval_ops, 1)) {
       if (!sh.sync_locked()) return fail_io();
@@ -1474,16 +1454,17 @@ class DurableDLHT {
 
   DurabilityOptions dopts_;
   DLHT core_;
-  DLHT::Hasher hash_{};
 
   bool opened_ = false;
   std::vector<std::unique_ptr<detail_wal::Shard>> shards_;
   std::mutex checkpoint_mu_;
-  /// Highest LSN assigned. Bumped only inside a shard's critical section,
-  /// which is what makes checkpoint()'s all-shards barrier exact.
-  std::atomic<std::uint64_t> lsn_{0};
+  /// Highest LSN assigned. Drawn only inside a shard's critical section,
+  /// which is what makes checkpoint()'s all-shards barrier exact. Every
+  /// logged write bumps it, so it has a cache line to itself, apart from
+  /// the fields above and below that every write only reads.
+  alignas(64) std::atomic<std::uint64_t> lsn_{0};
 
-  std::atomic<bool> degraded_{false};
+  alignas(64) std::atomic<bool> degraded_{false};
   std::atomic<std::uint64_t> io_errors_{0};
   std::atomic<std::uint64_t> snapshot_bytes_{0};
   std::atomic<std::uint64_t> snapshots_written_{0};

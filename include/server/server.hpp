@@ -5,9 +5,9 @@
 // worker shards. Each shard owns an epoll loop, its accepted connections,
 // and a ShardView of the table — an epoch slot, a batch former, and a
 // latency reservoir. Connections are dealt round-robin at accept; the
-// table itself is already partitioned by key hash internally (per-bucket
-// locks, sharded size counters, WAL shards), so any shard can serve any
-// key and no cross-worker hand-off sits on the request path.
+// table synchronizes internally (per-bucket locks, sharded size counters,
+// and WAL shards owned by writer threads), so any shard can serve any key
+// and no cross-worker hand-off sits on the request path.
 //
 // The batching engine IS the request loop: every decoded Get/Put/Insert/
 // Delete is appended to the shard's pending batch, which flushes into one

@@ -3,7 +3,7 @@
 # so they cannot silently rot. Usable locally:
 #   scripts/ci.sh         # everything
 #   scripts/ci.sh main    # Release build + ctest + bench smoke + perfbench
-#                         # self-test + ASan/UBSan
+#                         # and perfbench_pairs self-tests + ASan/UBSan
 #   scripts/ci.sh tsan    # ThreadSanitizer build + concurrency tests only
 #   scripts/ci.sh docs    # every figure binary documented in REPRODUCING.md
 set -euo pipefail
@@ -143,6 +143,10 @@ run_main() {
   # The perf-trajectory diff must actually gate: an identical pair passes,
   # a synthesized >15% throughput drop / p99 rise each exit nonzero.
   python3 scripts/bench_diff.py --self-test
+
+  echo "=== perfbench_pairs known-answer self-test ==="
+  # The A/B pairs tool's median, IQR and per-pair win arithmetic.
+  python3 scripts/perfbench_pairs.py --self-test
 
   echo "=== perfbench known-answer self-test ==="
   # The end-to-end benchmark's own arithmetic (perfbench/stats.hpp,

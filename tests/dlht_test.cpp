@@ -1,6 +1,7 @@
 // Tier-1 correctness tests for the DLHT core. No framework: each check
 // prints its name, asserts loudly on failure, and main returns nonzero if
 // anything failed, so the binary works under ctest and ASan alike.
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -269,6 +270,90 @@ void test_bucket_arrays_end_at_a_guard_page() {
       ++g_failures;
     }
     detail::unmap_buckets(b, count);
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// This process's virtual size (VmSize), in bytes; 0 if unreadable.
+std::uint64_t vm_size_bytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmSize: %llu kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib * 1024;
+}
+
+/// A link pool that cannot grow answers kFull and leaves the bin serving.
+/// A forked child fills one bin of a 16-bin table (a load factor no resize
+/// reaches) until chunk0's 1024 link buckets are used and full, then caps
+/// its address space below one more 1 MiB link chunk. The next colliding
+/// insert must return false, a Get of a key in that bin must still return
+/// its value, and the size must not move. An insert that throws with the
+/// home bucket locked instead aborts the child, or hangs it until SIGALRM.
+/// Sanitized builds skip it: their shadow memory does not fit the cap.
+void test_link_pool_exhaustion_answers_full() {
+  std::puts("test_link_pool_exhaustion_answers_full");
+  if (kSanitized) {
+    std::puts("  skip (sanitized build)");
+    return;
+  }
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    Options o;
+    o.initial_bins = 16;
+    o.max_load_factor = 1e9;
+    DLHT t(o);
+    std::uint64_t k = 0;
+    const auto next_in_bin0 = [&] {
+      do {
+        ++k;
+      } while ((DLHT::Hasher{}(k) & 15) != 0);
+      return k;
+    };
+    std::vector<std::uint64_t> keys;  // the home bucket + 1024 full links
+    for (int i = 0; i < 3 * (1 + 1024); ++i) {
+      keys.push_back(next_in_bin0());
+      if (!t.insert(keys.back(), keys.back() * 3)) ::_exit(10);
+    }
+    const DLHT::Stats s = t.stats();
+    if (s.links_used != 1024 || s.links_capacity != 1024) ::_exit(11);
+    const std::int64_t size = t.approx_size();
+    const std::uint64_t extra = next_in_bin0();
+    const std::uint64_t vm = vm_size_bytes();
+    struct rlimit cap;
+    cap.rlim_cur = cap.rlim_max = vm + (std::uint64_t{512} << 10);
+    if (vm == 0 || ::setrlimit(RLIMIT_AS, &cap) != 0) ::_exit(12);
+    ::alarm(10);
+    if (t.insert(extra, 1)) ::_exit(13);
+    const std::uint64_t probe = keys[keys.size() / 2];
+    if (t.get(probe) != std::optional<std::uint64_t>(probe * 3)) ::_exit(14);
+    if (t.approx_size() != size) ::_exit(15);
+    ::_exit(0);
+  }
+  int status = 0;
+  CHECK(pid > 0 && ::waitpid(pid, &status, 0) == pid);
+  if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
+    std::fprintf(stderr,
+                 "FAIL link-pool exhaustion: child %s %d (want exit 0)\n",
+                 WIFEXITED(status) ? "exited" : "killed by signal",
+                 WIFEXITED(status) ? WEXITSTATUS(status) : WTERMSIG(status));
+    ++g_failures;
   }
 }
 
@@ -756,6 +841,7 @@ int main() {
   test_new_link_buckets_are_empty();
   test_fresh_tables_are_empty();
   test_bucket_arrays_end_at_a_guard_page();
+  test_link_pool_exhaustion_answers_full();
   test_shadow_across_migrations();
   test_batch_matches_scalar();
   test_batched_gets_across_migration();

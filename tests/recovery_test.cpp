@@ -3,12 +3,14 @@
 // tails, bit-flipped CRCs (tail and mid-file), fail-at-Nth-sync degrade to
 // memory mode, RMW logging, checkpoint GC, the batched write path (batch ==
 // scalar, in-batch same-key order, in-batch fsync failure, batched writers
-// beside checkpoints), streamed recovery (LSN merge across segments, a
-// read error in either pass, a memory bound), a fuzz pass over the WAL and
-// snapshot decoders (random bytes + every truncation; run under ASan/UBSan
-// in CI), the streaming WalReader checked against wal_decode, and the WAL
-// shard lock (mutual exclusion, try_lock, waiters that park instead of
-// spinning). The SIGKILL-mid-churn variant lives in kill_recover_test.sh.
+// beside checkpoints), thread-owned WAL shards (per-key order across racing
+// shards, one writer fills one shard, a no-op logs nothing), streamed
+// recovery (LSN merge across segments, a read error in either pass, a
+// memory bound), a fuzz pass over the WAL and snapshot decoders (random
+// bytes + every truncation; run under ASan/UBSan in CI), the streaming
+// WalReader checked against wal_decode, and the WAL shard lock (mutual
+// exclusion, try_lock, waiters that park instead of spinning). The
+// SIGKILL-mid-churn variant lives in kill_recover_test.sh.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -92,6 +94,17 @@ std::vector<std::string> wal_files(const std::string& dir) {
     ::closedir(d);
   }
   return out;
+}
+
+// A WAL file that holds records. A writer thread logs into its own shard
+// only, so after a single-thread run the other shards' files are empty.
+std::string wal_file_with_records(const std::string& dir) {
+  for (const std::string& f : wal_files(dir)) {
+    struct stat st {};
+    if (::stat(f.c_str(), &st) == 0 && st.st_size > 0) return f;
+  }
+  CHECK(!"no WAL file holds records");
+  return dir + "/wal-0.log";
 }
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
@@ -264,10 +277,9 @@ void torn_tail_truncated() {
     CHECK(db.wal_sync() == Status::kOk);
   }
   // Tear: 13 garbage bytes after the last complete record.
-  const auto files = wal_files(dir);
-  CHECK(!files.empty());
+  const std::string log = wal_file_with_records(dir);
   {
-    std::FILE* f = std::fopen(files[0].c_str(), "ab");
+    std::FILE* f = std::fopen(log.c_str(), "ab");
     CHECK(f != nullptr);
     const unsigned char junk[13] = {0xaa, 0xbb, 0xcc};
     std::fwrite(junk, 1, sizeof junk, f);
@@ -278,14 +290,14 @@ void torn_tail_truncated() {
     CHECK(db.open() == Status::kOk);
     audit_exact(db, expect, "torn_tail_truncated");
     // The tail is gone from disk too: the file decodes clean again.
-    const auto buf = slurp(files[0]);
+    const auto buf = slurp(log);
     CHECK(buf.size() % kWalRecordBytes == 0);
     CHECK(wal_decode(buf.data(), buf.size()).tail == WalTail::kClean);
     // A torn tail is the expected crash signature, not an error.
     const auto s = db.stats();
     CHECK(s.io_errors == 0);
     CHECK(s.wal_corrupt_tails == 0);
-    CHECK(::access((files[0] + ".corrupt").c_str(), F_OK) != 0);
+    CHECK(::access((log + ".corrupt").c_str(), F_OK) != 0);
   }
   remove_dir(dir);
 }
@@ -305,9 +317,8 @@ void bad_crc_tail_rejected() {
     }
     CHECK(db.wal_sync() == Status::kOk);
   }
-  const auto files = wal_files(dir);
-  CHECK(!files.empty());
-  auto buf = slurp(files[0]);
+  const std::string log = wal_file_with_records(dir);
+  auto buf = slurp(log);
   CHECK(buf.size() >= kWalRecordBytes);
   // Identify the key the final record carries, then corrupt its value byte.
   const auto before = wal_decode(buf.data(), buf.size());
@@ -315,7 +326,7 @@ void bad_crc_tail_rejected() {
   CHECK(!before.records.empty());
   const WalRecord last = before.records.back();
   {
-    std::FILE* f = std::fopen(files[0].c_str(), "rb+");
+    std::FILE* f = std::fopen(log.c_str(), "rb+");
     CHECK(f != nullptr);
     std::fseek(f, static_cast<long>(buf.size() - kWalRecordBytes + 24), SEEK_SET);
     int c = std::fgetc(f);
@@ -335,7 +346,7 @@ void bad_crc_tail_rejected() {
     CHECK(s.io_errors >= 1);
     CHECK(s.wal_corrupt_tails == 1);
     CHECK(s.wal_discarded_bytes == kWalRecordBytes);
-    const auto kept = slurp(files[0] + ".corrupt");
+    const auto kept = slurp(log + ".corrupt");
     CHECK(kept.size() == kWalRecordBytes);
   }
   remove_dir(dir);
@@ -356,9 +367,8 @@ void mid_file_corruption_stops_replay() {
     }
     CHECK(db.wal_sync() == Status::kOk);
   }
-  const auto files = wal_files(dir);
-  CHECK(!files.empty());
-  auto buf = slurp(files[0]);
+  const std::string log = wal_file_with_records(dir);
+  auto buf = slurp(log);
   const auto before = wal_decode(buf.data(), buf.size());
   CHECK(before.records.size() >= 10);
   const std::size_t cut = before.records.size() / 2;
@@ -366,7 +376,7 @@ void mid_file_corruption_stops_replay() {
     expect.erase(before.records[i].key);  // dropped with the bad suffix
   }
   {
-    std::FILE* f = std::fopen(files[0].c_str(), "rb+");
+    std::FILE* f = std::fopen(log.c_str(), "rb+");
     CHECK(f != nullptr);
     std::fseek(f, static_cast<long>(cut * kWalRecordBytes + 16), SEEK_SET);
     int c = std::fgetc(f);
@@ -380,12 +390,12 @@ void mid_file_corruption_stops_replay() {
     CHECK(db.open() == Status::kOk);
     audit_exact(db, expect, "mid_file_corruption_stops_replay");
     // The untrusted suffix was truncated away — but counted and kept.
-    const auto after = slurp(files[0]);
+    const auto after = slurp(log);
     CHECK(after.size() == cut * kWalRecordBytes);
     const auto s = db.stats();
     CHECK(s.wal_corrupt_tails == 1);
     CHECK(s.wal_discarded_bytes == total - cut * kWalRecordBytes);
-    const auto kept = slurp(files[0] + ".corrupt");
+    const auto kept = slurp(log + ".corrupt");
     CHECK(kept.size() == total - cut * kWalRecordBytes);
   }
   remove_dir(dir);
@@ -637,6 +647,38 @@ void in_memory_mode() {
   CHECK(db.stats().records_logged == 0);
 }
 
+// Run f on a thread whose WAL shard, at `shards` shards, is `shard`. A new
+// thread draws the smallest free thread index, so threads that draw another
+// shard stay alive, holding their index, until one draws this shard.
+template <class F>
+void on_wal_shard(unsigned shard, unsigned shards, F&& f) {
+  std::atomic<bool> release{false};
+  std::vector<std::thread> held;
+  bool ran = false;
+  for (unsigned spawned = 0; !ran && spawned < 4 * shards; ++spawned) {
+    std::atomic<int> verdict{0};  // 1: f ran there, 2: another shard
+    std::thread t([&] {
+      if ((this_thread_index() & (shards - 1)) == shard) {
+        f();
+        verdict.store(1);
+        return;
+      }
+      verdict.store(2);
+      while (!release.load()) std::this_thread::yield();
+    });
+    while (verdict.load() == 0) std::this_thread::yield();
+    ran = verdict.load() == 1;
+    if (ran) {
+      t.join();
+    } else {
+      held.push_back(std::move(t));
+    }
+  }
+  CHECK(ran);
+  release.store(true);
+  for (std::thread& t : held) t.join();
+}
+
 // ------------------------------------------------ batched write path
 
 using Request = DurableDLHT::Request;
@@ -798,8 +840,8 @@ void same_key_sequence_in_one_batch() {
   remove_dir(dir);
 }
 
-// A failing fsync inside a batch: exactly the group whose append reached
-// the fsync interval answers kIOError on its mutations (its Get answers
+// A failing fsync inside a batch: the chunk whose records reached the fsync
+// interval answers kIOError on all its mutations (its Get answers
 // normally), every mutation keeps its table effect, and the tier degrades.
 void failsync_inside_batch() {
   std::puts("failsync_inside_batch");
@@ -810,34 +852,21 @@ void failsync_inside_batch() {
   d.wal_fsync_interval_ops = 4;
   DurableDLHT db(small_options(), d);
   CHECK(db.open() == Status::kOk);
-  // Five keys in shard 0 (four puts reach the interval, the fifth is read
-  // while absent) and one put for each other shard, which stays below it.
-  std::vector<std::uint64_t> target, others(4, 0);
-  for (std::uint64_t k = 1; target.size() < 5 || others[1] == 0 ||
-                            others[2] == 0 || others[3] == 0;
-       ++k) {
-    const std::size_t s = wal_shard_of(k, 4);
-    if (s == 0 && target.size() < 5) target.push_back(k);
-    if (s != 0 && others[s] == 0) others[s] = k;
-  }
+  // One chunk: seven mutations pass the interval, the Get reads a key
+  // while it is absent.
   const std::vector<Request> reqs = {
-      {OpType::kPut, others[1], 11, 0},  {OpType::kPut, target[0], 1, 1},
-      {OpType::kPut, others[2], 12, 2},  {OpType::kGet, target[4], 0, 3},
-      {OpType::kPut, target[1], 2, 4},   {OpType::kInsert, target[2], 3, 5},
-      {OpType::kPut, others[3], 13, 6},  {OpType::kPut, target[3], 4, 7},
+      {OpType::kPut, 1, 11, 0},    {OpType::kPut, 2, 1, 1},
+      {OpType::kPut, 3, 12, 2},    {OpType::kGet, 4, 0, 3},
+      {OpType::kPut, 5, 2, 4},     {OpType::kInsert, 6, 3, 5},
+      {OpType::kPut, 7, 13, 6},    {OpType::kPut, 8, 4, 7},
   };
   std::vector<Reply> reps(reqs.size());
   db.execute_batch(reqs.data(), reps.data(), reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const bool in_target = wal_shard_of(reqs[i].key, 4) == 0;
     if (reqs[i].op == OpType::kGet) {
       CHECK(reps[i].status == Status::kNotFound);
-    } else if (in_target) {
-      CHECK(reps[i].status == Status::kIOError);
     } else {
-      CHECK(reps[i].status == Status::kOk);
-    }
-    if (reqs[i].op != OpType::kGet) {
+      CHECK(reps[i].status == Status::kIOError);
       CHECK(db.get(reqs[i].key).value_or(0) == reqs[i].value);
     }
   }
@@ -911,34 +940,162 @@ void batched_writers_beside_checkpoints() {
   }
 }
 
+// Per-key order across WAL shards. Writers on distinct shards race puts,
+// deletes and inserts, scalar and in batches of up to 64, over 64 shared
+// keys until the main thread stops them, so each key's records spread over
+// every shard file. Replay orders records by LSN alone, which recovers the
+// table only if each key's LSN order is its apply order: each reopen must
+// find the table as it stood at the previous close, key for key. Three
+// close/reopen cycles per thread count.
+void racing_shards_keep_key_order() {
+  for (const unsigned threads : {2u, 4u}) {
+    std::printf("racing_shards_keep_key_order(%u)\n", threads);
+    const std::string dir = make_dir();
+    DurabilityOptions d = wal(dir);
+    d.wal_fsync_interval_ops = 1u << 16;  // close() flushes the log
+    Table at_close;
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      DurableDLHT db(small_options(), d);
+      CHECK(db.open() == Status::kOk);
+      CHECK(table_of(db) == at_close);
+      std::vector<unsigned> shard(threads);
+      std::atomic<unsigned> ready{0};
+      std::atomic<std::uint64_t> rounds{0};
+      std::atomic<bool> stop{false};
+      std::vector<std::thread> pool;
+      for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+          shard[t] = this_thread_index() & 3;
+          ready.fetch_add(1);
+          while (ready.load() != threads) std::this_thread::yield();
+          Xoshiro256 rng(splitmix64(0x5eed0 + 16 * cycle + t));
+          constexpr OpType kOps[] = {OpType::kPut, OpType::kDelete,
+                                     OpType::kInsert};
+          Request reqs[64];
+          Reply reps[64];
+          while (!stop.load(std::memory_order_relaxed)) {
+            const std::size_t n = 1 + rng.next_below(64);
+            for (std::size_t j = 0; j < n; ++j) {
+              reqs[j] = {kOps[rng.next_below(3)], 1 + rng.next_below(64),
+                         rng() | 1, 0};
+            }
+            if (n == 1) {
+              scalar_call(db, reqs[0]);
+            } else {
+              db.execute_batch(reqs, reps, n);
+            }
+            rounds.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      while (rounds.load() < 2000 * threads ||
+             std::chrono::steady_clock::now() - t0 <
+                 std::chrono::milliseconds(50)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      stop.store(true);
+      for (auto& th : pool) th.join();
+      std::sort(shard.begin(), shard.end());
+      CHECK(std::adjacent_find(shard.begin(), shard.end()) == shard.end());
+      at_close = table_of(db);
+    }
+    DurableDLHT db(small_options(), d);
+    CHECK(db.open() == Status::kOk);
+    CHECK(table_of(db) == at_close);
+    remove_dir(dir);
+  }
+}
+
+// A WAL shard belongs to writer threads: after a run by one thread, only
+// that thread's shard file holds records, whichever keys it wrote.
+void single_writer_fills_one_shard() {
+  std::puts("single_writer_fills_one_shard");
+  const std::string dir = make_dir();
+  constexpr std::uint64_t kKeys = 1000;
+  {
+    DurableDLHT db(small_options(), wal(dir));
+    CHECK(db.open() == Status::kOk);
+    for (std::uint64_t k = 1; k <= kKeys; ++k) db.put(k, val_of(k));
+    CHECK(db.wal_sync() == Status::kOk);
+  }
+  const std::string mine =
+      dir + "/wal-" + std::to_string(this_thread_index() & 3) + ".log";
+  const auto files = wal_files(dir);
+  CHECK(files.size() == 4);
+  for (const std::string& f : files) {
+    const std::size_t bytes = slurp(f).size();
+    CHECK(bytes == (f == mine ? kKeys * kWalRecordBytes : 0));
+  }
+  remove_dir(dir);
+}
+
+// A request that changes nothing logs nothing and draws no LSN: an insert
+// of a present key or a delete of an absent one, scalar or batched.
+void no_change_logs_nothing() {
+  std::puts("no_change_logs_nothing");
+  const std::string dir = make_dir();
+  {
+    DurableDLHT db(small_options(), wal(dir));
+    CHECK(db.open() == Status::kOk);
+    CHECK(db.insert(1, 10) == Status::kOk);
+    const auto before = db.stats();
+    CHECK(before.records_logged == 1 && before.lsn == 1);
+    CHECK(db.insert(1, 11) == Status::kExists);
+    CHECK(db.erase(2) == Status::kNotFound);
+    const Request reqs[] = {{OpType::kInsert, 1, 12, 0},
+                            {OpType::kDelete, 3, 0, 1},
+                            {OpType::kGet, 1, 0, 2}};
+    Reply reps[std::size(reqs)];
+    db.execute_batch(reqs, reps, std::size(reqs));
+    CHECK(reps[0].status == Status::kExists);
+    CHECK(reps[1].status == Status::kNotFound);
+    CHECK(reps[2].status == Status::kOk && reps[2].value == 10);
+    const auto after = db.stats();
+    CHECK(after.records_logged == 1 && after.lsn == 1);
+    CHECK(db.wal_sync() == Status::kOk);
+  }
+  std::size_t bytes = 0;
+  for (const std::string& f : wal_files(dir)) bytes += slurp(f).size();
+  CHECK(bytes == kWalRecordBytes);
+  DurableDLHT db(small_options(), wal(dir));
+  CHECK(db.open() == Status::kOk);
+  CHECK(db.stats().replayed_records == 1);
+  CHECK(db.get(1).value_or(0) == 10);
+  remove_dir(dir);
+}
+
 // ------------------------------------------------------ streamed recovery
 
 // One key's records alternate between folded-orphan segments and a live
-// log: runs with 8, 2, 8 and 2 WAL shards log the key's put, insert,
-// delete and insert into three files (each 2-shard open folds the 8-shard
-// run's log for the key into a frozen segment). Only an LSN-ordered merge
-// of the segments recovers the final value; replaying the files one after
-// another, in any order, does not.
+// log: runs with 8, 2, 8 and 2 WAL shards log the key's put, put, delete
+// and insert from two threads on different shards. The 8-shard runs write
+// from a thread whose shard is an orphan at 2 shards, so each 2-shard open
+// folds that log into a frozen segment; the 2-shard runs write to a live
+// log. Only an LSN-ordered merge of the three files recovers the final
+// value; replaying the files one after another, in any order, does not.
 void merge_orders_alternating_segments() {
   std::puts("merge_orders_alternating_segments");
   const std::string dir = make_dir();
-  std::uint64_t key = 1;
-  while (wal_shard_of(key, 8) < 2) ++key;  // an orphan shard at 2 shards
+  constexpr std::uint64_t key = 1;
+  constexpr unsigned kOrphanShard = 2;  // live at 8 shards, not at 2
   {
     DurableDLHT db(small_options(), wal(dir, 8));
     CHECK(db.open() == Status::kOk);
-    CHECK(db.put(key, 1) == Status::kOk);
+    on_wal_shard(kOrphanShard, 8,
+                 [&] { CHECK(db.put(key, 1) == Status::kOk); });
   }
   {
     DurableDLHT db(small_options(), wal(dir, 2));
     CHECK(db.open() == Status::kOk);
-    CHECK(db.insert(key, 2) == Status::kExists);  // logged, not applied
+    CHECK(db.put(key, 2) == Status::kOk);
   }
   {
     DurableDLHT db(small_options(), wal(dir, 8));
     CHECK(db.open() == Status::kOk);
-    CHECK(db.get(key).value_or(0) == 1);
-    CHECK(db.erase(key) == Status::kOk);
+    CHECK(db.get(key).value_or(0) == 2);
+    on_wal_shard(kOrphanShard, 8,
+                 [&] { CHECK(db.erase(key) == Status::kOk); });
   }
   {
     DurableDLHT db(small_options(), wal(dir, 2));
@@ -1416,6 +1573,9 @@ int main() {
   same_key_sequence_in_one_batch();
   failsync_inside_batch();
   batched_writers_beside_checkpoints();
+  racing_shards_keep_key_order();
+  single_writer_fills_one_shard();
+  no_change_logs_nothing();
   merge_orders_alternating_segments();
   unreadable_segment_fails_open();
   recovery_memory_is_bounded();
