@@ -1016,49 +1016,56 @@ class DurableDLHT {
   /// under a bucket lock) with an LSN drawn as it runs; then group commit
   /// fsyncs the shard once wal_fsync_interval_ops records are pending.
   /// Returns kIOError when that flush failed (the tier degrades); the
-  /// table changes stand regardless.
+  /// table changes stand regardless. When the core throws (a resize whose
+  /// mapping fails), the records of the changes it made stay pending and
+  /// the exception propagates.
   template <class Apply>
   Status logged(std::size_t changes, Apply&& apply) {
     if (logging()) {
       detail_wal::Shard& sh =
           *shards_[this_thread_index() & (shards_.size() - 1)];
       std::lock_guard g(sh.mu);
-      if (logging()) return log_locked(sh, changes, apply);
+      if (logging()) {
+        const std::size_t at = sh.buf.size();
+        sh.buf.resize(at + changes * kWalRecordBytes);
+        std::uint8_t* const first = sh.buf.data() + at;
+        std::size_t added = 0;
+        // Keep the frames the core filled and drop the rest: an unfilled
+        // frame is zeros, which would end the file's trusted prefix.
+        const auto keep_added = [&] {
+          sh.buf.resize(at + added * kWalRecordBytes);
+          if (added == 0) return;
+          detail_wal::bump(sh.records, added);
+          if (sh.pending_ops == 0) sh.oldest_pending_ns = detail_wal::wall_ns();
+          sh.pending_ops += added;
+        };
+        try {
+          apply([&](OpType op, std::uint64_t key, std::uint64_t value) {
+            WalRecord r;
+            r.lsn = lsn_.fetch_add(1, std::memory_order_relaxed) + 1;
+            r.op = op == OpType::kInsert   ? WalOp::kInsert
+                   : op == OpType::kDelete ? WalOp::kDelete
+                                           : WalOp::kPut;
+            r.key = key;
+            r.value = value;
+            wal_encode(r, first + added * kWalRecordBytes);
+            ++added;
+          });
+        } catch (...) {
+          keep_added();
+          throw;
+        }
+        keep_added();
+        if (added > 0 &&
+            sh.pending_ops >=
+                std::max<std::size_t>(dopts_.wal_fsync_interval_ops, 1) &&
+            !sh.sync_locked()) {
+          return fail_io();
+        }
+        return Status::kOk;
+      }
     }
     apply(DLHT::NoLog{});
-    return Status::kOk;
-  }
-
-  /// logged()'s body, run with `sh` locked while the tier logs.
-  template <class Apply>
-  Status log_locked(detail_wal::Shard& sh, std::size_t changes,
-                    Apply& apply) {
-    const std::size_t at = sh.buf.size();
-    sh.buf.resize(at + changes * kWalRecordBytes);
-    std::uint8_t* const first = sh.buf.data() + at;
-    std::uint8_t* next = first;
-    apply([&](OpType op, std::uint64_t key, std::uint64_t value) {
-      WalRecord r;
-      r.lsn = lsn_.fetch_add(1, std::memory_order_relaxed) + 1;
-      r.op = op == OpType::kInsert   ? WalOp::kInsert
-             : op == OpType::kDelete ? WalOp::kDelete
-                                     : WalOp::kPut;
-      r.key = key;
-      r.value = value;
-      wal_encode(r, next);
-      next += kWalRecordBytes;
-    });
-    const std::size_t added =
-        static_cast<std::size_t>(next - first) / kWalRecordBytes;
-    sh.buf.resize(at + added * kWalRecordBytes);
-    if (added == 0) return Status::kOk;
-    detail_wal::bump(sh.records, added);
-    if (sh.pending_ops == 0) sh.oldest_pending_ns = detail_wal::wall_ns();
-    sh.pending_ops += added;
-    if (sh.pending_ops >=
-        std::max<std::size_t>(dopts_.wal_fsync_interval_ops, 1)) {
-      if (!sh.sync_locked()) return fail_io();
-    }
     return Status::kOk;
   }
 

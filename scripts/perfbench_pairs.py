@@ -2,24 +2,27 @@
 """Compare two checkouts on one perfbench workload with alternating pairs.
 
     python3 scripts/perfbench_pairs.py --parent ../parent --workload kv_durable
-    python3 scripts/perfbench_pairs.py --parent A --change B --workload read_dram \\
-        --pairs 5 --seconds 25 --seed 1 --trace 0
+    python3 scripts/perfbench_pairs.py --parent ../parent --workload read_dram \\
+        --pairs 5 --seed 1 --trace 0
     python3 scripts/perfbench_pairs.py --self-test
 
-Builds perfbench/ in both checkouts (into each one's .bench_build/perfbench,
-as perfbench/run.py does), then runs N pairs of the workload. The parent
-runs first on odd pairs and the change first on even ones, so a drift in
-the host's load hits both sides alike. Each run writes under a fresh
---out directory on a tmpfs when the host has one (/dev/shm first), so
-kv_durable's WAL is on tmpfs and perfbench needs no private mount; the
-directory is removed afterwards.
+The change is this checkout. Builds perfbench/ in both checkouts with
+perfbench/run.py's build (into each one's .bench_build/perfbench), then
+runs N pairs of the workload, each run as long as BENCHMARK.json's
+run_seconds. The parent runs first on odd pairs and the change first on
+even ones, so a drift in the host's load hits both sides alike. Each run
+writes under a fresh --out directory on a tmpfs when the host has one
+(/dev/shm first), so kv_durable's WAL is on tmpfs and perfbench needs no
+private mount; the directory is removed afterwards.
 
-Prints each run's metrics (BENCHMARK.json's end-to-end ones, or with
---trace 1 the per-layer ones) with its failed count, then per metric the
-median and interquartile range of each side, the change's shift, how many
-pairs the change won (by the metric's "better" direction; a tie is not a
-win), and whether the median gap exceeds the parent's IQR. Exits nonzero
-when a build or a run fails. It reads perfbench/ and BENCHMARK.json and
+Checks each result line with perfbench/run.py's check_result (exact keys,
+every metric finite with its unit) and prints the run's metrics
+(BENCHMARK.json's end-to-end ones, or with --trace 1 the per-layer ones)
+with its failed count, then per metric the median and interquartile range
+of each side, the change's shift, how many pairs the change won (by the
+metric's "better" direction; a tie is not a win), and whether the median
+gap exceeds the parent's IQR. Exits nonzero when a build or a run fails or
+a result line fails the check. It reads perfbench/ and BENCHMARK.json and
 writes neither.
 """
 
@@ -33,8 +36,11 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BUILD = os.path.join(".bench_build", "perfbench")
-RUN_TIMEOUT_S = 170
+# perfbench/run.py's build and result check, imported without writing a
+# bytecode cache into perfbench/.
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import run as bench_run  # noqa: E402
 
 
 def fail(msg):
@@ -110,49 +116,38 @@ def out_parent():
 # ------------------------------------------------------------------ runs
 
 def build(checkout):
+    """perfbench/run.py's build, which works in the current directory."""
     if not os.path.isfile(os.path.join(checkout, "perfbench", "CMakeLists.txt")):
         fail("%s has no perfbench/" % checkout)
-    bdir = os.path.join(checkout, BUILD)
-    if not os.path.isfile(os.path.join(bdir, "CMakeCache.txt")):
-        r = subprocess.run(["cmake", "-S", os.path.join(checkout, "perfbench"),
-                            "-B", bdir, "-DCMAKE_BUILD_TYPE=Release"],
-                           stdout=sys.stderr, stderr=sys.stderr)
-        if r.returncode != 0:
-            fail("cmake configure failed in %s" % checkout)
-    r = subprocess.run(["cmake", "--build", bdir, "-j", "4"],
-                       stdout=sys.stderr, stderr=sys.stderr)
-    if r.returncode != 0:
-        fail("build failed in %s" % checkout)
-    return os.path.join(bdir, "perfbench")
+    os.chdir(checkout)
+    bench_run.build()
+    return os.path.join(checkout, bench_run.BUILD, "perfbench")
 
 
-def run_once(binary, checkout, args, out):
+def run_once(binary, checkout, args, seconds, names, out):
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace),
+           "--seconds", str(seconds), "--trace", str(args.trace),
            "--out", out]
     try:
         r = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
-                           text=True, timeout=RUN_TIMEOUT_S)
+                           text=True, timeout=bench_run.RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        fail("%s timed out after %d s" % (" ".join(cmd), RUN_TIMEOUT_S))
+        fail("%s timed out after %d s" % (" ".join(cmd),
+                                          bench_run.RUN_TIMEOUT_S))
     lines = r.stdout.splitlines()
     if r.returncode != 0 or not lines:
         fail("%s exited with %d" % (" ".join(cmd), r.returncode))
     try:
-        return json.loads(lines[-1])
-    except ValueError:
-        fail("%s: last line is not a result object" % " ".join(cmd))
+        return bench_run.check_result(lines[-1], names)
+    except (ValueError, KeyError, TypeError) as e:
+        fail("%s: bad result line: %s" % (" ".join(cmd), e))
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", help="checkout of the parent commit")
-    ap.add_argument("--change", default=ROOT,
-                    help="checkout of the change (default: this one)")
     ap.add_argument("--workload", default="kv_durable")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="run length (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--self-test", action="store_true")
@@ -163,38 +158,38 @@ def main():
     if args.parent is None or args.pairs < 1:
         ap.error("--parent and --pairs >= 1 are required")
     try:
-        with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
             spec = json.load(f)
     except (OSError, ValueError) as e:
         fail("cannot read BENCHMARK.json: %s" % e)
     if args.workload not in [w["name"] for w in spec["workloads"]]:
         fail("unknown workload %s" % args.workload)
-    args.seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = spec["per_layer" if args.trace else "end_to_end"]
+    names = {m["name"]: m["unit"] for m in metrics}
 
-    sides = {"parent": os.path.abspath(args.parent),
-             "change": os.path.abspath(args.change)}
+    sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     binaries = {side: build(path) for side, path in sides.items()}
     root = tempfile.mkdtemp(prefix="perfbench_pairs_", dir=out_parent())
     print("# %s, %d pairs, %d s, seed %d, trace %d, --out under %s" %
-          (args.workload, args.pairs, args.seconds, args.seed, args.trace,
-           root))
+          (args.workload, args.pairs, seconds, args.seed, args.trace, root))
     values = {"parent": {}, "change": {}}
     try:
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
                 out = os.path.join(root, "pair%02d-%s" % (pair, side))
-                res = run_once(binaries[side], sides[side], args, out)
+                res = run_once(binaries[side], sides[side], args, seconds,
+                               names, out)
                 shutil.rmtree(out, ignore_errors=True)
                 got = res["metrics"]
                 for m in metrics:
                     values[side].setdefault(m["name"], []).append(
-                        got.get(m["name"], {}).get("value", float("nan")))
+                        got[m["name"]]["value"])
                 print("pair %2d %-6s %s failed=%d/%d correct=%s" % (
                     pair, side,
                     " ".join("%s=%.6g" % (m["name"], got[m["name"]]["value"])
-                             for m in metrics if m["name"] in got),
+                             for m in metrics),
                     res["failed"], res["attempted"],
                     str(res["correct"]).lower()), flush=True)
     finally:
@@ -207,11 +202,8 @@ def print_summary(metrics, values):
         "metric", "parent median [q1, q3]", "change median [q1, q3]",
         "shift", "wins", "gap > parent IQR"))
     for m in metrics:
-        p = values["parent"].get(m["name"])
-        c = values["change"].get(m["name"])
-        if not p or not c or any(math.isnan(x) for x in p + c):
-            continue
-        v = verdict(p, c, m["better"])
+        v = verdict(values["parent"][m["name"]], values["change"][m["name"]],
+                    m["better"])
         print("%-34s %-30s %-30s %+7.1f%% %3d/%-2d %s" % (
             m["name"], "%.6g [%.6g, %.6g]" % v["parent"],
             "%.6g [%.6g, %.6g]" % v["change"], v["shift_pct"], v["wins"],
@@ -259,6 +251,16 @@ def self_test():
     v = verdict([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5], "lower")
     expect(v["wins"], 0, "a uniform loss wins nothing")
     expect(v["beyond_iqr"], False, "a loss is not a gain")
+    # A result line that lacks a gated metric fails the check, so a series
+    # cannot look complete without it.
+    names = {"setup_s": "s", "throughput_mops": "Mops/s"}
+    line = json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                       "metrics": {"setup_s": {"value": 0.4, "unit": "s"}}})
+    try:
+        bench_run.check_result(line, names)
+        fail("self-test: a result missing a metric passed the check")
+    except ValueError:
+        pass
     mounts = ("/dev/vda / ext4 rw 0 0\n"
               "tmpfs /run tmpfs rw 0 0\n"
               "tmpfs /dev/shm tmpfs rw 0 0\n")

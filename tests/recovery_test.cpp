@@ -6,11 +6,12 @@
 // beside checkpoints), thread-owned WAL shards (per-key order across racing
 // shards, one writer fills one shard, a no-op logs nothing), streamed
 // recovery (LSN merge across segments, a read error in either pass, a
-// memory bound), a fuzz pass over the WAL and snapshot decoders (random
-// bytes + every truncation; run under ASan/UBSan in CI), the streaming
-// WalReader checked against wal_decode, and the WAL shard lock (mutual
-// exclusion, try_lock, waiters that park instead of spinning). The
-// SIGKILL-mid-churn variant lives in kill_recover_test.sh.
+// memory bound), a resize that fails mid-batch, a fuzz pass over the WAL
+// and snapshot decoders (random bytes + every truncation; run under
+// ASan/UBSan in CI), the streaming WalReader checked against wal_decode,
+// and the WAL shard lock (mutual exclusion, try_lock, waiters that park
+// instead of spinning). The SIGKILL-mid-churn variant lives in
+// kill_recover_test.sh.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -21,13 +22,16 @@
 #include <ctime>
 #include <iterator>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include <dirent.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/rng.hpp"
@@ -1183,18 +1187,23 @@ constexpr bool kOptimized = true;
 constexpr bool kOptimized = false;
 #endif
 
-/// This process's peak resident set (VmHWM), in bytes; 0 if unreadable.
-std::uint64_t peak_rss_bytes() {
+/// A "<field>: N kB" line of /proc/self/status, in bytes; 0 if unreadable.
+std::uint64_t status_bytes(const char* field) {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;
+  char fmt[32];
+  std::snprintf(fmt, sizeof fmt, "%s: %%llu kB", field);
   char line[256];
   unsigned long long kib = 0;
   while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %llu kB", &kib) == 1) break;
+    if (std::sscanf(line, fmt, &kib) == 1) break;
   }
   std::fclose(f);
   return kib * 1024;
 }
+
+/// This process's peak resident set (VmHWM), in bytes; 0 if unreadable.
+std::uint64_t peak_rss_bytes() { return status_bytes("VmHWM"); }
 
 /// Reset VmHWM to the current RSS (Linux clear_refs "5").
 bool reset_peak_rss() {
@@ -1254,6 +1263,91 @@ void recovery_memory_is_bounded() {
   } else {
     std::puts("  memory bound not checked (sanitized/debug build or no "
               "clear_refs)");
+  }
+  remove_dir(dir);
+}
+
+// A resize whose table mapping fails throws std::bad_alloc out of a batch
+// mid-chunk, after the chunk's first requests were applied and logged. The
+// shard buffer must keep exactly their records: a zero frame left for a
+// request that never ran would end the file's trusted prefix at reopen and
+// drop every later record, synced ones included. A forked child lowers its
+// soft address-space limit below a grown table's mapping, inserts in
+// batches of 64, offset so that the every-256-inserts resize check lands
+// mid-chunk, until a batch throws; then it restores the limit, writes on
+// (through a resize that now succeeds), syncs, closes and reopens. The
+// recovered table must equal the table at close. Sanitized builds skip it:
+// their shadow memory does not fit the cap.
+void resize_failure_mid_batch_keeps_log() {
+  std::puts("resize_failure_mid_batch_keeps_log");
+  if (kSanitized) {
+    std::puts("  skip (sanitized build)");
+    return;
+  }
+  const std::string dir = make_dir();
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    Options o;
+    o.initial_bins = std::size_t{1} << 15;  // a grow maps over 16 MiB
+    o.link_ratio = 0.5;  // chunk0 holds every link bucket the fill needs
+    DurabilityOptions d = wal(dir);
+    d.wal_fsync_interval_ops = 1u << 16;
+    Table at_close;
+    {
+      DurableDLHT db(o, d);
+      if (db.open() != Status::kOk) ::_exit(10);
+      struct rlimit old;
+      if (::getrlimit(RLIMIT_AS, &old) != 0) ::_exit(11);
+      const std::uint64_t vm = status_bytes("VmSize");
+      struct rlimit cap = old;
+      cap.rlim_cur = vm + (std::uint64_t{1} << 20);
+      if (vm == 0 || ::setrlimit(RLIMIT_AS, &cap) != 0) ::_exit(12);
+      ::alarm(10);
+      std::uint64_t next = 1;
+      std::vector<Request> reqs(64);
+      std::vector<Reply> reps(64);
+      const auto insert_batch = [&](std::size_t n) {
+        for (std::size_t j = 0; j < n; ++j, ++next) {
+          reqs[j] = {OpType::kInsert, next, val_of(next), 0};
+        }
+        db.execute_batch(reqs.data(), reps.data(), n);
+      };
+      insert_batch(10);
+      bool threw = false;
+      while (!threw && next < (std::uint64_t{1} << 18)) {
+        try {
+          insert_batch(64);
+        } catch (const std::bad_alloc&) {
+          threw = true;
+        }
+      }
+      if (!threw) ::_exit(13);
+      // The chunk's first insert ran and was logged; its last never ran.
+      if (!db.get(reqs[0].key) || db.get(reqs[63].key)) ::_exit(14);
+      if (::setrlimit(RLIMIT_AS, &old) != 0) ::_exit(15);
+      for (int i = 0; i < 8; ++i) insert_batch(64);
+      for (std::uint64_t k = 1; k <= 64; ++k) {
+        if (db.put(k, k + 1) != Status::kOk) ::_exit(16);
+        if (db.erase(k + 64) != Status::kOk) ::_exit(17);
+      }
+      if (db.wal_sync() != Status::kOk) ::_exit(18);
+      at_close = table_of(db);
+    }
+    DurableDLHT db(o, d);
+    if (db.open() != Status::kOk) ::_exit(19);
+    if (db.stats().wal_corrupt_tails != 0) ::_exit(20);
+    if (table_of(db) != at_close) ::_exit(21);
+    ::_exit(0);
+  }
+  int status = 0;
+  CHECK(pid > 0 && ::waitpid(pid, &status, 0) == pid);
+  if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
+    std::fprintf(stderr,
+                 "FAIL resize failure mid-batch: child %s %d (want exit 0)\n",
+                 WIFEXITED(status) ? "exited" : "killed by signal",
+                 WIFEXITED(status) ? WEXITSTATUS(status) : WTERMSIG(status));
+    ++g_failures;
   }
   remove_dir(dir);
 }
@@ -1579,6 +1673,7 @@ int main() {
   merge_orders_alternating_segments();
   unreadable_segment_fails_open();
   recovery_memory_is_bounded();
+  resize_failure_mid_batch_keeps_log();
   fuzz_wal_and_snapshot_decoders();
   wal_reader_matches_wal_decode();
   if (g_failures != 0) {
