@@ -1,10 +1,10 @@
 // fig_recovery: the durable tier's cost model (not a paper figure — this
-// reproduction's durability extension, ROADMAP item 4).
+// reproduction's durability extension).
 //
 // Four numbers a KV-node operator needs:
-//   1. WAL-on ingest throughput, scalar, in batches of 24 (the
-//      WAL-shard-grouped execute_batch) and from 4 writer threads on
-//      disjoint key ranges (writers meeting on the WAL shard locks), and
+//   1. WAL-on ingest throughput, scalar, in batches of 24 (one
+//      execute_batch each) and from 4 writer threads on disjoint key
+//      ranges (a thread logs into its own thread's WAL shard), and
 //      write amplification (WAL bytes per logical byte ingested),
 //   2. checkpoint cost (snapshot MB/s while the table serves),
 //   3. cold recovery from a snapshot + WAL suffix (keys/s back to serving),

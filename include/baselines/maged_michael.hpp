@@ -1,6 +1,6 @@
 // Maged Michael's lock-free chained hash table (PODC '02) — the strongest
 // textbook chaining design, built from scratch as a real opponent for the
-// comparison figures (ROADMAP item 5).
+// comparison figures.
 //
 // Each bucket is a key-ordered Harris-Michael linked list: logical deletes
 // mark a node's next pointer (low bit), physical unlinking is a CAS on the

@@ -1,6 +1,6 @@
 // Robin Hood open-addressing baseline — the strongest textbook
 // open-addressing design, built from scratch as a real opponent for the
-// comparison figures (ROADMAP item 5).
+// comparison figures.
 //
 // Mechanisms reproduced (each is what makes Robin Hood competitive):
 //   * displacement-ordered linear probing: an insert "robs the rich" —

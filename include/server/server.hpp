@@ -1,9 +1,9 @@
 // Sharded epoll KV node: the network front end that turns DLHT's batch
-// API into a batching engine (ROADMAP item 1).
+// API into a batching engine.
 //
 // Shape: one shared DurableDLHT (logging only in --durable mode) behind N
 // worker shards. Each shard owns an epoll loop, its accepted connections,
-// and a ShardView of the table — an epoch slot, a batch former, and a
+// and a view of the table — an epoch slot, a batch former, and a
 // latency reservoir. Connections are dealt round-robin at accept; the
 // table synchronizes internally (per-bucket locks, sharded size counters,
 // and WAL shards owned by writer threads), so any shard can serve any key
@@ -22,6 +22,13 @@
 // Replies are buffered per connection and written once per turn (or
 // immediately when batch <= 1); a slow reader gets EPOLLOUT re-arming and
 // a hard output cap instead of unbounded buffering.
+//
+// Poll, then park: after a turn that saw events, a shard keeps polling
+// (epoll_wait with timeout 0) until kPollWindowNs passes with no event,
+// and only then blocks. Waking a parked thread is the largest cost on a
+// networked Get's path, so while a shard's requests keep arriving within
+// the window it holds its CPU and answers each without a wake-up; once
+// traffic stops it parks after one window and uses no CPU.
 #pragma once
 
 #include <atomic>
@@ -221,6 +228,17 @@ class KvServer {
   static constexpr std::size_t kMaxBatch = 1024;
   static constexpr int kEpollEvents = 128;
   static constexpr int kEpollTimeoutMs = 100;  // stop-flag poll granularity
+  /// How long a shard polls after its last event before it parks. Waking
+  /// a parked thread cost ~5 µs of a ~16 µs unix-socket round trip on a
+  /// 4-vCPU KVM guest, and an empty poll costs one syscall, so the window
+  /// pays for itself whenever a shard's next request arrives inside it.
+  /// 50 µs is the value Linux's sysctl docs recommend for
+  /// net.core.busy_read, about ten wake-ups here; no caller needs
+  /// another. The poll never yields: under EEVDF each sched_yield() moves
+  /// the caller's deadline back a slice, and with SCHED_IDLE spinners on
+  /// the shard CPUs (as perfbench runs them) that put a Get's p50 past
+  /// 1 ms.
+  static constexpr std::uint64_t kPollWindowNs = 50'000;
 
   struct Conn {
     int fd = -1;
@@ -362,8 +380,12 @@ class KvServer {
 
   void shard_loop(Shard& sh) {
     epoll_event evs[kEpollEvents];
+    // Poll, then park (see kPollWindowNs). Level-triggered epoll reports
+    // whatever arrives while the loop switches to the blocking wait.
+    std::uint64_t park_at = 0;
     while (!stop_.load(std::memory_order_acquire)) {
-      const int n = ::epoll_wait(sh.epfd, evs, kEpollEvents, kEpollTimeoutMs);
+      const int timeout = mono_ns() < park_at ? 0 : kEpollTimeoutMs;
+      const int n = ::epoll_wait(sh.epfd, evs, kEpollEvents, timeout);
       for (int i = 0; i < n; ++i) {
         const int fd = evs[i].data.fd;
         if (fd == sh.wakefd) {
@@ -394,6 +416,7 @@ class KvServer {
       flush(sh);
       drain_writes(sh);
       sh.graveyard.clear();
+      if (n > 0) park_at = mono_ns() + kPollWindowNs;
     }
     // Final courtesy flush so a stop with decoded-but-unflushed requests
     // still answers them before the fd teardown in stop().

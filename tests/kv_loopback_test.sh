@@ -13,7 +13,10 @@
 # Sections:
 #   1. Batched server (DLHT_SERVER_BATCH default) on a unix socket: mixed
 #      Get/PutHeavy/InsDel sweep, closed-loop p50/p99, then the client's
-#      zero-lost / zero-dup shutdown audit (client exit status).
+#      zero-lost / zero-dup shutdown audit (client exit status). Once the
+#      client is gone the shards must park: the server may use at most 10
+#      clock ticks of CPU in 1 s (a shard that never stops polling uses
+#      about 100).
 #   2. Same workload against --batch 1 (the unbatched baseline: one table
 #      call and one reply write per op); asserts batched >= 1.5x unbatched.
 #   3. memcached-text shim smoke over TCP (set/get/delete/quit via
@@ -72,6 +75,15 @@ stop_server() {
   server_pid=""
 }
 
+# utime + stime of process $1 in clock ticks (/proc/PID/stat fields 14-15;
+# the comm field may hold spaces, so count from its closing parenthesis).
+cpu_ticks() {
+  local stat
+  stat="$(cat "/proc/$1/stat")" || return 1
+  set -- ${stat##*) }
+  echo $(( ${12} + ${13} ))
+}
+
 tput_of() {
   # Max "mixed/tput" row value (col 4) from a client log.
   awk '$2 == "mixed/tput" { if ($4 > v) v = $4 } END { print v + 0 }' "$1"
@@ -86,6 +98,13 @@ if ! "$CLIENT" --connect "$sock" --keys "$KEYS" --ms "$MS" \
   cat "$workdir/batched.log"
   fail "batched run / audit failed"
 fi
+sleep 0.2
+idle0="$(cpu_ticks "$server_pid")" || fail "cannot read server CPU time"
+sleep 1
+idle1="$(cpu_ticks "$server_pid")" || fail "cannot read server CPU time"
+idle=$(( idle1 - idle0 ))
+echo "kv_loopback: idle server used $idle clock ticks in 1 s"
+[ "$idle" -le 10 ] || fail "idle server used $idle clock ticks in 1 s (> 10)"
 stop_server
 grep -q "rtt/p50" "$workdir/batched.log" || fail "no p50 row emitted"
 grep -Eq "nan|inf" "$workdir/batched.log" && fail "non-finite latency"

@@ -2,16 +2,16 @@
 // clean snapshot round trips, WAL-only and snapshot+suffix recovery, torn
 // tails, bit-flipped CRCs (tail and mid-file), fail-at-Nth-sync degrade to
 // memory mode, RMW logging, checkpoint GC, the batched write path (batch ==
-// scalar, in-batch same-key order, in-batch fsync failure, batched writers
-// beside checkpoints), thread-owned WAL shards (per-key order across racing
-// shards, one writer fills one shard, a no-op logs nothing), streamed
-// recovery (LSN merge across segments, a read error in either pass, a
-// memory bound), a resize that fails mid-batch, a fuzz pass over the WAL
-// and snapshot decoders (random bytes + every truncation; run under
-// ASan/UBSan in CI), the streaming WalReader checked against wal_decode,
-// and the WAL shard lock (mutual exclusion, try_lock, waiters that park
-// instead of spinning). The SIGKILL-mid-churn variant lives in
-// kill_recover_test.sh.
+// scalar, in-batch fsync failure, batched writers beside checkpoints),
+// thread-owned WAL shards (one key sequence split across two shards,
+// per-key order across racing shards, one writer fills one shard, a no-op
+// logs nothing), streamed recovery (LSN merge across segments, a read
+// error in either pass, a memory bound), a resize that fails mid-batch, a
+// fuzz pass over the WAL and snapshot decoders (random bytes + every
+// truncation; run under ASan/UBSan in CI), the streaming WalReader checked
+// against wal_decode, and the WAL shard lock (mutual exclusion, try_lock,
+// waiters that park instead of spinning). The SIGKILL-mid-churn variant
+// lives in kill_recover_test.sh.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -696,10 +696,6 @@ Table table_of(const DurableDLHT& db) {
   return t;
 }
 
-std::size_t wal_shard_of(std::uint64_t key, unsigned shards) {
-  return DLHT::Hasher{}(key) & (shards - 1);
-}
-
 // The scalar reference: each op through the tier's scalar API.
 Reply scalar_call(DurableDLHT& db, const Request& rq) {
   Reply rp;
@@ -785,19 +781,19 @@ void batch_matches_scalar() {
   remove_dir(dir_b);
 }
 
-// One batch carries, for 16 keys spread over every WAL shard, the sequence
-// insert, get, put, get, delete, get, insert, interleaved across keys so
-// each shard group holds several keys' steps and the batch spans two
-// grouping chunks. Every key answers like the scalar sequence.
-void same_key_sequence_in_one_batch() {
-  std::puts("same_key_sequence_in_one_batch");
+// One key sequence, written from two threads on different WAL shards: for
+// 16 keys, the thread on shard 0 sends insert, get, put, get, delete as one
+// batch (interleaved across keys, so it spans two 64-request chunks), then
+// the thread on shard 1 sends get, insert. Every key answers like the
+// scalar sequence, each shard's file holds exactly its thread's records,
+// and the table is exact before and after a reopen, which must merge the
+// two files by LSN: replaying shard 1's inserts before shard 0's deletes
+// would lose every key.
+void same_key_sequence_across_shards() {
+  std::puts("same_key_sequence_across_shards");
   const std::string dir = make_dir();
   constexpr std::uint64_t kKeys = 16;
-  std::vector<bool> shard_hit(4, false);
-  for (std::uint64_t k = 1; k <= kKeys; ++k) {
-    shard_hit[wal_shard_of(k, 4)] = true;
-  }
-  CHECK(std::count(shard_hit.begin(), shard_hit.end(), true) == 4);
+  constexpr std::size_t kSplit = 5;  // steps before it go to shard 0
   const OpType seq[] = {OpType::kInsert, OpType::kGet,    OpType::kPut,
                         OpType::kGet,    OpType::kDelete, OpType::kGet,
                         OpType::kInsert};
@@ -815,7 +811,14 @@ void same_key_sequence_in_one_batch() {
     DurableDLHT db(small_options(), wal(dir));
     CHECK(db.open() == Status::kOk);
     std::vector<Reply> reps(reqs.size());
-    db.execute_batch(reqs.data(), reps.data(), reqs.size());
+    const std::size_t split = kSplit * kKeys;
+    on_wal_shard(0, 4, [&] {
+      db.execute_batch(reqs.data(), reps.data(), split);
+    });
+    on_wal_shard(1, 4, [&] {
+      db.execute_batch(reqs.data() + split, reps.data() + split,
+                       reqs.size() - split);
+    });
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       const std::size_t step = i / kKeys;
       const std::uint64_t k = reqs[i].key;
@@ -836,11 +839,15 @@ void same_key_sequence_in_one_batch() {
       }
     }
     for (std::uint64_t k = 1; k <= kKeys; ++k) expect[k] = value(6, k);
-    audit_exact(db, expect, "same_key_sequence_in_one_batch");
+    audit_exact(db, expect, "same_key_sequence_across_shards");
   }
+  // Shard 0 logged insert, put and delete per key; shard 1 one insert.
+  CHECK(slurp(dir + "/wal-0.log").size() == 3 * kKeys * kWalRecordBytes);
+  CHECK(slurp(dir + "/wal-1.log").size() == kKeys * kWalRecordBytes);
   DurableDLHT db(small_options(), wal(dir));
   CHECK(db.open() == Status::kOk);
-  audit_exact(db, expect, "same_key_sequence_in_one_batch/reopen");
+  CHECK(db.stats().replayed_records == 4 * kKeys);
+  audit_exact(db, expect, "same_key_sequence_across_shards/reopen");
   remove_dir(dir);
 }
 
@@ -1664,7 +1671,7 @@ int main() {
   fewer_shards_fold_orphan_logs();
   in_memory_mode();
   batch_matches_scalar();
-  same_key_sequence_in_one_batch();
+  same_key_sequence_across_shards();
   failsync_inside_batch();
   batched_writers_beside_checkpoints();
   racing_shards_keep_key_order();
