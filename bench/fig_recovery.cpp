@@ -8,7 +8,10 @@
 //      write amplification (WAL bytes per logical byte ingested),
 //   2. checkpoint cost (snapshot MB/s while the table serves),
 //   3. cold recovery from a snapshot + WAL suffix (keys/s back to serving),
-//   4. cold recovery from WAL replay alone (the no-checkpoint worst case).
+//   4. cold recovery from WAL replay alone (the no-checkpoint worst case);
+//      each recovery also prints its split from DurableDLHT::Stats: the
+//      key partitions its replay ran on and the time of its validation
+//      and replay passes.
 //
 // DLHT_WAL_DIR picks the durable directory (a tmpfs vs a real disk is the
 // whole story for 1 and 2); DLHT_WAL_FSYNC_OPS / DLHT_WAL_COMMIT_US tune
@@ -37,6 +40,19 @@ constexpr std::uint64_t val_of(std::uint64_t k) {
 // Logical payload per op for the write-amplification ratio: 8B key + 8B
 // value, the table's fixed record.
 constexpr double kLogicalBytes = 16.0;
+
+/// Where a recovery's time went, from DurableDLHT::Stats: the key
+/// partitions its replay ran on, and its validation and replay passes.
+void print_recovery_split(const std::string& series, std::uint64_t keys,
+                          const DurableDLHT::Stats& s) {
+  const double x = static_cast<double>(keys);
+  print_row("fig_recovery", series + "/partitions", x,
+            static_cast<double>(s.recovery_partitions), "threads");
+  print_row("fig_recovery", series + "/validate", x,
+            static_cast<double>(s.recovery_validate_ns) / 1e6, "ms");
+  print_row("fig_recovery", series + "/replay", x,
+            static_cast<double>(s.recovery_replay_ns) / 1e6, "ms");
+}
 
 void remove_tree(const std::string& dir) {
   if (DIR* d = ::opendir(dir.c_str())) {
@@ -174,6 +190,7 @@ int main(int argc, char** argv) {
     print_row("fig_recovery", "Recover-snap+wal/replayed",
               static_cast<double>(total),
               static_cast<double>(s.replayed_records), "records");
+    print_recovery_split("Recover-snap+wal", total, s);
     check_shape("recovery loaded a snapshot", s.recovered_snapshot_lsn > 0);
     check_shape("WAL replay covered the post-snapshot suffix",
                 s.replayed_records >= suffix);
@@ -202,6 +219,7 @@ int main(int argc, char** argv) {
               static_cast<double>(suffix), secs * 1e3, "ms");
     print_row("fig_recovery", "Recover-wal-only/rate",
               static_cast<double>(suffix), walonly_recover_mkeys, "Mkeys/s");
+    print_recovery_split("Recover-wal-only", suffix, db.stats());
     bool all_present = db.approx_size() == static_cast<std::int64_t>(suffix);
     for (std::uint64_t k = 1; k <= suffix && all_present; ++k) {
       all_present = db.get(k).value_or(0) == val_of(k);

@@ -39,13 +39,21 @@
 //    writers); fuzziness converges because the loader applies entries as
 //    upserts and the whole WAL suffix with lsn > L replays on top in LSN
 //    order.
-//  * Recovery. open() loads the newest snapshot whose every frame
-//    validates (falling back to older ones), then streams the log: a
-//    validation pass reads each segment in fixed-size chunks to find its
-//    trusted prefix and truncate invalid tails, and a replay pass k-way
-//    merges the segments' prefixes by LSN and applies every record past
-//    the snapshot. Memory beyond the table is O(segments x chunk), however
-//    long the log. A *torn* tail (a partial final record — the SIGKILL
+//  * Recovery. open() reads the newest snapshot whose every frame
+//    validates (falling back to older ones), then streams the log in two
+//    passes that use every CPU the process may run on (P of them). The
+//    validation pass reads each segment in fixed-size chunks, up to P
+//    segments at a time, to find its trusted prefix; what the pass then
+//    does with a segment (truncate an invalid tail, fold an orphan, delete
+//    a covered one) runs in directory order on the calling thread. The
+//    replay pass runs P key partitions, one thread each: partition p
+//    applies its own keys' snapshot entries in stream order, then k-way
+//    merges every segment's prefix by LSN and applies its own keys'
+//    records past the snapshot. A key's final state depends only on its
+//    own records in LSN order, so every key sees the order a serial replay
+//    gives it. Memory beyond the table and the snapshot's entries is
+//    O(P x segments x chunk), however long the log. Each partition decodes
+//    every segment. A *torn* tail (a partial final record — the SIGKILL
 //    signature) is silently dropped; a *corrupt* tail (a full record
 //    failing its CRC — possible media rot over committed data) is also
 //    dropped but counted in stats (io_errors, wal_corrupt_tails,
@@ -56,7 +64,10 @@
 //    A segment that cannot be read in full (open or read error, in either
 //    pass) fails open() with kIOError; the tier then never logs or
 //    checkpoints, so its records stay on disk for the next open.
-//    Committed ops are never lost; uncommitted tail ops may be.
+//    Committed ops (those a successful wal_sync() covered) are never lost.
+//    Each shard keeps its own durable prefix, so after a crash an unsynced
+//    earlier write on one shard can be lost while a later write on another
+//    shard, which that shard's group commit made durable, survives.
 //  * Failure policy. No abort() on disk failure: the first op that
 //    observes a WAL write/sync error returns Status::kIOError, the tier
 //    degrades to memory-only mode, and stats() surfaces io_errors +
@@ -75,10 +86,12 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -175,9 +188,10 @@ struct FaultSpec {
   /// anything further. Data already appended stays, but nothing new
   /// becomes durable (the degrade-to-memory case).
   std::uint64_t fail_sync_at = 0;
-  /// Nth WAL segment read (recovery reads every segment once to validate
-  /// it, then each one it replays once more) hits a read error after its
-  /// first chunk, as a failing disk would.
+  /// Nth WAL segment read hits a read error after its first chunk, as a
+  /// failing disk would. Recovery's validation reads come first, one per
+  /// segment; then the replay pass reads each segment it replays once per
+  /// key partition, so one (partition, segment) read fails.
   std::uint64_t fail_read_at = 0;
 
   std::atomic<std::uint64_t> writes{0};
@@ -506,6 +520,7 @@ inline bool snapshot_parse(const std::vector<std::uint8_t>& buf,
   std::memcpy(&out->lsn, p + 16, 8);
   std::size_t off = 32;
   out->entries.clear();
+  out->entries.reserve((n - off) / 24);  // each entry takes 24 bytes here
   for (;;) {
     if (n - off < 8) return false;
     std::uint32_t len, ccrc;
@@ -655,6 +670,45 @@ inline std::uint64_t wall_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
+/// Run task(i) for every i < n on up to `threads` threads, the calling
+/// thread among them: it runs task 0, then every thread claims the next
+/// task left. Starts no thread when n <= 1, and makes do with fewer when
+/// one cannot start. The first exception a task throws is rethrown here,
+/// once every thread has stopped; tasks not yet claimed then never run.
+template <class Task>
+void run_tasks(std::size_t n, std::size_t threads, const Task& task) {
+  std::atomic<std::size_t> next{1};
+  std::mutex mu;
+  std::exception_ptr error;
+  const auto run = [&](std::size_t i) {
+    try {
+      task(i);
+    } catch (...) {
+      std::lock_guard g(mu);
+      if (!error) error = std::current_exception();
+      next.store(n, std::memory_order_relaxed);
+    }
+  };
+  const auto claim = [&] {
+    for (std::size_t i;
+         (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      run(i);
+    }
+  };
+  std::vector<std::thread> helpers;
+  for (std::size_t t = 1; t < std::min(n, threads); ++t) {
+    try {
+      helpers.emplace_back(claim);
+    } catch (const std::system_error&) {
+      break;  // the threads already running claim every task
+    }
+  }
+  if (n > 0) run(0);
+  claim();
+  for (std::thread& h : helpers) h.join();
+  if (error) std::rethrow_exception(error);
+}
+
 }  // namespace detail_wal
 
 // ---------------------------------------------------------- durable tier
@@ -688,8 +742,11 @@ struct DurabilityOptions {
 /// bucket critical section. See the file header for the full contract.
 ///
 /// Concurrent same-key writers serialize through the key's home-bucket
-/// lock, and each draws its LSN under it, so the recovered state is always
-/// a legal serialization of the pre-crash ops.
+/// lock, and each draws its LSN under it, so recovery replays each key's
+/// records in the order they were applied. After a crash each WAL shard
+/// keeps its own durable prefix, so the recovered table need not match
+/// any prefix of the LSN order: an unsynced earlier write on one shard can
+/// be lost while a later write on another shard survives.
 class DurableDLHT {
  public:
   using Request = DLHT::Request;
@@ -715,39 +772,9 @@ class DurableDLHT {
   /// the directory cannot be used or a log segment cannot be read in full
   /// — the tier then serves memory-only (missing that segment's records)
   /// and never logs or checkpoints, so the files on disk stay as they are.
+  /// Recovery replays on one key partition per CPU the process may run on.
   Status open() {
-    if (opened_) return Status::kOk;
-    if (dopts_.dir.empty()) {
-      opened_ = true;  // explicitly in-memory: nothing to recover or log
-      return Status::kOk;
-    }
-    if (::mkdir(dopts_.dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      return fail_io();
-    }
-    if (!recover()) return fail_io();
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      auto& sh = *shards_[i];
-      sh.path = shard_path(i);
-      sh.file = open_file(sh.path, /*truncate=*/false);
-      if (sh.file == nullptr) return fail_io();
-    }
-    opened_ = true;
-    if (dopts_.wal_group_commit_us > 0) {
-      committer_ = std::thread([this] {
-        // Park the group committer on the *last* plan slot so it shares a
-        // CPU with the highest-numbered worker rather than fighting worker
-        // 0 (every bench/server spawns workers from slot 0 upward). A bad
-        // DLHT_PIN spec is the frontend's problem to report; here we just
-        // fall back to an unpinned committer.
-        std::string err;
-        const PinPlan plan = pin_plan_from_env(&err);
-        if (err.empty() && plan.active()) {
-          plan.pin(plan.cpus.size() - 1);
-        }
-        committer_loop();
-      });
-    }
-    return Status::kOk;
+    return open_on(std::max<std::size_t>(allowed_cpus_cached().size(), 1));
   }
 
   /// Stop the committer and flush whatever the WAL still buffers. Safe to
@@ -913,6 +940,13 @@ class DurableDLHT {
     /// none) and how many WAL records it replayed past it.
     std::uint64_t recovered_snapshot_lsn = 0;
     std::uint64_t replayed_records = 0;
+    /// How open()'s recovery spent its time: the key partitions its replay
+    /// pass ran on (0 when there was nothing to replay), and the wall time
+    /// of its validation pass and of its replay pass (which applies the
+    /// snapshot's entries as well as the log's records).
+    std::uint64_t recovery_partitions = 0;
+    std::uint64_t recovery_validate_ns = 0;
+    std::uint64_t recovery_replay_ns = 0;
     /// Corrupt — not merely torn — WAL tails found at open(), and the
     /// bytes they discarded from the trusted prefix. A torn tail is the
     /// expected SIGKILL signature and counts nowhere; a corrupt one means
@@ -938,6 +972,9 @@ class DurableDLHT {
     s.degraded = degraded_.load(std::memory_order_relaxed);
     s.recovered_snapshot_lsn = recovered_snapshot_lsn_;
     s.replayed_records = replayed_records_;
+    s.recovery_partitions = recovery_partitions_;
+    s.recovery_validate_ns = recovery_validate_ns_;
+    s.recovery_replay_ns = recovery_replay_ns_;
     s.wal_corrupt_tails = wal_corrupt_tails_;
     s.wal_discarded_bytes = wal_discarded_bytes_;
     return s;
@@ -1268,29 +1305,58 @@ class DurableDLHT {
     ::close(in);
   }
 
-  /// Apply a snapshot's entries as upserts, kGroupChunk at a time through
-  /// DLHT::execute_batch. Request order is kept, so a key the fuzzy
-  /// snapshot emitted twice ends with its later entry, as replay does.
-  void load_snapshot(
-      const std::vector<std::pair<std::uint64_t, std::uint64_t>>& entries) {
-    Request batch[kGroupChunk];
-    Reply replies[kGroupChunk];
-    for (std::size_t base = 0; base < entries.size(); base += kGroupChunk) {
-      const std::size_t n = std::min(kGroupChunk, entries.size() - base);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto& [k, v] = entries[base + i];
-        batch[i] = Request{OpType::kPut, k, v, 0};
-      }
-      core_.execute_batch(batch, replies, n);
+  /// open() with recovery's replay pass on `parts` key partitions.
+  /// RecoveryTestHook reaches it, so a test can replay a directory on one
+  /// partition and on several on any host.
+  Status open_on(std::size_t parts) {
+    if (opened_) return Status::kOk;
+    if (dopts_.dir.empty()) {
+      opened_ = true;  // explicitly in-memory: nothing to recover or log
+      return Status::kOk;
     }
+    if (::mkdir(dopts_.dir.c_str(), 0755) != 0 && errno != EEXIST) {
+      return fail_io();
+    }
+    if (!recover(parts)) return fail_io();
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      auto& sh = *shards_[i];
+      sh.path = shard_path(i);
+      sh.file = open_file(sh.path, /*truncate=*/false);
+      if (sh.file == nullptr) return fail_io();
+    }
+    opened_ = true;
+    if (dopts_.wal_group_commit_us > 0) {
+      committer_ = std::thread([this] {
+        // Park the group committer on the *last* plan slot so it shares a
+        // CPU with the highest-numbered worker rather than fighting worker
+        // 0 (every bench/server spawns workers from slot 0 upward). A bad
+        // DLHT_PIN spec is the frontend's problem to report; here we just
+        // fall back to an unpinned committer.
+        std::string err;
+        const PinPlan plan = pin_plan_from_env(&err);
+        if (err.empty() && plan.active()) {
+          plan.pin(plan.cpus.size() - 1);
+        }
+        committer_loop();
+      });
+    }
+    return Status::kOk;
   }
 
-  /// Load the snapshot and replay the log. False when a log segment could
-  /// not be read in full.
-  bool recover() {
+  friend struct RecoveryTestHook;
+
+  /// Load the snapshot and replay the log on `parts` key partitions. False
+  /// when a log segment could not be read in full.
+  bool recover(std::size_t parts) {
+    // Draw this thread's index before any helper starts. A new thread
+    // takes the smallest free index, which picks its WAL shard: helpers
+    // that drew first would push this thread's index up, and threads
+    // started later could then share its shard.
+    this_thread_index();
     const std::vector<std::string> names = list_dir();
     // Newest snapshot whose every frame validates wins; corrupt ones are
-    // skipped (an older snapshot + a longer replay still converges).
+    // skipped (an older snapshot + a longer replay still converges). The
+    // replay pass applies its entries.
     std::vector<std::pair<std::uint64_t, std::string>> snaps;
     for (const std::string& n : names) {
       std::uint64_t lsn;
@@ -1300,43 +1366,62 @@ class DurableDLHT {
       }
     }
     std::sort(snaps.rbegin(), snaps.rend());
-    std::uint64_t snap_lsn = 0;
+    SnapshotContents snap;
     for (const auto& [lsn, name] : snaps) {
       std::vector<std::uint8_t> buf;
-      SnapshotContents sc;
       if (read_file(dopts_.dir + "/" + name, &buf) &&
-          snapshot_parse(buf, &sc) && sc.lsn == lsn) {
-        load_snapshot(sc.entries);
-        snap_lsn = lsn;
+          snapshot_parse(buf, &snap) && snap.lsn == lsn) {
         break;
       }
+      snap = SnapshotContents{};
       io_errors_.fetch_add(1, std::memory_order_relaxed);  // corrupt snapshot
     }
-    recovered_snapshot_lsn_ = snap_lsn;
+    recovered_snapshot_lsn_ = snap.lsn;
 
     // Validation pass over every current and frozen (.old, from a crash
     // mid-checkpoint or a folded orphan) segment: its trusted prefix, tail
-    // and highest LSN, read in chunks. Tails are truncated, orphans folded
-    // and segments the snapshot covers deleted here, so the replay pass
-    // sees only clean prefixes that still hold records past the snapshot.
-    std::vector<Segment> replay;
-    std::uint64_t max_lsn = snap_lsn;
+    // and highest LSN, read in chunks, up to `parts` segments at a time.
+    // Then, in directory order on this thread, tails are truncated,
+    // orphans folded and segments the snapshot covers deleted, so the
+    // replay pass sees only clean prefixes that still hold records past
+    // the snapshot.
+    const std::uint64_t validate_start = detail_wal::wall_ns();
+    std::vector<std::string> logs;
     for (const std::string& n : names) {
-      if (n.compare(0, 4, "wal-") != 0) continue;
       // Preserved corrupt suffixes are diagnostics, never replayed.
-      if (n.size() > 8 && n.compare(n.size() - 8, 8, ".corrupt") == 0) {
-        continue;
+      if (n.compare(0, 4, "wal-") == 0 &&
+          !(n.size() > 8 && n.compare(n.size() - 8, 8, ".corrupt") == 0)) {
+        logs.push_back(n);
       }
-      std::string path = dopts_.dir + "/" + n;
-      WalReader reader(path, dopts_.faults);
-      std::uint64_t seg_max = 0;
-      for (WalRecord r; reader.next(&r);) seg_max = r.lsn;
+    }
+    struct Scan {
+      bool ok = false;
+      WalTail tail = WalTail::kClean;
+      std::uint64_t valid_bytes = 0;
+      std::uint64_t max_lsn = 0;
+    };
+    std::vector<Scan> scans(logs.size());
+    detail_wal::run_tasks(logs.size(), parts, [&](std::size_t i) {
+      WalReader reader(dopts_.dir + "/" + logs[i], dopts_.faults);
+      std::uint64_t max_lsn = 0;
+      for (WalRecord r; reader.next(&r);) max_lsn = r.lsn;
+      scans[i] = {reader.ok(), reader.tail(), reader.valid_bytes(), max_lsn};
+    });
+    std::vector<Segment> replay;
+    std::uint64_t max_lsn = snap.lsn;
+    bool readable = true;
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      const std::string& n = logs[i];
+      const Scan& s = scans[i];
       // Unreadable: its trusted prefix and highest LSN are unknown, so it
       // can be neither truncated nor replayed (nor left out).
-      if (!reader.ok()) return false;
-      const std::uint64_t valid = reader.valid_bytes();
-      if (reader.tail() != WalTail::kClean) {
-        if (reader.tail() == WalTail::kCorrupt) {
+      if (!s.ok) {
+        readable = false;
+        break;
+      }
+      std::string path = dopts_.dir + "/" + n;
+      if (s.tail != WalTail::kClean) {
+        if (s.tail == WalTail::kCorrupt) {
           // A full record failed its CRC: committed data may have rotted.
           // Unlike a torn tail this is not a crash signature, so surface
           // it (io_errors + corrupt-tail counters) and keep the discarded
@@ -1345,15 +1430,15 @@ class DurableDLHT {
           const std::uint64_t size =
               ::stat(path.c_str(), &st) == 0
                   ? static_cast<std::uint64_t>(st.st_size)
-                  : valid;
-          preserve_corrupt_suffix(path, valid);
+                  : s.valid_bytes;
+          preserve_corrupt_suffix(path, s.valid_bytes);
           io_errors_.fetch_add(1, std::memory_order_relaxed);
           wal_corrupt_tails_ += 1;
-          wal_discarded_bytes_ += size - valid;
+          wal_discarded_bytes_ += size - s.valid_bytes;
         }
         // Truncate to the trusted prefix so the next generation of
         // appends starts from a valid frame boundary.
-        ::truncate(path.c_str(), static_cast<off_t>(valid));
+        ::truncate(path.c_str(), static_cast<off_t>(s.valid_bytes));
       }
       std::uint64_t fshard = 0, fidx = 0;
       const bool frozen = parse_frozen_wal_name(n, &fshard, &fidx);
@@ -1367,8 +1452,8 @@ class DurableDLHT {
       std::uint64_t lshard = 0;
       const bool orphan = parse_live_wal_name(n, &lshard) &&
                           lshard >= shards_.size();
-      if (seg_max > max_lsn) max_lsn = seg_max;
-      if ((frozen || orphan) && seg_max <= snap_lsn) {
+      if (s.max_lsn > max_lsn) max_lsn = s.max_lsn;
+      if ((frozen || orphan) && s.max_lsn <= snap.lsn) {
         ::unlink(path.c_str());  // fully covered by the snapshot
         continue;
       }
@@ -1376,14 +1461,35 @@ class DurableDLHT {
         // The directory was written with more wal_shards than we now run:
         // this log will never rotate again, so fold it into the frozen
         // lifecycle — replayed (below) on every open until the next
-        // successful checkpoint GCs it. seg_max makes the name unique
+        // successful checkpoint GCs it. Its max LSN makes the name unique
         // (LSNs are global), so generations can never collide.
-        const std::string old = path + "." + std::to_string(seg_max) + ".old";
+        const std::string old =
+            path + "." + std::to_string(s.max_lsn) + ".old";
         if (::rename(path.c_str(), old.c_str()) == 0) path = old;
       }
-      if (seg_max > snap_lsn) replay.push_back({path, valid});
+      if (s.max_lsn > snap.lsn) replay.push_back({path, s.valid_bytes});
     }
-    if (!replay_merged(replay, snap_lsn)) return false;
+    recovery_validate_ns_ = detail_wal::wall_ns() - validate_start;
+
+    // Replay pass, on `parts` threads unless there is nothing to apply.
+    // When a segment could not be read, only the snapshot applies.
+    if (!readable) replay.clear();
+    const std::uint64_t replay_start = detail_wal::wall_ns();
+    const std::size_t runs =
+        snap.entries.empty() && replay.empty() ? 0 : parts;
+    std::vector<Replayed> done(runs);
+    detail_wal::run_tasks(runs, runs, [&](std::size_t p) {
+      done[p] = replay_partition(p, parts, snap, replay);
+    });
+    bool whole = readable;
+    replayed_records_ = 0;
+    for (const Replayed& d : done) {
+      replayed_records_ += d.records;
+      whole &= d.whole;
+    }
+    recovery_partitions_ = runs;
+    recovery_replay_ns_ = detail_wal::wall_ns() - replay_start;
+    if (!whole) return false;
     lsn_.store(max_lsn, std::memory_order_relaxed);
     return true;
   }
@@ -1395,15 +1501,46 @@ class DurableDLHT {
     std::uint64_t valid_bytes;
   };
 
-  /// Replay pass: k-way merge of the segments by LSN, each read in chunks
-  /// (up to the end of the prefix the validation pass truncated it to).
-  /// Every file is strictly LSN-ordered, so the merge yields global LSN
-  /// order; records past the snapshot apply in batches through
-  /// DLHT::execute_batch, which keeps request order. False when a segment
-  /// ended short of its validated prefix (it could not be reopened, or a
-  /// read failed): the records past that point were not applied.
-  bool replay_merged(const std::vector<Segment>& segments,
-                     std::uint64_t snap_lsn) {
+  /// What one replay partition did: the log records it applied, and
+  /// whether every segment it read reached the end of its validated prefix.
+  struct Replayed {
+    std::uint64_t records = 0;
+    bool whole = true;
+  };
+
+  /// The replay partition of `key` among `parts`: a range of the low 16
+  /// bits of its table hash. Those bits are also the low bits of its bin,
+  /// so in a table of 2^16 bins or more each partition owns whole runs of
+  /// bins, and no two partitions write one bucket.
+  static std::size_t partition_of(std::uint64_t key, std::size_t parts) {
+    const std::uint64_t low = DLHT::Hasher{}(key) & 0xffffu;
+    return static_cast<std::size_t>((low * parts) >> 16);
+  }
+
+  /// Replay pass of key partition `part`: its keys' snapshot entries in
+  /// stream order, then its keys' records past the snapshot from a k-way
+  /// merge of every segment by LSN, each read in chunks up to its
+  /// validated prefix. Files are strictly LSN-ordered and
+  /// DLHT::execute_batch keeps request order, so each key ends as a
+  /// serial replay leaves it. `whole` is false when a segment ended short
+  /// of its validated prefix (it could not be reopened, or a read
+  /// failed): the partition's records past that point were not applied.
+  Replayed replay_partition(std::size_t part, std::size_t parts,
+                            const SnapshotContents& snap,
+                            const std::vector<Segment>& segments) {
+    Request batch[kGroupChunk];
+    Reply replies[kGroupChunk];
+    std::size_t pending = 0;
+    const auto add = [&](OpType op, std::uint64_t key, std::uint64_t value) {
+      batch[pending++] = Request{op, key, value, 0};
+      if (pending == kGroupChunk) {
+        core_.execute_batch(batch, replies, pending);
+        pending = 0;
+      }
+    };
+    for (const auto& [k, v] : snap.entries) {
+      if (partition_of(k, parts) == part) add(OpType::kPut, k, v);
+    }
     struct Head {
       WalRecord rec;
       std::size_t segment;
@@ -1413,50 +1550,42 @@ class DurableDLHT {
     };
     std::vector<std::unique_ptr<WalReader>> readers;
     std::vector<Head> heap;
-    bool whole = true;
-    const auto ended = [&](std::size_t i) {
-      whole &= readers[i]->ok() &&
-               readers[i]->valid_bytes() == segments[i].valid_bytes;
+    Replayed out;
+    // The next record of segment i that the partition applies. The others
+    // never enter the merge: the order among the partition's own records
+    // is all its keys need.
+    const auto next = [&](std::size_t i, WalRecord* r) {
+      while (readers[i]->next(r)) {
+        if (r->lsn > snap.lsn && partition_of(r->key, parts) == part) {
+          return true;
+        }
+      }
+      out.whole &= readers[i]->ok() &&
+                   readers[i]->valid_bytes() == segments[i].valid_bytes;
+      return false;
     };
     for (const Segment& seg : segments) {
       readers.push_back(std::make_unique<WalReader>(seg.path, dopts_.faults));
       Head h{{}, readers.size() - 1};
-      if (readers.back()->next(&h.rec)) {
-        heap.push_back(h);
-      } else {
-        ended(h.segment);
-      }
+      if (next(h.segment, &h.rec)) heap.push_back(h);
     }
     std::make_heap(heap.begin(), heap.end(), later);
-    Request batch[kGroupChunk];
-    Reply replies[kGroupChunk];
-    std::size_t pending = 0;
-    std::uint64_t applied = 0;
-    const auto apply = [&] {
-      core_.execute_batch(batch, replies, pending);
-      applied += pending;
-      pending = 0;
-    };
     while (!heap.empty()) {
       std::pop_heap(heap.begin(), heap.end(), later);
       Head& h = heap.back();
-      if (h.rec.lsn > snap_lsn) {
-        const OpType op = h.rec.op == WalOp::kInsert   ? OpType::kInsert
-                          : h.rec.op == WalOp::kDelete ? OpType::kDelete
-                                                       : OpType::kPut;
-        batch[pending++] = Request{op, h.rec.key, h.rec.value, 0};
-        if (pending == kGroupChunk) apply();
-      }
-      if (readers[h.segment]->next(&h.rec)) {
+      add(h.rec.op == WalOp::kInsert   ? OpType::kInsert
+          : h.rec.op == WalOp::kDelete ? OpType::kDelete
+                                       : OpType::kPut,
+          h.rec.key, h.rec.value);
+      ++out.records;
+      if (next(h.segment, &h.rec)) {
         std::push_heap(heap.begin(), heap.end(), later);
       } else {
-        ended(h.segment);
         heap.pop_back();
       }
     }
-    apply();
-    replayed_records_ = applied;
-    return whole;
+    core_.execute_batch(batch, replies, pending);
+    return out;
   }
 
   DurabilityOptions dopts_;
@@ -1477,6 +1606,9 @@ class DurableDLHT {
   std::atomic<std::uint64_t> snapshots_written_{0};
   std::uint64_t recovered_snapshot_lsn_ = 0;
   std::uint64_t replayed_records_ = 0;
+  std::uint64_t recovery_partitions_ = 0;
+  std::uint64_t recovery_validate_ns_ = 0;
+  std::uint64_t recovery_replay_ns_ = 0;
   std::uint64_t wal_corrupt_tails_ = 0;
   std::uint64_t wal_discarded_bytes_ = 0;
 

@@ -21,9 +21,12 @@ every metric finite with its unit) and prints the run's metrics
 with its failed count, then per metric the median and interquartile range
 of each side, the change's shift, how many pairs the change won (by the
 metric's "better" direction; a tie is not a win), and whether the median
-gap exceeds the parent's IQR. Exits nonzero when a build or a run fails or
-a result line fails the check. It reads perfbench/ and BENCHMARK.json and
-writes neither.
+gap exceeds the parent's IQR. The figures a run prints on its "e2e+"
+lines but does not gate (kv_durable's get_p99_us, write_p99_us,
+sync_p99_us, max_rate_mops, ...) are printed per run too, then in a
+separate table of each side's median and IQR, with no verdict. Exits
+nonzero when a build or a run fails or a result line fails the check. It
+reads perfbench/ and BENCHMARK.json and writes neither.
 """
 
 import argparse
@@ -138,9 +141,28 @@ def run_once(binary, checkout, args, seconds, names, out):
     if r.returncode != 0 or not lines:
         fail("%s exited with %d" % (" ".join(cmd), r.returncode))
     try:
-        return bench_run.check_result(lines[-1], names)
+        res = bench_run.check_result(lines[-1], names)
     except (ValueError, KeyError, TypeError) as e:
         fail("%s: bad result line: %s" % (" ".join(cmd), e))
+    return res, printed_extras(lines[:-1])
+
+
+def printed_extras(lines):
+    """name -> (value, unit) of every "e2e+" line a run printed, e.g.
+    "e2e+   get_p99_us   844.526933 us   (n=1249351, 12488 beyond)".
+    A value that is not a finite number is left out."""
+    out = {}
+    for line in lines:
+        f = line.split()
+        if len(f) < 4 or f[0] != "e2e+":
+            continue
+        try:
+            v = float(f[2])
+        except ValueError:
+            continue
+        if math.isfinite(v):
+            out[f[1]] = (v, f[3])
+    return out
 
 
 def main():
@@ -174,27 +196,37 @@ def main():
     print("# %s, %d pairs, %d s, seed %d, trace %d, --out under %s" %
           (args.workload, args.pairs, seconds, args.seed, args.trace, root))
     values = {"parent": {}, "change": {}}
+    extras = {"parent": {}, "change": {}}
+    units = {}
     try:
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
                 out = os.path.join(root, "pair%02d-%s" % (pair, side))
-                res = run_once(binaries[side], sides[side], args, seconds,
-                               names, out)
+                res, printed = run_once(binaries[side], sides[side], args,
+                                        seconds, names, out)
                 shutil.rmtree(out, ignore_errors=True)
                 got = res["metrics"]
                 for m in metrics:
                     values[side].setdefault(m["name"], []).append(
                         got[m["name"]]["value"])
+                for name, (v, unit) in printed.items():
+                    extras[side].setdefault(name, []).append(v)
+                    units.setdefault(name, unit)
                 print("pair %2d %-6s %s failed=%d/%d correct=%s" % (
                     pair, side,
                     " ".join("%s=%.6g" % (m["name"], got[m["name"]]["value"])
                              for m in metrics),
                     res["failed"], res["attempted"],
                     str(res["correct"]).lower()), flush=True)
+                if printed:
+                    print("        %-6s printed: %s" % (side, " ".join(
+                        "%s=%.6g" % (n, v) for n, (v, _) in printed.items())),
+                        flush=True)
     finally:
         shutil.rmtree(root, ignore_errors=True)
     print_summary(metrics, values)
+    print_extras(extras, units)
 
 
 def print_summary(metrics, values):
@@ -208,6 +240,32 @@ def print_summary(metrics, values):
             m["name"], "%.6g [%.6g, %.6g]" % v["parent"],
             "%.6g [%.6g, %.6g]" % v["change"], v["shift_pct"], v["wins"],
             v["pairs"], "yes" if v["beyond_iqr"] else "no"))
+
+
+def extras_rows(extras, units):
+    """(name, unit, parent, change) per printed-but-not-gated figure, in
+    name order, where each side is its (median, q1, q3, runs), or None
+    when none of its runs printed the figure."""
+    rows = []
+    for name in sorted(set(extras["parent"]) | set(extras["change"])):
+        sides = []
+        for side in ("parent", "change"):
+            xs = extras[side].get(name, [])
+            sides.append(summarize(xs) + (len(xs),) if xs else None)
+        rows.append((name, units.get(name, ""), sides[0], sides[1]))
+    return rows
+
+
+def print_extras(extras, units):
+    rows = extras_rows(extras, units)
+    if not rows:
+        return
+    print("printed, not gated: median [q1, q3] (runs)")
+    print("%-34s %-7s %-36s %-36s" % ("metric", "unit", "parent", "change"))
+    for name, unit, parent, change in rows:
+        cells = ["%.6g [%.6g, %.6g] (%d)" % s if s else "-"
+                 for s in (parent, change)]
+        print("%-34s %-7s %-36s %-36s" % (name, unit, cells[0], cells[1]))
 
 
 # ------------------------------------------------------------- self-test
@@ -269,6 +327,37 @@ def self_test():
     if want is not None:
         expect(tmpfs_root(mounts), want, "/dev/shm is preferred")
     expect(tmpfs_root("/dev/vda / ext4 rw 0 0\n"), None, "no tmpfs")
+    # The "e2e+" lines of a run's output, and only those, are its printed
+    # extras; a count suffix does not disturb the value, and a value that
+    # is not a finite number is left out.
+    out = [
+        "config wal_dir_fs                        \"tmpfs\"",
+        "e2e    get_p50_us                              11.806973 us      "
+        "(n=1249351, 624673 beyond)",
+        "e2e+   get_p99_us                            2158.210510 us      "
+        "(n=1249351, 12488 beyond)",
+        "e2e+   max_rate_mops                            4.801738 Mops/s ",
+        "e2e+   sync_p99_us                           2179.072000 us      "
+        "(n=12500, 5 beyond) THIN",
+        "e2e+   write_p99_us                                  nan us",
+        "layer  server.start_s                           0.103422 s",
+        "checks attempted=35881112 failed=0 fail_ratio=0",
+    ]
+    expect(printed_extras(out),
+           {"get_p99_us": (2158.21051, "us"), "max_rate_mops": (4.801738,
+            "Mops/s"), "sync_p99_us": (2179.072, "us")},
+           "e2e+ lines parse to name -> (value, unit)")
+    expect(printed_extras(["e2e+ truncated 1.0"]), {}, "a short line is not "
+           "an extra")
+    # The extras table: per side median and quartiles, runs counted, and a
+    # figure only one side printed shows as absent on the other.
+    extras = {"parent": {"get_p99_us": [4.0, 1.0, 3.0, 2.0]},
+              "change": {"get_p99_us": [1.0, 2.0, 3.0],
+                         "new_p99_us": [5.0]}}
+    expect(extras_rows(extras, {"get_p99_us": "us", "new_p99_us": "us"}),
+           [("get_p99_us", "us", (2.5, 1.75, 3.25, 4), (2.0, 1.5, 2.5, 3)),
+            ("new_p99_us", "us", None, (5.0, 5.0, 5.0, 1))],
+           "extras rows")
     print("perfbench_pairs self-test ok")
 
 

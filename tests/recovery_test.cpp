@@ -5,13 +5,14 @@
 // scalar, in-batch fsync failure, batched writers beside checkpoints),
 // thread-owned WAL shards (one key sequence split across two shards,
 // per-key order across racing shards, one writer fills one shard, a no-op
-// logs nothing), streamed recovery (LSN merge across segments, a read
-// error in either pass, a memory bound), a resize that fails mid-batch, a
-// fuzz pass over the WAL and snapshot decoders (random bytes + every
-// truncation; run under ASan/UBSan in CI), the streaming WalReader checked
-// against wal_decode, and the WAL shard lock (mutual exclusion, try_lock,
-// waiters that park instead of spinning). The SIGKILL-mid-churn variant
-// lives in kill_recover_test.sh.
+// logs nothing), streamed recovery (LSN merge across segments, the task
+// runner of its parallel passes, a partitioned replay equal to a serial
+// one, a read error in either pass, a memory bound), a resize that fails
+// mid-batch, a fuzz pass over the WAL and snapshot decoders (random bytes
+// + every truncation; run under ASan/UBSan in CI), the streaming WalReader
+// checked against wal_decode, and the WAL shard lock (mutual exclusion,
+// try_lock, waiters that park instead of spinning). The SIGKILL-mid-churn
+// variant lives in kill_recover_test.sh.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -23,6 +24,7 @@
 #include <iterator>
 #include <mutex>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -36,6 +38,18 @@
 
 #include "common/rng.hpp"
 #include "dlht/durability.hpp"
+
+namespace dlht {
+
+/// Opens a DurableDLHT with its recovery replay on a chosen number of key
+/// partitions (open() uses one per CPU the process may run on).
+struct RecoveryTestHook {
+  static Status open(DurableDLHT& db, std::size_t partitions) {
+    return db.open_on(partitions);
+  }
+};
+
+}  // namespace dlht
 
 namespace {
 
@@ -1129,6 +1143,87 @@ void merge_orders_alternating_segments() {
   remove_dir(dir);
 }
 
+// The partitioned replay recovers what a serial one does. Four threads on
+// distinct WAL shards race put/delete/insert chains over 64 shared keys,
+// so each key's records span every shard file. Two checkpoints run while
+// they write, so each snapshot is fuzzy: it holds writes whose records
+// follow its barrier and replay again on top of it. Writes go on after
+// the second. The directory is then reopened on one key partition and on
+// four, through RecoveryTestHook so that four run on any host, and both
+// tables must equal the table at close. Only a replay that merges each
+// partition's segments by LSN passes: applying them one after another
+// leaves keys with the last value of the wrong shard.
+void partitioned_replay_matches_serial() {
+  std::puts("partitioned_replay_matches_serial");
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kRounds = 1000;  // per writer, between events
+  const std::string dir = make_dir();
+  DurabilityOptions d = wal(dir);
+  d.wal_fsync_interval_ops = 1u << 16;  // close() flushes the log
+  Table at_close;
+  {
+    DurableDLHT db(small_options(), d);
+    CHECK(db.open() == Status::kOk);
+    std::vector<unsigned> shard(kThreads);
+    std::atomic<unsigned> ready{0};
+    std::atomic<std::uint64_t> rounds{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        shard[t] = this_thread_index() & 3;
+        ready.fetch_add(1);
+        while (ready.load() != kThreads) std::this_thread::yield();
+        Xoshiro256 rng(splitmix64(0x9a27 + t));
+        constexpr OpType kOps[] = {OpType::kPut, OpType::kDelete,
+                                   OpType::kInsert};
+        Request reqs[64];
+        Reply reps[64];
+        while (!stop.load(std::memory_order_relaxed)) {
+          const std::size_t n = 1 + rng.next_below(64);
+          for (std::size_t j = 0; j < n; ++j) {
+            reqs[j] = {kOps[rng.next_below(3)], 1 + rng.next_below(64),
+                       rng() | 1, 0};
+          }
+          db.execute_batch(reqs, reps, n);
+          rounds.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    const auto run_for = [&](std::uint64_t n) {
+      const std::uint64_t until = rounds.load() + n;
+      while (rounds.load() < until) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    for (int c = 0; c < 2; ++c) {
+      run_for(kThreads * kRounds);
+      CHECK(db.checkpoint() == Status::kOk);
+    }
+    run_for(kThreads * kRounds);
+    stop.store(true);
+    for (auto& th : pool) th.join();
+    std::sort(shard.begin(), shard.end());
+    CHECK(std::adjacent_find(shard.begin(), shard.end()) == shard.end());
+    CHECK(db.stats().snapshots_written == 2);
+    at_close = table_of(db);
+  }
+  std::uint64_t replayed = 0;
+  for (const std::size_t parts : {1u, 4u}) {
+    std::printf("  replay on %zu partition(s)\n", parts);
+    DurableDLHT db(small_options(), d);
+    CHECK(RecoveryTestHook::open(db, parts) == Status::kOk);
+    const auto s = db.stats();
+    CHECK(s.recovered_snapshot_lsn > 0);
+    CHECK(s.recovery_partitions == parts);
+    CHECK(s.replayed_records > 0);
+    CHECK(replayed == 0 || s.replayed_records == replayed);
+    replayed = s.replayed_records;
+    CHECK(table_of(db) == at_close);
+  }
+  remove_dir(dir);
+}
+
 // A log segment that cannot be read in full fails open() with kIOError,
 // whether the read error hits the validation pass or the replay pass (which
 // has by then applied the first chunk's records). The tier degrades, so it
@@ -1557,6 +1652,53 @@ void wal_reader_matches_wal_decode() {
   remove_dir(dir);
 }
 
+// ------------------------------------------------------- recovery threads
+
+// detail_wal::run_tasks, which runs recovery's two passes: every task runs
+// exactly once, the calling thread runs task 0, one task or none starts no
+// thread, and a task's exception reaches the caller once every thread has
+// stopped.
+void run_tasks_contract() {
+  std::puts("run_tasks_contract");
+  const std::thread::id me = std::this_thread::get_id();
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    std::vector<std::atomic<int>> ran(37);
+    std::vector<std::thread::id> by(ran.size());
+    detail_wal::run_tasks(ran.size(), threads, [&](std::size_t i) {
+      ran[i].fetch_add(1);
+      by[i] = std::this_thread::get_id();
+    });
+    for (const std::atomic<int>& r : ran) CHECK(r.load() == 1);
+    CHECK(by[0] == me);
+    if (threads == 1) {
+      CHECK(std::count(by.begin(), by.end(), me) ==
+            static_cast<std::ptrdiff_t>(by.size()));
+    }
+  }
+  std::thread::id only;
+  detail_wal::run_tasks(1, 4, [&](std::size_t) {
+    only = std::this_thread::get_id();
+  });
+  CHECK(only == me);
+  int none = 0;
+  detail_wal::run_tasks(0, 4, [&](std::size_t) { ++none; });
+  CHECK(none == 0);
+  std::atomic<int> running{0};
+  bool caught = false;
+  try {
+    detail_wal::run_tasks(4, 4, [&](std::size_t i) {
+      running.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(i == 0 ? 20 : 1));
+      running.fetch_sub(1);
+      if (i == 2) throw std::runtime_error("task 2");
+    });
+  } catch (const std::runtime_error& e) {
+    caught = std::strcmp(e.what(), "task 2") == 0;
+  }
+  CHECK(caught);
+  CHECK(running.load() == 0);
+}
+
 // ------------------------------------------------------------ shard lock
 
 // Mutual exclusion: 8 threads increment a plain counter under the lock.
@@ -1678,6 +1820,8 @@ int main() {
   single_writer_fills_one_shard();
   no_change_logs_nothing();
   merge_orders_alternating_segments();
+  run_tasks_contract();
+  partitioned_replay_matches_serial();
   unreadable_segment_fails_open();
   recovery_memory_is_bounded();
   resize_failure_mid_batch_keeps_log();
