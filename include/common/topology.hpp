@@ -282,15 +282,6 @@ enum class NumaPolicy : std::uint8_t {
   kNodeLocal = 2,   // bind to one node (Options::numa_node)
 };
 
-inline const char* numa_policy_name(NumaPolicy p) {
-  switch (p) {
-    case NumaPolicy::kFirstTouch: return "first_touch";
-    case NumaPolicy::kInterleave: return "interleave";
-    case NumaPolicy::kNodeLocal: return "node_local";
-  }
-  return "?";
-}
-
 /// Apply `policy` to [p, p+bytes) via mbind(2). Returns true when the
 /// placement is in force (kFirstTouch trivially is). False = caller should
 /// count a numa_fallback: single real node, unknown target node, non-Linux,

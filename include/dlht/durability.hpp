@@ -39,14 +39,24 @@
 //    writers); fuzziness converges because the loader applies entries as
 //    upserts and the whole WAL suffix with lsn > L replays on top in LSN
 //    order.
-//  * Recovery. open() reads the newest snapshot whose every frame
-//    validates (falling back to older ones), then streams the log in two
-//    passes that use every CPU the process may run on (P of them). The
-//    validation pass reads each segment in fixed-size chunks, up to P
-//    segments at a time, to find its trusted prefix; what the pass then
-//    does with a segment (truncate an invalid tail, fold an orphan, delete
-//    a covered one) runs in directory order on the calling thread. The
-//    replay pass runs P key partitions, one thread each: partition p
+//  * Directory. Each file has one rule: recovery reads, validates and
+//    trims; only a successful checkpoint() deletes. It deletes every
+//    snapshot but the one it wrote, and every wal-* file but the live
+//    logs of the current wal_shards and the .corrupt copies: frozen
+//    segments (wal-N.log.R.old) and the logs of shards beyond wal_shards
+//    hold only records its barrier covers. Its rotation renames a live log
+//    to the first R whose name is free, so it never renames over a frozen
+//    segment that a crashed checkpoint left.
+//  * Recovery. open() reads only the newest snapshot-<L>.dlht. If that
+//    does not validate, open() fails with kIOError and changes no file:
+//    an older snapshot is no fallback, since the checkpoint that wrote the
+//    newer one may have deleted the frozen segments between the two
+//    barriers. Then it streams every wal-* file but the .corrupt copies in
+//    two passes that use every CPU the process may run on (P of them).
+//    The validation pass reads each segment in fixed-size chunks, up to P
+//    segments at a time, to find its trusted prefix; once every segment
+//    has been read in full, the calling thread truncates invalid tails.
+//    The replay pass runs P key partitions, one thread each: partition p
 //    applies its own keys' snapshot entries in stream order, then k-way
 //    merges every segment's prefix by LSN and applies its own keys'
 //    records past the snapshot. A key's final state depends only on its
@@ -58,9 +68,6 @@
 //    failing its CRC — possible media rot over committed data) is also
 //    dropped but counted in stats (io_errors, wal_corrupt_tails,
 //    wal_discarded_bytes) and its bytes are preserved as <log>.corrupt.
-//    Frozen segments (wal-N.log.R.old) keep collision-free names across
-//    restarts: the rotation counter is re-seeded from the directory, so a
-//    crashed checkpoint's segment is never overwritten by the next run.
 //    A segment that cannot be read in full (open or read error, in either
 //    pass) fails open() with kIOError; the tier then never logs or
 //    checkpoints, so its records stay on disk for the next open.
@@ -140,6 +147,13 @@ __attribute__((target("sse4.2"))) inline std::uint32_t crc_hw(
     c = static_cast<std::uint32_t>(_mm_crc32_u64(c, w));
     p += 8;
     n -= 8;
+  }
+  if (n >= 4) {  // a WAL record's 28 checked bytes end here
+    std::uint32_t w;
+    std::memcpy(&w, p, 4);
+    c = _mm_crc32_u32(c, w);
+    p += 4;
+    n -= 4;
   }
   while (n > 0) {
     c = _mm_crc32_u8(c, *p++);
@@ -765,13 +779,14 @@ class DurableDLHT {
   DurableDLHT(const DurableDLHT&) = delete;
   DurableDLHT& operator=(const DurableDLHT&) = delete;
 
-  /// Create/attach the durable directory: load the newest valid snapshot,
-  /// replay the WAL suffix, truncate torn tails, open the shard logs for
-  /// append, and start the group-commit thread. Call once, before any
+  /// Create/attach the durable directory: load the newest snapshot, replay
+  /// the WAL suffix past it, truncate invalid tails, open the shard logs
+  /// for append, and start the group-commit thread. Call once, before any
   /// mutation. kOk on success (including a fresh empty dir); kIOError when
-  /// the directory cannot be used or a log segment cannot be read in full
-  /// — the tier then serves memory-only (missing that segment's records)
-  /// and never logs or checkpoints, so the files on disk stay as they are.
+  /// the directory cannot be used, the newest snapshot does not validate
+  /// or a log segment cannot be read in full — the tier then serves
+  /// memory-only (missing what it could not read) and never logs or
+  /// checkpoints, so the files on disk stay as they are.
   /// Recovery replays on one key partition per CPU the process may run on.
   Status open() {
     return open_on(std::max<std::size_t>(allowed_cpus_cached().size(), 1));
@@ -878,10 +893,10 @@ class DurableDLHT {
   ///  2. LSN barrier L (every shard lock held at once: all lsn <= L
   ///     applied),
   ///  3. stream the table into snapshot-<L>.dlht.tmp, fsync, rename,
-  ///  4. delete every frozen segment (all hold only lsn <= L: the ones
-  ///     just rotated by construction, any older generation because its
-  ///     records were replayed before this process's first op) and any
-  ///     older snapshot.
+  ///  4. delete every other snapshot file and every log file but the live
+  ///     shard logs and the .corrupt copies (all hold only lsn <= L: the
+  ///     segments just rotated by construction, any other log because its
+  ///     records were replayed before this process's first op).
   /// On any IO failure the old snapshot and logs stay authoritative.
   Status checkpoint() {
     if (!logging()) return degraded() ? Status::kIOError : Status::kOk;
@@ -890,11 +905,10 @@ class DurableDLHT {
       detail_wal::Shard& sh = *shards_[i];
       std::lock_guard g(sh.mu);
       if (!sh.sync_locked()) return fail_io();
-      // The rotation counter is seeded from the directory at recover(), so
-      // a frozen segment left by a crashed checkpoint is never renamed
-      // over; the existence probe refuses the overwrite outright even if a
-      // stale segment appeared some other way — losing it would drop
-      // committed, not-yet-snapshotted records.
+      // The counter restarts at 0 every open, while a crashed checkpoint's
+      // frozen segments stay on disk until a checkpoint succeeds. Renaming
+      // over one would drop committed records no snapshot covers, so the
+      // existence probe skips every taken name.
       std::string old;
       do {
         old = sh.path + "." + std::to_string(sh.rotations++) + ".old";
@@ -917,8 +931,7 @@ class DurableDLHT {
     }
     const Status st = write_snapshot(barrier);
     if (st != Status::kOk) return st;
-    gc_frozen_segments();
-    gc_snapshots(barrier);
+    gc_files(barrier);
     return Status::kOk;
   }
 
@@ -1049,13 +1062,15 @@ class DurableDLHT {
 
   /// Run `apply(log)`, one core call that makes at most `changes` changes,
   /// under the calling thread's WAL shard lock. `log` appends each change's
-  /// record to the shard buffer (sized beforehand, so it never allocates
-  /// under a bucket lock) with an LSN drawn as it runs; then group commit
-  /// fsyncs the shard once wal_fsync_interval_ops records are pending.
-  /// Returns kIOError when that flush failed (the tier degrades); the
-  /// table changes stand regardless. When the core throws (a resize whose
-  /// mapping fails), the records of the changes it made stay pending and
-  /// the exception propagates.
+  /// whole record to the shard buffer, with an LSN drawn as it runs, and
+  /// counts it; then group commit fsyncs the shard once
+  /// wal_fsync_interval_ops records are pending. The buffer is reserved
+  /// for every change and the clock read before the core call, so nothing
+  /// allocates or reads the clock under a bucket lock. Returns kIOError
+  /// when the flush failed (the tier degrades); the table changes stand
+  /// regardless. When the core throws (a resize whose mapping fails), the
+  /// records of the changes it made stay pending and the exception
+  /// propagates.
   template <class Apply>
   Status logged(std::size_t changes, Apply&& apply) {
     if (logging()) {
@@ -1063,38 +1078,26 @@ class DurableDLHT {
           *shards_[this_thread_index() & (shards_.size() - 1)];
       std::lock_guard g(sh.mu);
       if (logging()) {
-        const std::size_t at = sh.buf.size();
-        sh.buf.resize(at + changes * kWalRecordBytes);
-        std::uint8_t* const first = sh.buf.data() + at;
-        std::size_t added = 0;
-        // Keep the frames the core filled and drop the rest: an unfilled
-        // frame is zeros, which would end the file's trusted prefix.
-        const auto keep_added = [&] {
-          sh.buf.resize(at + added * kWalRecordBytes);
-          if (added == 0) return;
-          detail_wal::bump(sh.records, added);
-          if (sh.pending_ops == 0) sh.oldest_pending_ns = detail_wal::wall_ns();
-          sh.pending_ops += added;
-        };
-        try {
-          apply([&](OpType op, std::uint64_t key, std::uint64_t value) {
-            WalRecord r;
-            r.lsn = lsn_.fetch_add(1, std::memory_order_relaxed) + 1;
-            r.op = op == OpType::kInsert   ? WalOp::kInsert
-                   : op == OpType::kDelete ? WalOp::kDelete
-                                           : WalOp::kPut;
-            r.key = key;
-            r.value = value;
-            wal_encode(r, first + added * kWalRecordBytes);
-            ++added;
-          });
-        } catch (...) {
-          keep_added();
-          throw;
+        const std::size_t need = sh.buf.size() + changes * kWalRecordBytes;
+        if (need > sh.buf.capacity()) {
+          sh.buf.reserve(std::max(need, 2 * sh.buf.capacity()));
         }
-        keep_added();
-        if (added > 0 &&
-            sh.pending_ops >=
+        if (sh.pending_ops == 0) sh.oldest_pending_ns = detail_wal::wall_ns();
+        apply([&](OpType op, std::uint64_t key, std::uint64_t value) {
+          WalRecord r;
+          r.lsn = lsn_.fetch_add(1, std::memory_order_relaxed) + 1;
+          r.op = op == OpType::kInsert   ? WalOp::kInsert
+                 : op == OpType::kDelete ? WalOp::kDelete
+                                         : WalOp::kPut;
+          r.key = key;
+          r.value = value;
+          std::uint8_t frame[kWalRecordBytes];
+          wal_encode(r, frame);
+          sh.buf.insert(sh.buf.end(), frame, frame + kWalRecordBytes);
+          detail_wal::bump(sh.records, 1);
+          ++sh.pending_ops;
+        });
+        if (sh.pending_ops >=
                 std::max<std::size_t>(dopts_.wal_fsync_interval_ops, 1) &&
             !sh.sync_locked()) {
           return fail_io();
@@ -1202,25 +1205,23 @@ class DurableDLHT {
     }
   }
 
-  /// Delete every frozen segment. Only legal right after a successful
-  /// snapshot: freshly rotated segments hold only records the barrier
-  /// covers, and any older generation (a crashed checkpoint, a folded
-  /// orphan shard) was replayed at open(), so its records are <= every
-  /// barrier this process can take.
-  void gc_frozen_segments() {
+  /// Delete every snapshot file but snapshot-<barrier>.dlht (older
+  /// snapshots, a crashed checkpoint's .tmp) and every log file but the
+  /// live shard logs and the .corrupt copies. Only legal right after that
+  /// snapshot succeeded: a frozen segment holds only records its barrier
+  /// covers (this checkpoint rotated it, or open() replayed it before this
+  /// process's first op), and so does the log of a shard beyond
+  /// wal_shards, which open() replayed and nothing has written since.
+  void gc_files(std::uint64_t barrier) {
+    const std::string keep = "snapshot-" + std::to_string(barrier) + ".dlht";
     for (const std::string& name : list_dir()) {
-      if (name.compare(0, 4, "wal-") == 0 && name.size() > 4 &&
-          name.compare(name.size() - 4, 4, ".old") == 0) {
-        ::unlink((dopts_.dir + "/" + name).c_str());
-      }
-    }
-  }
-
-  void gc_snapshots(std::uint64_t keep_lsn) {
-    for (const std::string& name : list_dir()) {
-      std::uint64_t lsn;
-      if (parse_snapshot_name(name, &lsn) && lsn < keep_lsn) {
-        ::unlink((dopts_.dir + "/" + name).c_str());
+      const std::string path = dopts_.dir + "/" + name;
+      const bool live =
+          std::any_of(shards_.begin(), shards_.end(),
+                      [&](const auto& sh) { return sh->path == path; });
+      if ((name.starts_with("snapshot-") && name != keep) ||
+          (name.starts_with("wal-") && !name.ends_with(".corrupt") && !live)) {
+        ::unlink(path.c_str());
       }
     }
   }
@@ -1243,35 +1244,6 @@ class DurableDLHT {
     if (std::sscanf(name.c_str(), "snapshot-%llu.dlht%n", &v, &consumed) == 1 &&
         consumed == static_cast<int>(name.size())) {
       *lsn = v;
-      return true;
-    }
-    return false;
-  }
-
-  /// wal-<shard>.log — a live shard log.
-  static bool parse_live_wal_name(const std::string& name,
-                                  std::uint64_t* shard) {
-    unsigned long long s = 0;
-    int consumed = 0;
-    if (std::sscanf(name.c_str(), "wal-%llu.log%n", &s, &consumed) == 1 &&
-        consumed == static_cast<int>(name.size())) {
-      *shard = s;
-      return true;
-    }
-    return false;
-  }
-
-  /// wal-<shard>.log.<n>.old — a frozen segment (n is the rotation index,
-  /// or a folded orphan's max LSN; either way unique per shard).
-  static bool parse_frozen_wal_name(const std::string& name,
-                                    std::uint64_t* shard, std::uint64_t* n) {
-    unsigned long long s = 0, r = 0;
-    int consumed = 0;
-    if (std::sscanf(name.c_str(), "wal-%llu.log.%llu.old%n", &s, &r,
-                    &consumed) == 2 &&
-        consumed == static_cast<int>(name.size())) {
-      *shard = s;
-      *n = r;
       return true;
     }
     return false;
@@ -1346,7 +1318,9 @@ class DurableDLHT {
   friend struct RecoveryTestHook;
 
   /// Load the snapshot and replay the log on `parts` key partitions. False
-  /// when a log segment could not be read in full.
+  /// when the newest snapshot does not validate or a log segment could not
+  /// be read in full; a failure found before the replay pass changes no
+  /// file.
   bool recover(std::size_t parts) {
     // Draw this thread's index before any helper starts. A new thread
     // takes the smallest free index, which picks its WAL shard: helpers
@@ -1354,45 +1328,39 @@ class DurableDLHT {
     // started later could then share its shard.
     this_thread_index();
     const std::vector<std::string> names = list_dir();
-    // Newest snapshot whose every frame validates wins; corrupt ones are
-    // skipped (an older snapshot + a longer replay still converges). The
-    // replay pass applies its entries.
-    std::vector<std::pair<std::uint64_t, std::string>> snaps;
+    // Only the newest snapshot counts. An older one is no fallback: the
+    // checkpoint that wrote the newer one may have deleted the frozen
+    // segments between their barriers. The replay pass applies its entries.
+    const std::string* newest = nullptr;
+    std::uint64_t newest_lsn = 0;
     for (const std::string& n : names) {
       std::uint64_t lsn;
-      if (parse_snapshot_name(n, &lsn)) snaps.emplace_back(lsn, n);
-      if (n.size() > 4 && n.compare(n.size() - 4, 4, ".tmp") == 0) {
-        ::unlink((dopts_.dir + "/" + n).c_str());  // crashed mid-snapshot
+      if (parse_snapshot_name(n, &lsn) &&
+          (newest == nullptr || lsn > newest_lsn)) {
+        newest = &n;
+        newest_lsn = lsn;
       }
     }
-    std::sort(snaps.rbegin(), snaps.rend());
     SnapshotContents snap;
-    for (const auto& [lsn, name] : snaps) {
+    if (newest != nullptr) {
       std::vector<std::uint8_t> buf;
-      if (read_file(dopts_.dir + "/" + name, &buf) &&
-          snapshot_parse(buf, &snap) && snap.lsn == lsn) {
-        break;
+      if (!read_file(dopts_.dir + "/" + *newest, &buf) ||
+          !snapshot_parse(buf, &snap) || snap.lsn != newest_lsn) {
+        return false;
       }
-      snap = SnapshotContents{};
-      io_errors_.fetch_add(1, std::memory_order_relaxed);  // corrupt snapshot
     }
     recovered_snapshot_lsn_ = snap.lsn;
 
-    // Validation pass over every current and frozen (.old, from a crash
-    // mid-checkpoint or a folded orphan) segment: its trusted prefix, tail
-    // and highest LSN, read in chunks, up to `parts` segments at a time.
-    // Then, in directory order on this thread, tails are truncated,
-    // orphans folded and segments the snapshot covers deleted, so the
-    // replay pass sees only clean prefixes that still hold records past
-    // the snapshot.
+    // Validation pass over every log file (live logs, frozen segments and
+    // the logs of shards beyond wal_shards): its trusted prefix, tail and
+    // highest LSN, read in chunks, up to `parts` segments at a time. Then,
+    // once every segment has been read in full, this thread truncates the
+    // invalid tails, so the replay pass sees only clean prefixes.
     const std::uint64_t validate_start = detail_wal::wall_ns();
     std::vector<std::string> logs;
     for (const std::string& n : names) {
       // Preserved corrupt suffixes are diagnostics, never replayed.
-      if (n.compare(0, 4, "wal-") == 0 &&
-          !(n.size() > 8 && n.compare(n.size() - 8, 8, ".corrupt") == 0)) {
-        logs.push_back(n);
-      }
+      if (n.starts_with("wal-") && !n.ends_with(".corrupt")) logs.push_back(n);
     }
     struct Scan {
       bool ok = false;
@@ -1407,19 +1375,17 @@ class DurableDLHT {
       for (WalRecord r; reader.next(&r);) max_lsn = r.lsn;
       scans[i] = {reader.ok(), reader.tail(), reader.valid_bytes(), max_lsn};
     });
+    // An unreadable segment's trusted prefix and highest LSN are unknown,
+    // so it can be neither truncated nor replayed (nor left out).
+    if (std::any_of(scans.begin(), scans.end(),
+                    [](const Scan& s) { return !s.ok; })) {
+      return false;
+    }
     std::vector<Segment> replay;
     std::uint64_t max_lsn = snap.lsn;
-    bool readable = true;
     for (std::size_t i = 0; i < logs.size(); ++i) {
-      const std::string& n = logs[i];
       const Scan& s = scans[i];
-      // Unreadable: its trusted prefix and highest LSN are unknown, so it
-      // can be neither truncated nor replayed (nor left out).
-      if (!s.ok) {
-        readable = false;
-        break;
-      }
-      std::string path = dopts_.dir + "/" + n;
+      const std::string path = dopts_.dir + "/" + logs[i];
       if (s.tail != WalTail::kClean) {
         if (s.tail == WalTail::kCorrupt) {
           // A full record failed its CRC: committed data may have rotted.
@@ -1440,40 +1406,12 @@ class DurableDLHT {
         // appends starts from a valid frame boundary.
         ::truncate(path.c_str(), static_cast<off_t>(s.valid_bytes));
       }
-      std::uint64_t fshard = 0, fidx = 0;
-      const bool frozen = parse_frozen_wal_name(n, &fshard, &fidx);
-      if (frozen && fshard < shards_.size() &&
-          shards_[fshard]->rotations <= fidx) {
-        // Seed the rotation counter past every frozen name on disk so a
-        // later checkpoint never renames the live log over one (the
-        // in-memory counter alone restarts at 0 every open).
-        shards_[fshard]->rotations = fidx + 1;
-      }
-      std::uint64_t lshard = 0;
-      const bool orphan = parse_live_wal_name(n, &lshard) &&
-                          lshard >= shards_.size();
-      if (s.max_lsn > max_lsn) max_lsn = s.max_lsn;
-      if ((frozen || orphan) && s.max_lsn <= snap.lsn) {
-        ::unlink(path.c_str());  // fully covered by the snapshot
-        continue;
-      }
-      if (orphan) {
-        // The directory was written with more wal_shards than we now run:
-        // this log will never rotate again, so fold it into the frozen
-        // lifecycle — replayed (below) on every open until the next
-        // successful checkpoint GCs it. Its max LSN makes the name unique
-        // (LSNs are global), so generations can never collide.
-        const std::string old =
-            path + "." + std::to_string(s.max_lsn) + ".old";
-        if (::rename(path.c_str(), old.c_str()) == 0) path = old;
-      }
+      max_lsn = std::max(max_lsn, s.max_lsn);
       if (s.max_lsn > snap.lsn) replay.push_back({path, s.valid_bytes});
     }
     recovery_validate_ns_ = detail_wal::wall_ns() - validate_start;
 
     // Replay pass, on `parts` threads unless there is nothing to apply.
-    // When a segment could not be read, only the snapshot applies.
-    if (!readable) replay.clear();
     const std::uint64_t replay_start = detail_wal::wall_ns();
     const std::size_t runs =
         snap.entries.empty() && replay.empty() ? 0 : parts;
@@ -1481,7 +1419,7 @@ class DurableDLHT {
     detail_wal::run_tasks(runs, runs, [&](std::size_t p) {
       done[p] = replay_partition(p, parts, snap, replay);
     });
-    bool whole = readable;
+    bool whole = true;
     replayed_records_ = 0;
     for (const Replayed& d : done) {
       replayed_records_ += d.records;

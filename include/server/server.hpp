@@ -31,6 +31,7 @@
 // traffic stops it parks after one window and uses no CPU.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -83,10 +84,6 @@ struct ServerOptions {
   std::uint32_t wal_group_commit_us = 500;
   /// Durable mode: periodic checkpoint() interval; 0 = no checkpointer.
   unsigned checkpoint_ms = 0;
-  /// Per-connection buffer caps: input is a protocol-error close (frames
-  /// are tiny; only a byte-flood hits this), output is a slow-reader close.
-  std::size_t max_in_buf = std::size_t{1} << 20;
-  std::size_t max_out_buf = std::size_t{16} << 20;
   /// Table geometry and knobs.
   Options table;
 };
@@ -226,6 +223,10 @@ class KvServer {
 
  private:
   static constexpr std::size_t kMaxBatch = 1024;
+  /// Per-connection buffer caps: input is a protocol-error close (frames
+  /// are tiny; only a byte-flood hits this), output is a slow-reader close.
+  static constexpr std::size_t kMaxInBuf = std::size_t{1} << 20;
+  static constexpr std::size_t kMaxOutBuf = std::size_t{16} << 20;
   static constexpr int kEpollEvents = 128;
   static constexpr int kEpollTimeoutMs = 100;  // stop-flag poll granularity
   /// How long a shard polls after its last event before it parks. Waking
@@ -489,12 +490,11 @@ class KvServer {
     bool peer_eof = false;
     for (;;) {
       if (c->in_len == c->in.size()) {
-        if (c->in.size() >= opts_.max_in_buf) {
+        if (c->in.size() >= kMaxInBuf) {
           close_conn(sh, c);  // byte flood with no parseable frame
           return;
         }
-        c->in.resize(c->in.size() * 2 < opts_.max_in_buf ? c->in.size() * 2
-                                                         : opts_.max_in_buf);
+        c->in.resize(std::min(c->in.size() * 2, kMaxInBuf));
       }
       const ssize_t r = ::recv(c->fd, c->in.data() + c->in_len,
                                c->in.size() - c->in_len, 0);
@@ -731,7 +731,7 @@ class KvServer {
 
   void append_out(Shard& sh, Conn* c, const void* data, std::size_t n) {
     if (c->dead) return;
-    if (c->out.size() - c->out_off + n > opts_.max_out_buf) {
+    if (c->out.size() - c->out_off + n > kMaxOutBuf) {
       close_conn(sh, c);  // slow reader: cap, don't buffer unboundedly
       return;
     }

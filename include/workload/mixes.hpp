@@ -164,38 +164,6 @@ auto make_insdel_batch_worker(M& m, std::uint64_t prepopulated,
   };
 }
 
-/// Growth: every op inserts a fresh key (per-thread stride so threads never
-/// collide), so the table's load factor only rises and a timed run crosses
-/// one or more online resizes. Pair with Get workers on other threads to
-/// measure read throughput across a live migration (Fig. 8).
-template <class M>
-auto make_grow_worker(M& m, std::uint64_t start_key, int threads) {
-  return [&m, start_key, threads](int tid) {
-    return [&m, k = start_key + static_cast<std::uint64_t>(tid),
-            stride = static_cast<std::uint64_t>(threads)]()
-               mutable -> std::size_t {
-      m.insert(k, k);
-      k += stride;
-      return 1;
-    };
-  };
-}
-
-/// Zipf(θ) Get mix over the prepopulated keys (Fig. 13's skew axis).
-template <class M>
-auto make_zipf_get_worker(M& m, std::uint64_t keys, double theta,
-                          std::uint64_t seed) {
-  return [&m, keys, theta, seed](int tid) {
-    return [&m, gen = ScrambledZipf(keys, theta,
-                                    splitmix64(seed + 0x400u + tid))]()
-               mutable -> std::size_t {
-      auto v = m.get(gen.next() + 1);
-      sink(&v);
-      return 1;
-    };
-  };
-}
-
 /// Hot-set skewed Gets (Fig. 13): `frac` of lookups hit `hot` fixed keys
 /// shared by every thread, the rest are uniform over the populated range.
 template <class M>

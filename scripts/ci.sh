@@ -5,6 +5,7 @@
 #   scripts/ci.sh main    # Release build + ctest + bench smoke + perfbench
 #                         # and perfbench_pairs self-tests + ASan/UBSan
 #   scripts/ci.sh tsan    # ThreadSanitizer build + concurrency tests only
+#   scripts/ci.sh mutants # every mutant in scripts/mutants.py is killed
 #   scripts/ci.sh docs    # every figure binary documented in REPRODUCING.md
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -247,12 +248,22 @@ run_tsan() {
     KRW=./build-tsan/kill_recover_writer bash tests/kv_loopback_test.sh
 }
 
+run_mutants() {
+  echo "=== mutants: each listed mutant fails the tests named for it ==="
+  # Builds a scratch copy of the tree once per mutant (only the targets
+  # its tests run); a surviving mutant or one whose search text no longer
+  # matches exactly once fails the job.
+  python3 scripts/mutants.py --self-test
+  python3 scripts/mutants.py
+}
+
 case "$mode" in
-  main) run_main ;;
-  tsan) run_tsan ;;
-  docs) run_docs ;;
-  all)  run_docs; run_main; run_tsan ;;
-  *)    echo "usage: scripts/ci.sh [main|tsan|docs|all]" >&2; exit 2 ;;
+  main)    run_main ;;
+  tsan)    run_tsan ;;
+  mutants) run_mutants ;;
+  docs)    run_docs ;;
+  all)     run_docs; run_main; run_tsan; run_mutants ;;
+  *)       echo "usage: scripts/ci.sh [main|tsan|mutants|docs|all]" >&2; exit 2 ;;
 esac
 
 echo "CI OK ($mode)"

@@ -7,9 +7,10 @@
 // per-key order across racing shards, one writer fills one shard, a no-op
 // logs nothing), streamed recovery (LSN merge across segments, the task
 // runner of its parallel passes, a partitioned replay equal to a serial
-// one, a read error in either pass, a memory bound), a resize that fails
-// mid-batch, a fuzz pass over the WAL and snapshot decoders (random bytes
-// + every truncation; run under ASan/UBSan in CI), the streaming WalReader
+// one, a read error in either pass, a corrupt newest snapshot, a memory
+// bound), a resize that fails mid-batch, CRC32C known answers, a fuzz
+// pass over the WAL and snapshot decoders (random bytes + every
+// truncation; run under ASan/UBSan in CI), the streaming WalReader
 // checked against wal_decode, and the WAL shard lock (mutual exclusion,
 // try_lock, waiters that park instead of spinning). The SIGKILL-mid-churn
 // variant lives in kill_recover_test.sh.
@@ -22,6 +23,7 @@
 #include <cstring>
 #include <ctime>
 #include <iterator>
+#include <map>
 #include <mutex>
 #include <new>
 #include <stdexcept>
@@ -101,17 +103,23 @@ void remove_dir(const std::string& dir) {
   ::rmdir(dir.c_str());
 }
 
-std::vector<std::string> wal_files(const std::string& dir) {
+std::vector<std::string> files_starting(const std::string& dir,
+                                        const char* prefix) {
   std::vector<std::string> out;
   if (DIR* d = ::opendir(dir.c_str())) {
     while (struct dirent* e = ::readdir(d)) {
-      if (std::strncmp(e->d_name, "wal-", 4) == 0) {
+      if (e->d_name[0] != '.' &&
+          std::strncmp(e->d_name, prefix, std::strlen(prefix)) == 0) {
         out.push_back(dir + "/" + e->d_name);
       }
     }
     ::closedir(d);
   }
   return out;
+}
+
+std::vector<std::string> wal_files(const std::string& dir) {
+  return files_starting(dir, "wal-");
 }
 
 // A WAL file that holds records. A writer thread logs into its own shard
@@ -129,6 +137,35 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
   std::vector<std::uint8_t> buf;
   CHECK(read_file(path, &buf));
   return buf;
+}
+
+void write_bytes(const std::string& path, const std::uint8_t* p,
+                 std::size_t n) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  CHECK(f != nullptr);
+  if (f == nullptr) return;
+  if (n > 0) CHECK(std::fwrite(p, 1, n, f) == n);  // p may be null at n 0
+  std::fclose(f);
+}
+
+// XOR one byte of a file in place.
+void flip_byte(const std::string& path, long offset, int mask) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  CHECK(f != nullptr);
+  if (f == nullptr) return;
+  std::fseek(f, offset, SEEK_SET);
+  const int c = std::fgetc(f);
+  std::fseek(f, offset, SEEK_SET);
+  std::fputc(c ^ mask, f);
+  std::fclose(f);
+}
+
+// Every file of a directory, by name, with its bytes.
+std::map<std::string, std::vector<std::uint8_t>> dir_contents(
+    const std::string& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> out;
+  for (const std::string& f : files_starting(dir, "")) out[f] = slurp(f);
+  return out;
 }
 
 // Audit: the recovered table holds exactly `expect` (key -> value), with
@@ -541,9 +578,10 @@ void checkpoint_gc_and_cycles() {
 // Regression: frozen-segment names must never collide across restarts.
 // A crash mid-checkpoint (here: the snapshot fsync fails after the WAL was
 // rotated) leaves wal-0.log.R.old holding committed records no snapshot
-// covers. Before the fix, the next run's rotation counter restarted at 0
-// and its first checkpoint renamed the live log over that segment — a
-// second mid-checkpoint crash then lost generation 1 silently.
+// covers. The next run's rotation counter restarts at 0, so only the
+// rotation's existence probe keeps its first checkpoint from renaming the
+// live log over that segment — a second mid-checkpoint crash would then
+// lose generation 1 silently.
 void checkpoint_crash_keeps_frozen_generations() {
   std::puts("checkpoint_crash_keeps_frozen_generations");
   const std::string dir = make_dir();
@@ -606,10 +644,13 @@ void checkpoint_crash_keeps_frozen_generations() {
   remove_dir(dir);
 }
 
+template <class F>
+void on_wal_shard(unsigned shard, unsigned shards, F&& f);
+
 // Reopening a directory with fewer wal_shards than it was written with:
-// the excess shard logs are folded into the frozen-segment lifecycle
-// (replayed, then GC'd by the next successful checkpoint) instead of
-// being re-read forever.
+// open() replays the excess shard logs and leaves them as they are, and
+// the next successful checkpoint deletes them, so they are not re-read
+// forever.
 void fewer_shards_fold_orphan_logs() {
   std::puts("fewer_shards_fold_orphan_logs");
   const std::string dir = make_dir();
@@ -621,12 +662,27 @@ void fewer_shards_fold_orphan_logs() {
       db.put(k, val_of(k));
       expect[k] = val_of(k);
     }
+    on_wal_shard(5, 8, [&] {  // an orphan at 2 shards holds records too
+      for (std::uint64_t k = 2001; k <= 2100; ++k) {
+        db.put(k, val_of(k));
+        expect[k] = val_of(k);
+      }
+    });
     CHECK(db.wal_sync() == Status::kOk);
   }
+  std::map<std::string, std::vector<std::uint8_t>> orphans;
+  for (unsigned shard = 2; shard < 8; ++shard) {
+    const std::string log = dir + "/wal-" + std::to_string(shard) + ".log";
+    orphans[log] = slurp(log);
+  }
+  CHECK(orphans[dir + "/wal-5.log"].size() >= 100 * kWalRecordBytes);
   {
     DurableDLHT db(small_options(), wal(dir, 2));
     CHECK(db.open() == Status::kOk);
     audit_exact(db, expect, "fewer_shards_fold_orphan_logs");
+    for (const auto& [log, bytes] : orphans) {  // open() renames nothing
+      CHECK(::access(log.c_str(), F_OK) == 0 && slurp(log) == bytes);
+    }
     CHECK(db.checkpoint() == Status::kOk);
   }
   // Only the two live logs remain; every orphan (and frozen segment) is
@@ -1092,13 +1148,13 @@ void no_change_logs_nothing() {
 
 // ------------------------------------------------------ streamed recovery
 
-// One key's records alternate between folded-orphan segments and a live
-// log: runs with 8, 2, 8 and 2 WAL shards log the key's put, put, delete
-// and insert from two threads on different shards. The 8-shard runs write
-// from a thread whose shard is an orphan at 2 shards, so each 2-shard open
-// folds that log into a frozen segment; the 2-shard runs write to a live
-// log. Only an LSN-ordered merge of the three files recovers the final
-// value; replaying the files one after another, in any order, does not.
+// One key's records alternate between two files: runs with 8, 2, 8 and 2
+// WAL shards log the key's put, put, delete and insert from two threads on
+// different shards. The 8-shard runs write from a thread whose shard has
+// no live log at 2 shards, so the 2-shard opens replay that log and leave
+// it as it is; the 2-shard runs write to a live log. Only an LSN-ordered
+// merge of the two files recovers the final value; replaying the files
+// one after another, in either order, does not.
 void merge_orders_alternating_segments() {
   std::puts("merge_orders_alternating_segments");
   const std::string dir = make_dir();
@@ -1127,15 +1183,17 @@ void merge_orders_alternating_segments() {
     CHECK(db.open() == Status::kOk);
     CHECK(db.insert(key, 4) == Status::kOk);
   }
-  int frozen = 0;
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (struct dirent* e = ::readdir(d)) {
-      const std::string n = e->d_name;
-      if (n.size() > 4 && n.compare(n.size() - 4, 4, ".old") == 0) ++frozen;
-    }
-    ::closedir(d);
+  std::size_t files = 0, records = 0;  // the key's records, and their files
+  for (const std::string& f : wal_files(dir)) {
+    const auto buf = slurp(f);
+    const auto d = wal_decode(buf.data(), buf.size());
+    const auto n =
+        std::count_if(d.records.begin(), d.records.end(),
+                      [&](const WalRecord& r) { return r.key == key; });
+    files += n > 0;
+    records += static_cast<std::size_t>(n);
   }
-  CHECK(frozen == 2);
+  CHECK(files == 2 && records == 4);
   DurableDLHT db(small_options(), wal(dir, 2));
   CHECK(db.open() == Status::kOk);
   CHECK(db.stats().replayed_records == 4);
@@ -1270,6 +1328,76 @@ void unreadable_segment_fails_open() {
   CHECK(db.stats().replayed_records == kRecords);
   audit_exact(db, expect, "unreadable_segment_fails_open");
   remove_dir(dir);
+}
+
+// Only the newest snapshot is read. One flipped byte in one of its chunks
+// fails open() with kIOError, degraded, and open() changes no file: every
+// snapshot and log stays byte-identical, and the tier refuses to
+// checkpoint. Case (a) has that snapshot alone. In case (b) a second
+// checkpoint deleted the first snapshot and the frozen segments between
+// the two barriers, and the first snapshot is put back beside the rotted
+// second one, as a crash between the checkpoint's segment and snapshot
+// deletes leaves it: falling back to it would lose those 1000 keys. With
+// the byte restored, a reopen recovers every key.
+void corrupt_newest_snapshot_fails_open() {
+  for (const bool second : {false, true}) {
+    std::printf("corrupt_newest_snapshot_fails_open(%s)\n",
+                second ? "older snapshot beside it" : "only snapshot");
+    const std::string dir = make_dir();
+    std::unordered_map<std::uint64_t, std::uint64_t> expect;
+    std::string older;
+    std::vector<std::uint8_t> older_bytes;
+    {
+      DurableDLHT db(small_options(), wal(dir));
+      CHECK(db.open() == Status::kOk);
+      std::uint64_t k = 1;
+      const auto put_n = [&](std::uint64_t n) {
+        for (const std::uint64_t end = k + n; k < end; ++k) {
+          CHECK(db.put(k, val_of(k)) == Status::kOk);
+          expect[k] = val_of(k);
+        }
+      };
+      put_n(1000);
+      CHECK(db.checkpoint() == Status::kOk);
+      if (second) {
+        const auto snaps = files_starting(dir, "snapshot-");
+        CHECK(snaps.size() == 1);
+        if (!snaps.empty()) older = snaps[0];
+        older_bytes = slurp(older);
+        put_n(1000);
+        CHECK(db.checkpoint() == Status::kOk);
+      }
+      put_n(10);
+      CHECK(db.wal_sync() == Status::kOk);
+    }
+    if (second) write_bytes(older, older_bytes.data(), older_bytes.size());
+    std::string newest;
+    for (const std::string& f : files_starting(dir, "snapshot-")) {
+      if (f != older) newest = f;
+    }
+    CHECK(!newest.empty());
+    constexpr long kInChunk = 32 + 8 + 10;  // header, chunk frame, entry 0
+    flip_byte(newest, kInChunk, 0x20);
+    const auto files = dir_contents(dir);
+    CHECK(files.size() == (second ? 2u : 1u) + 4u);  // snapshots, 4 logs
+    {
+      DurableDLHT db(small_options(), wal(dir));
+      CHECK(db.open() == Status::kIOError);
+      CHECK(db.degraded());
+      CHECK(db.stats().io_errors == 1);
+      CHECK(db.checkpoint() == Status::kIOError);
+      CHECK(dir_contents(dir) == files);
+    }
+    CHECK(dir_contents(dir) == files);
+    flip_byte(newest, kInChunk, 0x20);
+    {
+      DurableDLHT db(small_options(), wal(dir));
+      CHECK(db.open() == Status::kOk);
+      CHECK(!db.degraded());
+      audit_exact(db, expect, "corrupt_newest_snapshot_fails_open");
+    }
+    remove_dir(dir);
+  }
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -1454,6 +1582,33 @@ void resize_failure_mid_batch_keeps_log() {
   remove_dir(dir);
 }
 
+// ----------------------------------------------------------------- CRC32C
+
+// The standard CRC-32C check value, and the hardware path equal to the
+// table-driven one for every length 0-64 at every start offset 0-7, so
+// each of its 8-, 4- and 1-byte steps runs at every alignment.
+void crc32c_known_answers() {
+  std::puts("crc32c_known_answers");
+  CHECK(crc32c("123456789", 9) == 0xE3069283u);
+#if DLHT_PROBE_X86_SIMD
+  if (__builtin_cpu_supports("sse4.2") == 0) {
+    std::puts("  no SSE4.2: hardware path not checked");
+    return;
+  }
+  Xoshiro256 rng(splitmix64(0xc3c32c));
+  unsigned char buf[72];
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+  int mismatches = 0;
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 64; ++n) {
+      mismatches += detail_crc::crc_hw(buf + off, n, ~0u) !=
+                    detail_crc::crc_table(buf + off, n, ~0u);
+    }
+  }
+  CHECK(mismatches == 0);
+#endif
+}
+
 // --------------------------------------------------------------- fuzzing
 
 // The decoders are total functions: arbitrary bytes, arbitrary
@@ -1548,15 +1703,6 @@ void fuzz_wal_and_snapshot_decoders() {
 // prefix. Driven by random buffers, mutated and truncated real logs, and
 // logs longer than WalReader::kChunkBytes cut, flipped or LSN-swapped
 // around the chunk boundaries its refill crosses.
-void write_bytes(const std::string& path, const std::uint8_t* p,
-                 std::size_t n) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  CHECK(f != nullptr);
-  if (f == nullptr) return;
-  if (n > 0) CHECK(std::fwrite(p, 1, n, f) == n);  // p may be null at n 0
-  std::fclose(f);
-}
-
 bool reader_matches_decode(const std::string& path, const std::uint8_t* p,
                            std::size_t n) {
   const WalDecodeResult want = wal_decode(p, n);
@@ -1823,8 +1969,10 @@ int main() {
   run_tasks_contract();
   partitioned_replay_matches_serial();
   unreadable_segment_fails_open();
+  corrupt_newest_snapshot_fails_open();
   recovery_memory_is_bounded();
   resize_failure_mid_batch_keeps_log();
+  crc32c_known_answers();
   fuzz_wal_and_snapshot_decoders();
   wal_reader_matches_wal_decode();
   if (g_failures != 0) {
