@@ -67,10 +67,11 @@
 //    signature) is silently dropped; a *corrupt* tail (a full record
 //    failing its CRC — possible media rot over committed data) is also
 //    dropped but counted in stats (io_errors, wal_corrupt_tails,
-//    wal_discarded_bytes) and its bytes are preserved as <log>.corrupt.
+//    wal_discarded_bytes) and its bytes are appended to <log>.corrupt.
 //    A segment that cannot be read in full (open or read error, in either
 //    pass) fails open() with kIOError; the tier then never logs or
-//    checkpoints, so its records stay on disk for the next open.
+//    checkpoints, so its records stay on disk for the next open (when the
+//    validation pass finds the error, the snapshot alone is applied).
 //    Committed ops (those a successful wal_sync() covered) are never lost.
 //    Each shard keeps its own durable prefix, so after a crash an unsynced
 //    earlier write on one shard can be lost while a later write on another
@@ -784,9 +785,11 @@ class DurableDLHT {
   /// for append, and start the group-commit thread. Call once, before any
   /// mutation. kOk on success (including a fresh empty dir); kIOError when
   /// the directory cannot be used, the newest snapshot does not validate
-  /// or a log segment cannot be read in full — the tier then serves
-  /// memory-only (missing what it could not read) and never logs or
-  /// checkpoints, so the files on disk stay as they are.
+  /// or a log segment cannot be read in full. The tier then serves
+  /// memory-only and never logs or checkpoints, so the files on disk stay
+  /// as they are. Its table is empty after a bad snapshot, holds the
+  /// snapshot alone after a segment the validation pass could not read,
+  /// and may hold part of the log after a read error mid-replay.
   /// Recovery replays on one key partition per CPU the process may run on.
   Status open() {
     return open_on(std::max<std::size_t>(allowed_cpus_cached().size(), 1));
@@ -1251,16 +1254,17 @@ class DurableDLHT {
 
   // ----------------------------------------------------------- recovery
 
-  /// Copy the untrusted suffix of a corrupt log (every byte past its
+  /// Append the untrusted suffix of a corrupt log (every byte past its
   /// trusted prefix) to <log>.corrupt in chunks before the log is
-  /// truncated, so a media-rot event leaves evidence an operator can
-  /// inspect. Writes straight through POSIX (never the fault injector —
-  /// this is the diagnostic path, not the durability path); best-effort.
+  /// truncated, so every media-rot event on that log leaves evidence an
+  /// operator can inspect. Writes straight through POSIX (never the fault
+  /// injector — this is the diagnostic path, not the durability path);
+  /// best-effort.
   static void preserve_corrupt_suffix(const std::string& path,
                                       std::uint64_t valid_bytes) {
     const int in = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (in < 0) return;
-    auto out = PosixWritableFile::open(path + ".corrupt", /*truncate=*/true);
+    auto out = PosixWritableFile::open(path + ".corrupt", /*truncate=*/false);
     if (out != nullptr &&
         ::lseek(in, static_cast<off_t>(valid_bytes), SEEK_SET) >= 0) {
       std::vector<std::uint8_t> chunk(WalReader::kChunkBytes);
@@ -1318,9 +1322,10 @@ class DurableDLHT {
   friend struct RecoveryTestHook;
 
   /// Load the snapshot and replay the log on `parts` key partitions. False
-  /// when the newest snapshot does not validate or a log segment could not
-  /// be read in full; a failure found before the replay pass changes no
-  /// file.
+  /// when the newest snapshot does not validate (nothing applies) or a log
+  /// segment could not be read in full (when the validation pass finds it,
+  /// only the snapshot applies); either way, a failure found before the
+  /// replay pass changes no file.
   bool recover(std::size_t parts) {
     // Draw this thread's index before any helper starts. A new thread
     // takes the smallest free index, which picks its WAL shard: helpers
@@ -1376,14 +1381,13 @@ class DurableDLHT {
       scans[i] = {reader.ok(), reader.tail(), reader.valid_bytes(), max_lsn};
     });
     // An unreadable segment's trusted prefix and highest LSN are unknown,
-    // so it can be neither truncated nor replayed (nor left out).
-    if (std::any_of(scans.begin(), scans.end(),
-                    [](const Scan& s) { return !s.ok; })) {
-      return false;
-    }
+    // so it can be neither truncated nor replayed (nor left out): then no
+    // log is touched and only the snapshot applies.
+    const bool readable = std::all_of(scans.begin(), scans.end(),
+                                      [](const Scan& s) { return s.ok; });
     std::vector<Segment> replay;
     std::uint64_t max_lsn = snap.lsn;
-    for (std::size_t i = 0; i < logs.size(); ++i) {
+    for (std::size_t i = 0; readable && i < logs.size(); ++i) {
       const Scan& s = scans[i];
       const std::string path = dopts_.dir + "/" + logs[i];
       if (s.tail != WalTail::kClean) {
@@ -1419,7 +1423,7 @@ class DurableDLHT {
     detail_wal::run_tasks(runs, runs, [&](std::size_t p) {
       done[p] = replay_partition(p, parts, snap, replay);
     });
-    bool whole = true;
+    bool whole = readable;
     replayed_records_ = 0;
     for (const Replayed& d : done) {
       replayed_records_ += d.records;

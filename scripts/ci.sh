@@ -250,9 +250,9 @@ run_tsan() {
 
 run_mutants() {
   echo "=== mutants: each listed mutant fails the tests named for it ==="
-  # Builds a scratch copy of the tree once per mutant (only the targets
-  # its tests run); a surviving mutant or one whose search text no longer
-  # matches exactly once fails the job.
+  # Copies the tree to a temporary directory and rebuilds it once per
+  # mutant (only the targets its tests run); a surviving mutant or one
+  # whose search text no longer matches exactly once fails the job.
   python3 scripts/mutants.py --self-test
   python3 scripts/mutants.py
 }

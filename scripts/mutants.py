@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
 """Mutation check: every listed mutant must be killed by the tests named for it.
 
-    python3 scripts/mutants.py                     # every mutant
-    python3 scripts/mutants.py --only NAME [NAME]  # some of them
-    python3 scripts/mutants.py --work DIR          # keep the copy and build
+    python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py --self-test
 
 A mutant is an exact search/replace in one file plus the ctest names that
 must fail once it is applied. The script copies the source tree (tracked
-and untracked files that git does not ignore) into a scratch directory and
-first checks that each selected mutant's search text occurs exactly once in
-its file. It then configures one Release build there, builds only the
-targets the selected tests run (read from the build's CTestTestfile.cmake),
-and runs those tests on the unmutated copy, which must pass. Then, for each
+and untracked files that git does not ignore) into a temporary directory
+and first checks that each mutant's search text occurs exactly once in its
+file. It then configures one Release build there, builds only the targets
+the mutants' tests run (read from the build's CTestTestfile.cmake), and
+runs those tests on the unmutated copy, which must pass. Then, for each
 mutant in turn, it applies the replacement, rebuilds those targets, runs
 the mutant's tests one by one and restores the file. A mutant survives
 when any of its tests passes.
@@ -20,9 +18,8 @@ when any of its tests passes.
 Exits 1 when a mutant survives, no longer applies (its search text occurs
 zero times or more than once, because the code moved: update the mutant,
 do not drop it), does not build, names a test ctest does not know, or when
-an unmutated test fails. The copy lives in a temporary directory that is
-removed afterwards, or in --work DIR, kept so that a later run rebuilds
-only what changed. The tree the script sits in is never written.
+an unmutated test fails. The temporary directory (under TMPDIR, if set) is
+removed afterwards; the tree the script sits in is never written.
 """
 
 import argparse
@@ -75,6 +72,25 @@ MUTANTS = [
         tests=["recovery_test"],
     ),
     Mutant(
+        name="corrupt_copy_truncates",
+        why="a second corrupt tail on a log overwrites the .corrupt copy "
+            "of the first",
+        file=DURABILITY,
+        search='PosixWritableFile::open(path + ".corrupt", /*truncate=*/false)',
+        replace='PosixWritableFile::open(path + ".corrupt", /*truncate=*/true)',
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="unreadable_drops_snapshot",
+        why="a segment the validation pass cannot read leaves the degraded "
+            "tier without the snapshot it read",
+        file=DURABILITY,
+        search="    for (std::size_t i = 0; readable && i < logs.size(); ++i) {",
+        replace="    if (!readable) return false;\n"
+                "    for (std::size_t i = 0; i < logs.size(); ++i) {",
+        tests=["recovery_test"],
+    ),
+    Mutant(
         name="crc_word_step",
         why="the hardware CRC32C's 4-byte step checksums the wrong word",
         file=DURABILITY,
@@ -112,8 +128,7 @@ def run(cmd, cwd=None, quiet=False):
 # ------------------------------------------------------------ the copy
 
 def copy_tree(src):
-    """Copy the tree's tracked and unignored files into src, rewriting only
-    files whose bytes differ, so a kept build rebuilds only what changed."""
+    """Copy the tree's tracked and unignored files into src."""
     listing = subprocess.run(
         ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
         cwd=ROOT, check=True, capture_output=True).stdout
@@ -122,12 +137,6 @@ def copy_tree(src):
         if not os.path.isfile(path):
             continue  # deleted in the working tree
         dest = os.path.join(src, rel)
-        with open(path, "rb") as f:
-            data = f.read()
-        if os.path.isfile(dest):
-            with open(dest, "rb") as f:
-                if f.read() == data:
-                    continue
         os.makedirs(os.path.dirname(dest), exist_ok=True)
         shutil.copy2(path, dest)
 
@@ -166,13 +175,13 @@ def test_passes(build, name):
 
 # ---------------------------------------------------------------- check
 
-def check(mutants, work):
+def check(work):
     src = os.path.join(work, "src")
     build = os.path.join(work, "build")
     copy_tree(src)
     originals = {}
     errors = []
-    for m in mutants:
+    for m in MUTANTS:
         path = os.path.join(src, m.file)
         if m.file not in originals:
             with open(path, encoding="utf-8", newline="") as f:
@@ -185,25 +194,23 @@ def check(mutants, work):
         fail("mutants that no longer apply (update them, do not drop them):\n  "
              + "\n  ".join(errors))
 
-    configure = ["cmake", "-B", build, "-S", src, "-DCMAKE_BUILD_TYPE=Release"]
-    if shutil.which("ccache"):
-        configure.append("-DCMAKE_CXX_COMPILER_LAUNCHER=ccache")
-    if run(configure, quiet=True) != 0:
+    if run(["cmake", "-B", build, "-S", src, "-DCMAKE_BUILD_TYPE=Release"],
+           quiet=True) != 0:
         fail("cmake configure failed in " + src)
     targets = test_targets(build)
-    unknown = sorted({t for m in mutants for t in m.tests} - set(targets))
+    unknown = sorted({t for m in MUTANTS for t in m.tests} - set(targets))
     if unknown:
         fail("tests ctest does not know: " + ", ".join(unknown))
-    needed = sorted({x for m in mutants for t in m.tests for x in targets[t]})
+    needed = sorted({x for m in MUTANTS for t in m.tests for x in targets[t]})
     print("unmutated: building %s" % " ".join(needed), flush=True)
     if not build_targets(build, needed):
         fail("the unmutated tree does not build")
-    for t in sorted({t for m in mutants for t in m.tests}):
+    for t in sorted({t for m in MUTANTS for t in m.tests}):
         if not test_passes(build, t):
             fail("%s fails on the unmutated tree, so it can kill nothing" % t)
 
     survivors = []
-    for m in mutants:
+    for m in MUTANTS:
         path = os.path.join(src, m.file)
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(apply_mutant(originals[m.file], m))
@@ -211,7 +218,7 @@ def check(mutants, work):
             if not build_targets(build,
                                  {x for t in m.tests for x in targets[t]}):
                 errors.append("%s: the mutated tree does not build" % m.name)
-                print("%-24s DOES NOT BUILD" % m.name, flush=True)
+                print("%-26s DOES NOT BUILD" % m.name, flush=True)
                 continue
             passed = [t for t in m.tests if test_passes(build, t)]
         finally:
@@ -219,15 +226,15 @@ def check(mutants, work):
                 f.write(originals[m.file])
         if passed:
             survivors.append(m.name)
-            print("%-24s SURVIVED (%s passed): %s"
+            print("%-26s SURVIVED (%s passed): %s"
                   % (m.name, ", ".join(passed), m.why), flush=True)
         else:
-            print("%-24s killed by %s" % (m.name, ", ".join(m.tests)),
+            print("%-26s killed by %s" % (m.name, ", ".join(m.tests)),
                   flush=True)
     if errors or survivors:
         fail("%d survived, %d broken:\n  %s"
              % (len(survivors), len(errors), "\n  ".join(survivors + errors)))
-    print("mutants: all %d killed" % len(mutants))
+    print("mutants: all %d killed" % len(MUTANTS))
 
 
 # ------------------------------------------------------------ self-test
@@ -251,29 +258,15 @@ def self_test():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--only", nargs="+", metavar="NAME",
-                    help="check only these mutants")
-    ap.add_argument("--work", help="scratch directory to keep (default: a "
-                    "temporary one, removed afterwards)")
     ap.add_argument("--self-test", action="store_true",
                     help="check the search/replace rule and the list")
     a = ap.parse_args()
     if a.self_test:
         self_test()
         return
-    mutants = MUTANTS
-    if a.only:
-        unknown = set(a.only) - {m.name for m in MUTANTS}
-        if unknown:
-            fail("no such mutant: " + ", ".join(sorted(unknown)))
-        mutants = [m for m in MUTANTS if m.name in a.only]
-    if a.work:
-        os.makedirs(a.work, exist_ok=True)
-        check(mutants, os.path.abspath(a.work))
-        return
     work = tempfile.mkdtemp(prefix="dlht-mutants-")
     try:
-        check(mutants, work)
+        check(work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -456,6 +456,34 @@ void mid_file_corruption_stops_replay() {
   remove_dir(dir);
 }
 
+// Each corrupt tail of a log appends its discarded bytes to <log>.corrupt,
+// so a second rot event on the same log keeps the first one's copy.
+void corrupt_tails_accumulate() {
+  std::puts("corrupt_tails_accumulate");
+  const std::string dir = make_dir();
+  const std::string log = dir + "/wal-0.log";  // the only shard
+  std::vector<std::uint8_t> kept;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    {
+      DurableDLHT db(small_options(), wal(dir, 1));
+      CHECK(db.open() == Status::kOk);
+      for (std::uint64_t k = 1; k <= 100; ++k) {
+        CHECK(db.put(100 * round + k, val_of(k)) == Status::kOk);
+      }
+      CHECK(db.wal_sync() == Status::kOk);
+    }
+    const long last = static_cast<long>(slurp(log).size() - kWalRecordBytes);
+    flip_byte(log, last + 24, 0x01);  // the final record's value
+    const auto buf = slurp(log);
+    kept.insert(kept.end(), buf.begin() + last, buf.end());
+    DurableDLHT db(small_options(), wal(dir, 1));
+    CHECK(db.open() == Status::kOk);
+    CHECK(db.stats().wal_corrupt_tails == 1);
+    CHECK(slurp(log + ".corrupt") == kept);
+  }
+  remove_dir(dir);
+}
+
 // fail-at-Nth-sync: the op that observes the failure reports kIOError, the
 // tier degrades to memory-only (no abort), and the counters surface it.
 void fail_at_nth_sync_degrades() {
@@ -1330,6 +1358,38 @@ void unreadable_segment_fails_open() {
   remove_dir(dir);
 }
 
+// A segment the validation pass cannot read fails open() with kIOError and
+// changes no file, but the degraded tier still serves the snapshot: only
+// the records past it are missing.
+void unreadable_segment_keeps_snapshot() {
+  std::puts("unreadable_segment_keeps_snapshot");
+  const std::string dir = make_dir();
+  std::unordered_map<std::uint64_t, std::uint64_t> snapped;
+  {
+    DurableDLHT db(small_options(), wal(dir, 1));
+    CHECK(db.open() == Status::kOk);
+    for (std::uint64_t k = 1; k <= 110; ++k) {
+      if (k == 101) CHECK(db.checkpoint() == Status::kOk);
+      CHECK(db.put(k, val_of(k)) == Status::kOk);
+      if (k <= 100) snapped[k] = val_of(k);
+    }
+    CHECK(db.wal_sync() == Status::kOk);
+  }
+  const auto files = dir_contents(dir);
+  CHECK(files.size() == 2);  // the snapshot and wal-0.log's 10 records
+  FaultSpec faults;
+  faults.fail_read_at = 1;  // the validation pass's first read
+  {
+    DurableDLHT db(small_options(), wal(dir, 1, &faults));
+    CHECK(db.open() == Status::kIOError);
+    CHECK(db.degraded());
+    CHECK(db.stats().io_errors == 1);
+    audit_exact(db, snapped, "unreadable_segment_keeps_snapshot");
+  }
+  CHECK(dir_contents(dir) == files);
+  remove_dir(dir);
+}
+
 // Only the newest snapshot is read. One flipped byte in one of its chunks
 // fails open() with kIOError, degraded, and open() changes no file: every
 // snapshot and log stays byte-identical, and the tier refuses to
@@ -1952,6 +2012,7 @@ int main() {
   torn_tail_truncated();
   bad_crc_tail_rejected();
   mid_file_corruption_stops_replay();
+  corrupt_tails_accumulate();
   fail_at_nth_sync_degrades();
   injected_write_faults_recover();
   checkpoint_gc_and_cycles();
@@ -1969,6 +2030,7 @@ int main() {
   run_tasks_contract();
   partitioned_replay_matches_serial();
   unreadable_segment_fails_open();
+  unreadable_segment_keeps_snapshot();
   corrupt_newest_snapshot_fails_open();
   recovery_memory_is_bounded();
   resize_failure_mid_batch_keeps_log();
