@@ -6,7 +6,6 @@
 //     --keys N           prepopulated keys        (default: env DLHT_BENCH_KEYS or 1M)
 //     --threads-list a,b threads to sweep         (default: 1,2,4 capped at 4x hw)
 //     --ms M             milliseconds per point   (default: 300)
-//     --scale S          multiply default sizes   (default: 1.0)
 //     --json PATH        additionally write a machine-readable summary
 //                        ({fig, config, ops_per_sec, p50/p99_ns, rows}) to
 //                        PATH when the binary exits — the perf-trajectory
@@ -408,7 +407,6 @@ struct Args {
   std::uint64_t keys = 1u << 20;
   std::vector<int> threads_list;
   double ms = 300;
-  double scale = 1.0;
   bool counters = false;
   std::vector<std::string> maps;  // empty = every design the bench hosts
 
@@ -709,8 +707,6 @@ inline Args parse_args(int argc, char** argv) {
       a.keys = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--ms") {
       a.ms = std::strtod(next(), nullptr);
-    } else if (arg == "--scale") {
-      a.scale = std::strtod(next(), nullptr);
     } else if (arg == "--json") {
       json_sink().path = next();
     } else if (arg == "--threads-list") {

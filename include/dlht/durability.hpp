@@ -47,31 +47,29 @@
 //    hold only records its barrier covers. Its rotation renames a live log
 //    to the first R whose name is free, so it never renames over a frozen
 //    segment that a crashed checkpoint left.
-//  * Recovery. open() reads only the newest snapshot-<L>.dlht. If that
-//    does not validate, open() fails with kIOError and changes no file:
-//    an older snapshot is no fallback, since the checkpoint that wrote the
-//    newer one may have deleted the frozen segments between the two
-//    barriers. Then it streams every wal-* file but the .corrupt copies in
-//    two passes that use every CPU the process may run on (P of them).
-//    The validation pass reads each segment in fixed-size chunks, up to P
-//    segments at a time, to find its trusted prefix; once every segment
-//    has been read in full, the calling thread truncates invalid tails.
-//    The replay pass runs P key partitions, one thread each: partition p
-//    applies its own keys' snapshot entries in stream order, then k-way
-//    merges every segment's prefix by LSN and applies its own keys'
-//    records past the snapshot. A key's final state depends only on its
-//    own records in LSN order, so every key sees the order a serial replay
-//    gives it. Memory beyond the table and the snapshot's entries is
-//    O(P x segments x chunk), however long the log. Each partition decodes
-//    every segment. A *torn* tail (a partial final record — the SIGKILL
-//    signature) is silently dropped; a *corrupt* tail (a full record
+//  * Recovery. open() reads the newest snapshot-<L>.dlht (an older one is no
+//    fallback: the checkpoint that wrote the newer one may have deleted the
+//    frozen segments between the two barriers) and every wal-* file but the
+//    .corrupt copies, each through one ChunkReader, in two passes on P
+//    threads (the CPUs the process may run on). The validation pass reads up
+//    to P files at a time, the snapshot to its footer and each segment to the
+//    end of its trusted prefix. A snapshot that does not validate fails
+//    open() with kIOError before any file changes; else the calling thread
+//    truncates invalid tails. The replay pass runs P key partitions: each
+//    streams the snapshot for its own keys' entries, then k-way merges every
+//    segment's prefix by LSN and applies its own keys' records past the
+//    snapshot, so every key sees the order a serial replay gives it. Memory
+//    beyond the table is O(P x files x chunk), however long the log or large
+//    the snapshot; P is capped so that P x files descriptors stay under half
+//    the soft RLIMIT_NOFILE. A *torn* tail (a partial final record — the
+//    SIGKILL signature) is silently dropped; a *corrupt* tail (a full record
 //    failing its CRC — possible media rot over committed data) is also
 //    dropped but counted in stats (io_errors, wal_corrupt_tails,
-//    wal_discarded_bytes) and its bytes are appended to <log>.corrupt.
-//    A segment that cannot be read in full (open or read error, in either
-//    pass) fails open() with kIOError; the tier then never logs or
-//    checkpoints, so its records stay on disk for the next open (when the
-//    validation pass finds the error, the snapshot alone is applied).
+//    wal_discarded_bytes) and its bytes are appended to <log>.corrupt. A file
+//    that cannot be read in full fails open() with kIOError; the tier then
+//    never logs or checkpoints, so the files stay on disk for the next open.
+//    It holds the snapshot alone when the validation pass found the error,
+//    part of the table when the replay pass did.
 //    Committed ops (those a successful wal_sync() covered) are never lost.
 //    Each shard keeps its own durable prefix, so after a crash an unsynced
 //    earlier write on one shard can be lost while a later write on another
@@ -106,6 +104,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -186,6 +185,14 @@ inline std::uint32_t crc32c(const void* data, std::size_t n,
   return ~detail_crc::crc_table(p, n, c);
 }
 
+/// The T stored at p, which need not be aligned.
+template <class T>
+T load_as(const std::uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 // ------------------------------------------------------- fault injection
 
 /// Knobs for the FaultyFile wrapper. Counters are shared across every file
@@ -206,7 +213,8 @@ struct FaultSpec {
   /// Nth WAL segment read hits a read error after its first chunk, as a
   /// failing disk would. Recovery's validation reads come first, one per
   /// segment; then the replay pass reads each segment it replays once per
-  /// key partition, so one (partition, segment) read fails.
+  /// key partition, so one (partition, segment) read fails. Snapshot reads
+  /// are not counted.
   std::uint64_t fail_read_at = 0;
 
   std::atomic<std::uint64_t> writes{0};
@@ -399,58 +407,45 @@ inline WalDecodeResult wal_decode(const std::uint8_t* p, std::size_t n) {
   return out;
 }
 
-/// Streaming counterpart of wal_decode over a log file: reads it in
-/// fixed-size chunks, so memory is O(chunk) however long the log is, and
-/// applies the same per-record rules. next() yields records until the end
-/// of the trusted prefix; tail() and valid_bytes() then describe what
-/// ended it, exactly as wal_decode would over the whole file.
-class WalReader {
+/// A file read front to back through one fixed-size buffer, so memory is
+/// O(chunk) however long the file is: every file recovery validates or
+/// replays is read through one.
+class ChunkReader {
  public:
-  static constexpr std::size_t kChunkBytes = 2048 * kWalRecordBytes;
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
 
   /// `faults` (may be null) counts this read toward FaultSpec::fail_read_at.
-  explicit WalReader(const std::string& path, FaultSpec* faults = nullptr)
+  explicit ChunkReader(const std::string& path, FaultSpec* faults = nullptr)
       : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
     inject_read_error_ =
         faults != nullptr && faults->fail_read_at != 0 &&
         faults->reads.fetch_add(1, std::memory_order_relaxed) + 1 ==
             faults->fail_read_at;
   }
-  ~WalReader() {
+  ~ChunkReader() {
     if (fd_ >= 0) ::close(fd_);
   }
-  WalReader(const WalReader&) = delete;
-  WalReader& operator=(const WalReader&) = delete;
+  ChunkReader(const ChunkReader&) = delete;
+  ChunkReader& operator=(const ChunkReader&) = delete;
 
-  /// False when the file could not be opened or a read failed: nothing it
-  /// yielded describes the whole file then.
+  /// False when the file could not be opened or a read failed: nothing
+  /// read from it describes the whole file then.
   bool ok() const { return fd_ >= 0 && !read_error_; }
 
-  bool next(WalRecord* r) {
-    if (done_) return false;
-    if (len_ - off_ < kWalRecordBytes) refill();
-    if (len_ - off_ < kWalRecordBytes) {
-      done_ = true;
-      tail_ = len_ > off_ ? WalTail::kTorn : WalTail::kClean;
-      return false;
-    }
-    if (!wal_decode_record(buf_.data() + off_, prev_lsn_, r)) {
-      done_ = true;
-      tail_ = WalTail::kCorrupt;
-      return false;
-    }
-    prev_lsn_ = r->lsn;
-    off_ += kWalRecordBytes;
-    valid_bytes_ += kWalRecordBytes;
-    return true;
+  /// Consume the next n bytes and point at them, in place until the next
+  /// call; null, consuming nothing, when fewer are left to read (buffered()
+  /// then counts them) or n exceeds the buffer.
+  const std::uint8_t* take(std::size_t n) {
+    if (len_ - off_ < n) refill();
+    if (len_ - off_ < n) return nullptr;
+    off_ += n;
+    return buf_.data() + off_ - n;
   }
-
-  WalTail tail() const { return tail_; }
-  std::uint64_t valid_bytes() const { return valid_bytes_; }
+  std::size_t buffered() const { return len_ - off_; }
 
  private:
   void refill() {
-    if (fd_ < 0) return;
+    if (fd_ < 0 || read_error_) return;
     if (inject_read_error_ && !buf_.empty()) {  // past the first chunk
       read_error_ = true;
       return;
@@ -473,12 +468,41 @@ class WalReader {
   int fd_;
   std::vector<std::uint8_t> buf_;
   std::size_t off_ = 0, len_ = 0;
+  bool read_error_ = false;
+  bool inject_read_error_ = false;
+};
+
+/// Streaming counterpart of wal_decode over a log file: the same
+/// per-record rules over a ChunkReader. next() yields records until the
+/// end of the trusted prefix; tail() and valid_bytes() then describe what
+/// ended it, exactly as wal_decode would over the whole file.
+class WalReader : public ChunkReader {
+ public:
+  using ChunkReader::ChunkReader;
+
+  bool next(WalRecord* r) {
+    if (done_) return false;
+    const std::uint8_t* rec = take(kWalRecordBytes);
+    if (rec == nullptr || !wal_decode_record(rec, prev_lsn_, r)) {
+      done_ = true;
+      tail_ = rec != nullptr      ? WalTail::kCorrupt
+              : buffered() > 0 ? WalTail::kTorn
+                               : WalTail::kClean;
+      return false;
+    }
+    prev_lsn_ = r->lsn;
+    valid_bytes_ += kWalRecordBytes;
+    return true;
+  }
+
+  WalTail tail() const { return tail_; }
+  std::uint64_t valid_bytes() const { return valid_bytes_; }
+
+ private:
   std::uint64_t prev_lsn_ = 0;
   std::uint64_t valid_bytes_ = 0;
   WalTail tail_ = WalTail::kClean;
   bool done_ = false;
-  bool read_error_ = false;
-  bool inject_read_error_ = false;
 };
 
 // ------------------------------------------------------- snapshot format
@@ -490,84 +514,52 @@ class WalReader {
 //                 [klen u32][vlen u32][key bytes][value bytes]
 //                 (klen = vlen = 8 for the u64 table)
 //   footer:       a len==0 chunk header, then [count u64][crc u32]
-// Every frame validates before any entry is applied, so a corrupt
-// snapshot never half-loads.
+// Recovery reads the whole file through before it applies any entry, so a
+// corrupt snapshot never half-loads.
 
 inline constexpr std::uint64_t kSnapshotMagic = 0x31504e5354484c44ull;  // DLHTSNP1
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 inline constexpr std::size_t kSnapshotChunkTarget = 60 * 1024;
+inline constexpr std::size_t kSnapshotEntryBytes = 24;
+static_assert(8 + kSnapshotChunkTarget + kSnapshotEntryBytes <=
+              ChunkReader::kChunkBytes);  // a framed chunk fits the buffer
 
-inline bool read_file(const std::string& path, std::vector<std::uint8_t>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long sz = std::ftell(f);
-  if (sz < 0) {
-    std::fclose(f);
-    return false;
+/// Stream the snapshot at `path` into f(key, value), checking its header
+/// first and each chunk's frame (a length the buffer holds, and its CRC)
+/// before f sees any of the chunk's entries. Answers the header's LSN only
+/// at a valid footer whose count matches the entries f saw.
+template <class F>
+std::optional<std::uint64_t> stream_snapshot(const std::string& path, F&& f) {
+  ChunkReader in(path);
+  const std::uint8_t* p = in.take(32);
+  if (p == nullptr || load_as<std::uint64_t>(p) != kSnapshotMagic ||
+      load_as<std::uint32_t>(p + 8) != kSnapshotVersion ||
+      load_as<std::uint32_t>(p + 24) != crc32c(p, 24)) {
+    return std::nullopt;
   }
-  std::fseek(f, 0, SEEK_SET);
-  out->resize(static_cast<std::size_t>(sz));
-  const std::size_t got = sz == 0 ? 0 : std::fread(out->data(), 1, out->size(), f);
-  std::fclose(f);
-  return got == out->size();
-}
-
-/// Parsed-and-validated snapshot: entries are only exposed when every
-/// frame (header, each chunk, footer count) checks out.
-struct SnapshotContents {
-  std::uint64_t lsn = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-};
-
-inline bool snapshot_parse(const std::vector<std::uint8_t>& buf,
-                           SnapshotContents* out) {
-  const std::uint8_t* p = buf.data();
-  std::size_t n = buf.size();
-  if (n < 32) return false;
-  std::uint64_t magic;
-  std::uint32_t version, crc;
-  std::memcpy(&magic, p, 8);
-  std::memcpy(&version, p + 8, 4);
-  std::memcpy(&crc, p + 24, 4);
-  if (magic != kSnapshotMagic || version != kSnapshotVersion) return false;
-  if (crc != crc32c(p, 24)) return false;
-  std::memcpy(&out->lsn, p + 16, 8);
-  std::size_t off = 32;
-  out->entries.clear();
-  out->entries.reserve((n - off) / 24);  // each entry takes 24 bytes here
-  for (;;) {
-    if (n - off < 8) return false;
-    std::uint32_t len, ccrc;
-    std::memcpy(&len, p + off, 4);
-    std::memcpy(&ccrc, p + off + 4, 4);
-    off += 8;
-    if (len == 0) {  // footer
-      if (n - off < 12) return false;
-      std::uint64_t count;
-      std::uint32_t fcrc;
-      std::memcpy(&count, p + off, 8);
-      std::memcpy(&fcrc, p + off + 8, 4);
-      if (fcrc != crc32c(p + off, 8)) return false;
-      return out->entries.size() == count;
+  const std::uint64_t lsn = load_as<std::uint64_t>(p + 16);
+  for (std::uint64_t count = 0;;) {
+    if ((p = in.take(8)) == nullptr) return std::nullopt;
+    const std::uint32_t len = load_as<std::uint32_t>(p);
+    const std::uint32_t crc = load_as<std::uint32_t>(p + 4);
+    if (len == 0) {  // footer: [count u64][crc u32]
+      p = in.take(12);
+      if (p == nullptr || load_as<std::uint32_t>(p + 8) != crc32c(p, 8) ||
+          load_as<std::uint64_t>(p) != count) {
+        return std::nullopt;
+      }
+      return lsn;
     }
-    if (len > n - off) return false;
-    if (ccrc != crc32c(p + off, len)) return false;
-    std::size_t coff = 0;
-    while (coff < len) {
-      if (len - coff < 8) return false;
-      std::uint32_t klen, vlen;
-      std::memcpy(&klen, p + off + coff, 4);
-      std::memcpy(&vlen, p + off + coff + 4, 4);
-      coff += 8;
-      if (klen != 8 || vlen != 8 || len - coff < 16) return false;
-      std::uint64_t k, v;
-      std::memcpy(&k, p + off + coff, 8);
-      std::memcpy(&v, p + off + coff + 8, 8);
-      coff += 16;
-      out->entries.emplace_back(k, v);
+    p = len % kSnapshotEntryBytes == 0 ? in.take(len) : nullptr;
+    if (p == nullptr || crc != crc32c(p, len)) return std::nullopt;
+    for (const std::uint8_t* e = p; e < p + len; e += kSnapshotEntryBytes) {
+      if (load_as<std::uint32_t>(e) != 8 ||
+          load_as<std::uint32_t>(e + 4) != 8) {
+        return std::nullopt;
+      }
+      f(load_as<std::uint64_t>(e + 8), load_as<std::uint64_t>(e + 16));
+      ++count;
     }
-    off += len;
   }
 }
 
@@ -785,12 +777,12 @@ class DurableDLHT {
   /// for append, and start the group-commit thread. Call once, before any
   /// mutation. kOk on success (including a fresh empty dir); kIOError when
   /// the directory cannot be used, the newest snapshot does not validate
-  /// or a log segment cannot be read in full. The tier then serves
-  /// memory-only and never logs or checkpoints, so the files on disk stay
-  /// as they are. Its table is empty after a bad snapshot, holds the
-  /// snapshot alone after a segment the validation pass could not read,
-  /// and may hold part of the log after a read error mid-replay.
-  /// Recovery replays on one key partition per CPU the process may run on.
+  /// or a file cannot be read in full. The tier then serves memory-only
+  /// and never logs or checkpoints, so the files on disk stay as they are.
+  /// Its table is empty after a bad snapshot, holds the snapshot alone
+  /// after a segment the validation pass could not read, and may hold part
+  /// of the files after a read error mid-replay. Recovery replays on one
+  /// key partition per CPU the process may run on (see recover()).
   Status open() {
     return open_on(std::max<std::size_t>(allowed_cpus_cached().size(), 1));
   }
@@ -957,9 +949,9 @@ class DurableDLHT {
     std::uint64_t recovered_snapshot_lsn = 0;
     std::uint64_t replayed_records = 0;
     /// How open()'s recovery spent its time: the key partitions its replay
-    /// pass ran on (0 when there was nothing to replay), and the wall time
-    /// of its validation pass and of its replay pass (which applies the
-    /// snapshot's entries as well as the log's records).
+    /// pass ran on (0 when there was no file to replay), and the wall time
+    /// of its validation pass and of its replay pass (both read the
+    /// snapshot as well as the log).
     std::uint64_t recovery_partitions = 0;
     std::uint64_t recovery_validate_ns = 0;
     std::uint64_t recovery_replay_ns = 0;
@@ -1167,7 +1159,7 @@ class DurableDLHT {
     };
     core_.for_each([&](std::uint64_t k, std::uint64_t v) {
       if (!ok) return;
-      std::uint8_t e[24];
+      std::uint8_t e[kSnapshotEntryBytes];
       const std::uint32_t kl = 8, vl = 8;
       std::memcpy(e, &kl, 4);
       std::memcpy(e + 4, &vl, 4);
@@ -1267,7 +1259,7 @@ class DurableDLHT {
     auto out = PosixWritableFile::open(path + ".corrupt", /*truncate=*/false);
     if (out != nullptr &&
         ::lseek(in, static_cast<off_t>(valid_bytes), SEEK_SET) >= 0) {
-      std::vector<std::uint8_t> chunk(WalReader::kChunkBytes);
+      std::vector<std::uint8_t> chunk(ChunkReader::kChunkBytes);
       for (;;) {
         const ssize_t got = ::read(in, chunk.data(), chunk.size());
         if (got < 0 && errno == EINTR) continue;
@@ -1322,51 +1314,39 @@ class DurableDLHT {
   friend struct RecoveryTestHook;
 
   /// Load the snapshot and replay the log on `parts` key partitions. False
-  /// when the newest snapshot does not validate (nothing applies) or a log
-  /// segment could not be read in full (when the validation pass finds it,
-  /// only the snapshot applies); either way, a failure found before the
-  /// replay pass changes no file.
+  /// when the newest snapshot does not validate (nothing applies) or a file
+  /// could not be read in full (when the validation pass finds it, only
+  /// the snapshot applies); either way, a failure found before the replay
+  /// pass changes no file.
   bool recover(std::size_t parts) {
     // Draw this thread's index before any helper starts. A new thread
     // takes the smallest free index, which picks its WAL shard: helpers
     // that drew first would push this thread's index up, and threads
     // started later could then share its shard.
     this_thread_index();
-    const std::vector<std::string> names = list_dir();
     // Only the newest snapshot counts. An older one is no fallback: the
     // checkpoint that wrote the newer one may have deleted the frozen
-    // segments between their barriers. The replay pass applies its entries.
-    const std::string* newest = nullptr;
-    std::uint64_t newest_lsn = 0;
-    for (const std::string& n : names) {
+    // segments between their barriers.
+    std::string snapshot;  // its path, empty when there is none
+    std::uint64_t snap_lsn = 0;
+    std::vector<std::string> logs;
+    for (const std::string& n : list_dir()) {
       std::uint64_t lsn;
       if (parse_snapshot_name(n, &lsn) &&
-          (newest == nullptr || lsn > newest_lsn)) {
-        newest = &n;
-        newest_lsn = lsn;
+          (snapshot.empty() || lsn > snap_lsn)) {
+        snapshot = dopts_.dir + "/" + n;
+        snap_lsn = lsn;
       }
-    }
-    SnapshotContents snap;
-    if (newest != nullptr) {
-      std::vector<std::uint8_t> buf;
-      if (!read_file(dopts_.dir + "/" + *newest, &buf) ||
-          !snapshot_parse(buf, &snap) || snap.lsn != newest_lsn) {
-        return false;
-      }
-    }
-    recovered_snapshot_lsn_ = snap.lsn;
-
-    // Validation pass over every log file (live logs, frozen segments and
-    // the logs of shards beyond wal_shards): its trusted prefix, tail and
-    // highest LSN, read in chunks, up to `parts` segments at a time. Then,
-    // once every segment has been read in full, this thread truncates the
-    // invalid tails, so the replay pass sees only clean prefixes.
-    const std::uint64_t validate_start = detail_wal::wall_ns();
-    std::vector<std::string> logs;
-    for (const std::string& n : names) {
       // Preserved corrupt suffixes are diagnostics, never replayed.
       if (n.starts_with("wal-") && !n.ends_with(".corrupt")) logs.push_back(n);
     }
+
+    // Validation pass, up to `parts` files at a time: the snapshot to its
+    // footer, and each log file (live log, frozen segment or the log of a
+    // shard beyond wal_shards) for its trusted prefix, tail and highest
+    // LSN. Then, once every file has been read in full, this thread
+    // truncates the invalid tails, so the replay pass sees clean prefixes.
+    const std::uint64_t validate_start = detail_wal::wall_ns();
     struct Scan {
       bool ok = false;
       WalTail tail = WalTail::kClean;
@@ -1374,19 +1354,27 @@ class DurableDLHT {
       std::uint64_t max_lsn = 0;
     };
     std::vector<Scan> scans(logs.size());
-    detail_wal::run_tasks(logs.size(), parts, [&](std::size_t i) {
-      WalReader reader(dopts_.dir + "/" + logs[i], dopts_.faults);
-      std::uint64_t max_lsn = 0;
-      for (WalRecord r; reader.next(&r);) max_lsn = r.lsn;
-      scans[i] = {reader.ok(), reader.tail(), reader.valid_bytes(), max_lsn};
+    bool snap_ok = true;
+    detail_wal::run_tasks(logs.size() + 1, parts, [&](std::size_t i) {
+      if (i > 0) {
+        WalReader reader(dopts_.dir + "/" + logs[i - 1], dopts_.faults);
+        std::uint64_t max_lsn = 0;
+        for (WalRecord r; reader.next(&r);) max_lsn = r.lsn;
+        scans[i - 1] = {reader.ok(), reader.tail(), reader.valid_bytes(),
+                        max_lsn};
+      } else if (!snapshot.empty()) {
+        snap_ok = stream_snapshot(snapshot, [](auto, auto) {}) == snap_lsn;
+      }
     });
+    if (!snap_ok) return false;
+    recovered_snapshot_lsn_ = snap_lsn;
     // An unreadable segment's trusted prefix and highest LSN are unknown,
     // so it can be neither truncated nor replayed (nor left out): then no
     // log is touched and only the snapshot applies.
     const bool readable = std::all_of(scans.begin(), scans.end(),
                                       [](const Scan& s) { return s.ok; });
     std::vector<Segment> replay;
-    std::uint64_t max_lsn = snap.lsn;
+    std::uint64_t max_lsn = snap_lsn;
     for (std::size_t i = 0; readable && i < logs.size(); ++i) {
       const Scan& s = scans[i];
       const std::string path = dopts_.dir + "/" + logs[i];
@@ -1411,17 +1399,23 @@ class DurableDLHT {
         ::truncate(path.c_str(), static_cast<off_t>(s.valid_bytes));
       }
       max_lsn = std::max(max_lsn, s.max_lsn);
-      if (s.max_lsn > snap.lsn) replay.push_back({path, s.valid_bytes});
+      if (s.max_lsn > snap_lsn) replay.push_back({path, s.valid_bytes});
     }
     recovery_validate_ns_ = detail_wal::wall_ns() - validate_start;
 
-    // Replay pass, on `parts` threads unless there is nothing to apply.
+    // Replay pass, on `parts` threads unless there is no file to replay.
+    // A partition holds a descriptor for each file it reads, so P x files
+    // stays under half the soft RLIMIT_NOFILE, whatever the CPU count.
     const std::uint64_t replay_start = detail_wal::wall_ns();
-    const std::size_t runs =
-        snap.entries.empty() && replay.empty() ? 0 : parts;
+    const std::size_t files = replay.size() + !snapshot.empty();
+    struct rlimit fds {};
+    if (files > 0 && ::getrlimit(RLIMIT_NOFILE, &fds) == 0) {
+      parts = std::clamp<std::size_t>(fds.rlim_cur / 2 / files, 1, parts);
+    }
+    const std::size_t runs = files == 0 ? 0 : parts;
     std::vector<Replayed> done(runs);
     detail_wal::run_tasks(runs, runs, [&](std::size_t p) {
-      done[p] = replay_partition(p, parts, snap, replay);
+      done[p] = replay_partition(p, parts, snapshot, snap_lsn, replay);
     });
     bool whole = readable;
     replayed_records_ = 0;
@@ -1444,7 +1438,7 @@ class DurableDLHT {
   };
 
   /// What one replay partition did: the log records it applied, and
-  /// whether every segment it read reached the end of its validated prefix.
+  /// whether it read every file as far as the validation pass did.
   struct Replayed {
     std::uint64_t records = 0;
     bool whole = true;
@@ -1464,11 +1458,11 @@ class DurableDLHT {
   /// merge of every segment by LSN, each read in chunks up to its
   /// validated prefix. Files are strictly LSN-ordered and
   /// DLHT::execute_batch keeps request order, so each key ends as a
-  /// serial replay leaves it. `whole` is false when a segment ended short
-  /// of its validated prefix (it could not be reopened, or a read
-  /// failed): the partition's records past that point were not applied.
+  /// serial replay leaves it. `whole` is false when a file ended short of
+  /// what the validation pass read (it could not be reopened, or a read
+  /// failed): the partition's keys past that point were not applied.
   Replayed replay_partition(std::size_t part, std::size_t parts,
-                            const SnapshotContents& snap,
+                            const std::string& snapshot, std::uint64_t snap_lsn,
                             const std::vector<Segment>& segments) {
     Request batch[kGroupChunk];
     Reply replies[kGroupChunk];
@@ -1480,8 +1474,11 @@ class DurableDLHT {
         pending = 0;
       }
     };
-    for (const auto& [k, v] : snap.entries) {
-      if (partition_of(k, parts) == part) add(OpType::kPut, k, v);
+    Replayed out;
+    if (!snapshot.empty()) {
+      out.whole = stream_snapshot(snapshot, [&](auto k, auto v) {
+                    if (partition_of(k, parts) == part) add(OpType::kPut, k, v);
+                  }).has_value();
     }
     struct Head {
       WalRecord rec;
@@ -1492,13 +1489,12 @@ class DurableDLHT {
     };
     std::vector<std::unique_ptr<WalReader>> readers;
     std::vector<Head> heap;
-    Replayed out;
     // The next record of segment i that the partition applies. The others
     // never enter the merge: the order among the partition's own records
     // is all its keys need.
     const auto next = [&](std::size_t i, WalRecord* r) {
       while (readers[i]->next(r)) {
-        if (r->lsn > snap.lsn && partition_of(r->key, parts) == part) {
+        if (r->lsn > snap_lsn && partition_of(r->key, parts) == part) {
           return true;
         }
       }

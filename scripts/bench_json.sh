@@ -33,7 +33,7 @@ fi
 if [ ! -x "$build/micro_ops" ]; then
   cmake -B "$build" -S . "${launcher[@]}"
 fi
-cmake --build "$build" -j
+cmake --build "$build" -j "$(nproc)"
 
 mkdir -p "$out"
 

@@ -103,7 +103,7 @@ run_docs() {
 run_main() {
   echo "=== configure + build (Release) ==="
   cmake -B build -S . "${launcher[@]}"
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
 
   echo "=== ctest ==="
   ctest --test-dir build --output-on-failure
@@ -159,7 +159,7 @@ run_main() {
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -O1" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-  cmake --build build-asan -j --target dlht_test resize_churn_test \
+  cmake --build build-asan -j "$(nproc)" --target dlht_test resize_churn_test \
     shrink_churn_test epoch_test rng_test apps_test probe_equivalence_test \
     recovery_test kill_recover_writer protocol_test dlht_server kv_client \
     topology_test perf_counters_test baseline_equivalence_test
@@ -209,7 +209,7 @@ run_tsan() {
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -O1" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-  cmake --build build-tsan -j --target dlht_test resize_churn_test \
+  cmake --build build-tsan -j "$(nproc)" --target dlht_test resize_churn_test \
     shrink_churn_test epoch_test apps_test probe_equivalence_test \
     fig18_ycsb recovery_test kill_recover_writer protocol_test \
     dlht_server kv_client topology_test baseline_equivalence_test

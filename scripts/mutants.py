@@ -45,12 +45,12 @@ MUTANTS = [
         why="recovery reads an invalid newest snapshot as no snapshot and "
             "replays the log alone",
         file=DURABILITY,
-        search="""          !snapshot_parse(buf, &snap) || snap.lsn != newest_lsn) {
-        return false;
-      }""",
-        replace="""          !snapshot_parse(buf, &snap) || snap.lsn != newest_lsn) {
-        snap = SnapshotContents{};
-      }""",
+        search="    if (!snap_ok) return false;\n",
+        replace="""    if (!snap_ok) {
+      snapshot.clear();
+      snap_lsn = 0;
+    }
+""",
         tests=["recovery_test"],
     ),
     Mutant(
@@ -88,6 +88,72 @@ MUTANTS = [
         search="    for (std::size_t i = 0; readable && i < logs.size(); ++i) {",
         replace="    if (!readable) return false;\n"
                 "    for (std::size_t i = 0; i < logs.size(); ++i) {",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="torn_tail_clean",
+        why="a partial final record reads as a clean end, so recovery "
+            "leaves it in the log and appends after it",
+        file=DURABILITY,
+        search="buffered() > 0 ? WalTail::kTorn",
+        replace="buffered() > 0 ? WalTail::kClean",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="replay_trusts_short_segment",
+        why="the replay pass drops its whole-segment check, so a read error "
+            "mid-replay loses the rest of the segment while open() answers "
+            "kOk",
+        file=DURABILITY,
+        search="""      out.whole &= readers[i]->ok() &&
+                   readers[i]->valid_bytes() == segments[i].valid_bytes;
+""",
+        replace="",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="validation_ignores_unreadable",
+        why="the validation pass takes a segment it could not read in full "
+            "for a readable one",
+        file=DURABILITY,
+        search="scans[i - 1] = {reader.ok(), reader.tail(),",
+        replace="scans[i - 1] = {true, reader.tail(),",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="lsn_chain_dropped",
+        why="WalReader does not carry the previous record's LSN to the "
+            "next, so an LSN that steps back passes",
+        file=DURABILITY,
+        search="    prev_lsn_ = r->lsn;\n",
+        replace="",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="heap_by_segment",
+        why="a replay partition merges its segments by segment index "
+            "instead of LSN, applying them one after another",
+        file=DURABILITY,
+        search="      return a.rec.lsn > b.rec.lsn;",
+        replace="      return a.segment > b.segment;",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="snapshot_chunk_crc_skipped",
+        why="stream_snapshot passes on a chunk's entries without checking "
+            "its CRC",
+        file=DURABILITY,
+        search="if (p == nullptr || crc != crc32c(p, len)) return std::nullopt;",
+        replace="if (p == nullptr) return std::nullopt;",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="snapshot_footer_count_ignored",
+        why="a snapshot counts as complete at any footer with a valid CRC, "
+            "whatever entry count it holds",
+        file=DURABILITY,
+        search="load_as<std::uint64_t>(p) != count",
+        replace="false",
         tests=["recovery_test"],
     ),
     Mutant(

@@ -7,13 +7,16 @@
 // per-key order across racing shards, one writer fills one shard, a no-op
 // logs nothing), streamed recovery (LSN merge across segments, the task
 // runner of its parallel passes, a partitioned replay equal to a serial
-// one, a read error in either pass, a corrupt newest snapshot, a memory
-// bound), a resize that fails mid-batch, CRC32C known answers, a fuzz
+// one, a read error in either pass, a replay under a low descriptor limit,
+// a corrupt newest snapshot, a memory bound for the log and for the
+// snapshot), a resize that fails mid-batch, CRC32C known answers, a fuzz
 // pass over the WAL and snapshot decoders (random bytes + every
 // truncation; run under ASan/UBSan in CI), the streaming WalReader
-// checked against wal_decode, and the WAL shard lock (mutual exclusion,
-// try_lock, waiters that park instead of spinning). The SIGKILL-mid-churn
-// variant lives in kill_recover_test.sh.
+// checked against wal_decode, the streamed snapshot cut around its chunk
+// frames and buffer fills, a snapshot footer count or chunk length that
+// must be refused, and the WAL shard lock (mutual exclusion, try_lock,
+// waiters that park instead of spinning). The SIGKILL-mid-churn variant
+// lives in kill_recover_test.sh.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -22,10 +25,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <mutex>
 #include <new>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -135,7 +140,14 @@ std::string wal_file_with_records(const std::string& dir) {
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
   std::vector<std::uint8_t> buf;
-  CHECK(read_file(path, &buf));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  CHECK(f != nullptr);
+  if (f == nullptr) return buf;
+  std::uint8_t chunk[4096];
+  for (std::size_t n; (n = std::fread(chunk, 1, sizeof chunk, f)) > 0;) {
+    buf.insert(buf.end(), chunk, chunk + n);
+  }
+  std::fclose(f);
   return buf;
 }
 
@@ -1390,6 +1402,62 @@ void unreadable_segment_keeps_snapshot() {
   remove_dir(dir);
 }
 
+// A replay partition holds a descriptor for each file it reads, so a
+// replay on P partitions holds up to P x files at once; open() caps P so
+// that this stays under half the soft RLIMIT_NOFILE. Writers on all 8 WAL
+// shards, a checkpoint, then more writes on all 8 leave 9 files to replay.
+// A forked child lowers its limit to 24 and reopens the directory on the
+// 4 partitions it asks for through RecoveryTestHook: it must answer kOk,
+// replay on at most 24 / 2 / 9 = 1 partition, and hold the table at close.
+void replay_fits_descriptor_limit() {
+  std::puts("replay_fits_descriptor_limit");
+  const std::string dir = make_dir();
+  constexpr unsigned kShards = 8;
+  Table at_close;
+  {
+    DurableDLHT db(small_options(), wal(dir, kShards));
+    CHECK(db.open() == Status::kOk);
+    std::uint64_t key = 0;
+    const auto write_every_shard = [&] {
+      for (unsigned shard = 0; shard < kShards; ++shard) {
+        on_wal_shard(shard, kShards, [&] {
+          for (int i = 0; i < 100; ++i, ++key) db.put(key, val_of(key));
+        });
+      }
+    };
+    write_every_shard();
+    CHECK(db.checkpoint() == Status::kOk);
+    write_every_shard();
+    CHECK(db.wal_sync() == Status::kOk);
+    at_close = table_of(db);
+  }
+  CHECK(wal_files(dir).size() == kShards);
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    struct rlimit fds;
+    if (::getrlimit(RLIMIT_NOFILE, &fds) != 0) ::_exit(10);
+    fds.rlim_cur = 24;
+    if (::setrlimit(RLIMIT_NOFILE, &fds) != 0) ::_exit(11);
+    DurableDLHT db(small_options(), wal(dir, kShards));
+    if (RecoveryTestHook::open(db, 4) != Status::kOk) ::_exit(12);
+    if (db.stats().recovery_partitions != 1) ::_exit(13);
+    if (table_of(db) != at_close) ::_exit(14);
+    ::_exit(0);
+  }
+  int status = 0;
+  CHECK(pid > 0 && ::waitpid(pid, &status, 0) == pid);
+  if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
+    std::fprintf(stderr,
+                 "FAIL replay under a descriptor limit: child %s %d (want "
+                 "exit 0)\n",
+                 WIFEXITED(status) ? "exited" : "killed by signal",
+                 WIFEXITED(status) ? WEXITSTATUS(status) : WTERMSIG(status));
+    ++g_failures;
+  }
+  remove_dir(dir);
+}
+
 // Only the newest snapshot is read. One flipped byte in one of its chunks
 // fails open() with kIOError, degraded, and open() changes no file: every
 // snapshot and log stays byte-identical, and the tier refuses to
@@ -1503,11 +1571,15 @@ bool reset_peak_rss() {
   return std::fclose(f) == 0 && ok;
 }
 
-// Recovery memory is O(segments x chunk), not O(log): a log of 2M+ puts
-// over 64 keys (so the table stays tiny) replays while the process's peak
-// RSS grows by less than a quarter of the log's size. The bound holds in
-// optimized, unsanitized builds; sanitizer builds replay a shorter log and
-// check only what it recovers.
+// Recovery memory beyond the table is O(files x chunk), not O(log): a log
+// of 2M+ puts over 64 keys (so the table stays tiny) replays while the
+// process's peak RSS grows by less than a quarter of the log's size. The
+// snapshot streams like a segment: recovering 2M keys from a snapshot
+// alone grows peak RSS by at most a quarter of the snapshot's size more
+// than recovering them from a WAL-only directory; a copy of its entries
+// (16 B a key, against 24 B on disk) would take two thirds of it. The
+// bounds hold in optimized, unsanitized builds; sanitizer builds recover
+// less and check only what they recover.
 void recovery_memory_is_bounded() {
   std::puts("recovery_memory_is_bounded");
   const bool bound = kOptimized && !kSanitized;
@@ -1555,6 +1627,60 @@ void recovery_memory_is_bounded() {
               "clear_refs)");
   }
   remove_dir(dir);
+
+  // The table is sized for the keys, so no resize holds two tables at the
+  // peak and the two growths differ by what recovery holds beside the table.
+  const std::uint64_t keys = bound ? std::uint64_t{1} << 21 : 1u << 16;
+  Options sized;
+  sized.initial_bins = keys / 2;
+  const std::string dir2 = make_dir();
+  DurabilityOptions d2 = wal(dir2);
+  d2.wal_fsync_interval_ops = 1u << 16;
+  {
+    DurableDLHT db(sized, d2);
+    CHECK(db.open() == Status::kOk);
+    std::vector<Request> reqs(64);
+    std::vector<Reply> reps(64);
+    for (std::uint64_t k = 1; k <= keys; k += reqs.size()) {
+      for (std::size_t j = 0; j < reqs.size(); ++j) {
+        reqs[j] = {OpType::kPut, k + j, val_of(k + j), 0};
+      }
+      db.execute_batch(reqs.data(), reps.data(), reqs.size());
+    }
+  }
+  std::uint64_t growth[2] = {0, 0};  // WAL-only, then snapshot alone
+  bool measured = bound;
+  std::uint64_t snapshot_bytes = 0;
+  for (const int snap : {0, 1}) {
+    DurableDLHT db(sized, d2);
+    measured &= reset_peak_rss();
+    const std::uint64_t start = peak_rss_bytes();
+    CHECK(db.open() == Status::kOk);
+    growth[snap] = peak_rss_bytes() - start;
+    measured &= start != 0;
+    const auto s = db.stats();
+    CHECK(s.replayed_records == (snap ? 0 : keys));
+    std::uint64_t right = 0, seen = 0;
+    db.for_each([&](std::uint64_t k, std::uint64_t v) {
+      ++seen;
+      right += k >= 1 && k <= keys && v == val_of(k);
+    });
+    CHECK(seen == keys && right == keys);
+    if (snap == 0) {
+      CHECK(db.checkpoint() == Status::kOk);
+      snapshot_bytes = db.stats().snapshot_bytes;
+    } else {
+      CHECK(s.recovered_snapshot_lsn == keys);
+    }
+  }
+  std::printf("  %llu keys: peak RSS grew %.1f MiB from the WAL, %.1f MiB "
+              "from a %.1f MiB snapshot\n",
+              static_cast<unsigned long long>(keys),
+              static_cast<double>(growth[0]) / (1 << 20),
+              static_cast<double>(growth[1]) / (1 << 20),
+              static_cast<double>(snapshot_bytes) / (1 << 20));
+  if (measured) CHECK(growth[1] <= growth[0] + snapshot_bytes / 4);
+  remove_dir(dir2);
 }
 
 // A resize whose table mapping fails throws std::bad_alloc out of a batch
@@ -1671,11 +1797,22 @@ void crc32c_known_answers() {
 
 // --------------------------------------------------------------- fuzzing
 
+// What stream_snapshot yields from a file: whether it ended at a valid
+// footer, and every entry it passed on.
+std::pair<bool, Table> read_snapshot(const std::string& path) {
+  Table entries;
+  const auto lsn = stream_snapshot(
+      path, [&](auto k, auto v) { entries.emplace_back(k, v); });
+  return {lsn.has_value(), entries};
+}
+
 // The decoders are total functions: arbitrary bytes, arbitrary
 // truncations, no UB (this test runs under ASan/UBSan in scripts/ci.sh).
 void fuzz_wal_and_snapshot_decoders() {
   std::puts("fuzz_wal_and_snapshot_decoders");
   Xoshiro256 rng(splitmix64(0xfadedbeef));
+  const std::string scratch = make_dir();
+  const std::string file = scratch + "/snapshot";
 
   // Random buffers of every size class.
   for (int round = 0; round < 2000; ++round) {
@@ -1686,8 +1823,8 @@ void fuzz_wal_and_snapshot_decoders() {
     CHECK(d.valid_bytes <= buf.size());
     CHECK(d.valid_bytes % kWalRecordBytes == 0);
     CHECK(d.records.size() * kWalRecordBytes == d.valid_bytes);
-    SnapshotContents sc;
-    snapshot_parse(buf, &sc);  // any result is fine; no crash is the test
+    write_bytes(file, buf.data(), buf.size());
+    read_snapshot(file);  // any result is fine; no crash is the test
   }
 
   // A real log, truncated at every offset: the decoder keeps exactly the
@@ -1746,16 +1883,16 @@ void fuzz_wal_and_snapshot_decoders() {
     }
     CHECK(!snap_path.empty());
     const auto buf = slurp(snap_path);
-    SnapshotContents sc;
-    CHECK(snapshot_parse(buf, &sc));
-    CHECK(sc.entries.size() == 500);
+    const auto [complete, entries] = read_snapshot(snap_path);
+    CHECK(complete);
+    CHECK(entries.size() == 500);
     for (std::size_t cut = 0; cut < buf.size(); cut += 7) {
-      std::vector<std::uint8_t> t(buf.begin(), buf.begin() + cut);
-      SnapshotContents partial;
-      CHECK(!snapshot_parse(t, &partial));  // truncation never validates
+      write_bytes(file, buf.data(), cut);
+      CHECK(!read_snapshot(file).first);  // truncation never validates
     }
     remove_dir(dir);
   }
+  remove_dir(scratch);
 }
 
 // WalReader (what recovery runs) yields exactly what wal_decode (the
@@ -1855,6 +1992,134 @@ void wal_reader_matches_wal_decode() {
     mismatches += !reader_matches_decode(path, swapped.data(), swapped.size());
   }
   CHECK(mismatches == 0);
+  remove_dir(dir);
+}
+
+// The snapshot of a table of 8192 keys spans four chunks of at most 2560
+// entries. stream_snapshot yields exactly that table from the whole file,
+// and no cut of the file validates: not at any offset within two entries
+// of a frame (each chunk header and the footer), nor of the end of a
+// buffer fill (64 KiB past the file's start or past a frame).
+void snapshot_cuts_never_validate() {
+  std::puts("snapshot_cuts_never_validate");
+  const std::string dir = make_dir();
+  Table table;
+  {
+    DurableDLHT db(small_options(), wal(dir, 1));
+    CHECK(db.open() == Status::kOk);
+    for (std::uint64_t k = 1; k <= 8192; ++k) {
+      CHECK(db.put(k, val_of(k)) == Status::kOk);
+    }
+    CHECK(db.checkpoint() == Status::kOk);
+    table = table_of(db);
+  }
+  const auto snaps = files_starting(dir, "snapshot-");
+  CHECK(snaps.size() == 1);
+  if (snaps.size() != 1) return;
+  const auto bytes = slurp(snaps[0]);
+  auto [complete, entries] = read_snapshot(snaps[0]);
+  std::sort(entries.begin(), entries.end());
+  CHECK(complete);
+  CHECK(entries == table);
+
+  std::vector<std::size_t> marks = {ChunkReader::kChunkBytes};
+  std::size_t frames = 0;
+  for (std::size_t off = 32; off + 8 <= bytes.size();) {
+    ++frames;
+    marks.push_back(off);
+    marks.push_back(off + ChunkReader::kChunkBytes);
+    std::uint32_t len;
+    std::memcpy(&len, bytes.data() + off, 4);
+    if (len == 0) break;  // the footer
+    off += 8 + len;
+  }
+  CHECK(frames == 5);  // four chunks and the footer
+  constexpr std::size_t kNear = 2 * kSnapshotEntryBytes;
+  std::set<std::size_t, std::greater<>> cuts;  // longest first
+  for (const std::size_t m : marks) {
+    for (std::size_t c = m - kNear; c <= m + kNear; ++c) {
+      if (c < bytes.size()) cuts.insert(c);
+    }
+  }
+  const std::string cut_path = dir + "/cut";
+  write_bytes(cut_path, bytes.data(), bytes.size());
+  int validated = 0;
+  for (const std::size_t cut : cuts) {
+    CHECK(::truncate(cut_path.c_str(), static_cast<off_t>(cut)) == 0);
+    validated += read_snapshot(cut_path).first;
+  }
+  std::printf("  %zu cuts\n", cuts.size());
+  CHECK(validated == 0);
+  remove_dir(dir);
+}
+
+// A footer whose count is one off, with its CRC recomputed, never
+// validates. Nor does a chunk whose header claims more bytes than the
+// reader's buffer holds, though its payload holds whole entries under a
+// matching CRC; the largest chunk the buffer holds, built the same way,
+// validates.
+void snapshot_bad_frames_refused() {
+  std::puts("snapshot_bad_frames_refused");
+  const std::string dir = make_dir();
+  {
+    DurableDLHT db(small_options(), wal(dir, 1));
+    CHECK(db.open() == Status::kOk);
+    for (std::uint64_t k = 1; k <= 100; ++k) db.put(k, val_of(k));
+    CHECK(db.checkpoint() == Status::kOk);
+  }
+  const auto snaps = files_starting(dir, "snapshot-");
+  CHECK(snaps.size() == 1);
+  if (snaps.size() != 1) return;
+  const auto bytes = slurp(snaps[0]);
+  const std::string path = dir + "/edited";
+  const auto validates = [&](const std::vector<std::uint8_t>& b) {
+    write_bytes(path, b.data(), b.size());
+    return read_snapshot(path).first;
+  };
+  CHECK(validates(bytes));
+  const std::size_t count_at = bytes.size() - 12;  // [count u64][crc u32]
+  for (const std::uint64_t count : {99u, 101u}) {
+    auto b = bytes;
+    std::memcpy(b.data() + count_at, &count, 8);
+    const std::uint32_t crc = crc32c(&count, 8);
+    std::memcpy(b.data() + count_at + 8, &crc, 4);
+    CHECK(!validates(b));
+  }
+
+  const auto put = [](std::vector<std::uint8_t>& b, const void* p,
+                      std::size_t n) {
+    const auto* c = static_cast<const std::uint8_t*>(p);
+    b.insert(b.end(), c, c + n);
+  };
+  // The real header, one chunk of `n` entries, and a footer counting them.
+  const auto one_chunk = [&](std::uint64_t n) {
+    std::vector<std::uint8_t> payload;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      const std::uint32_t kv_len = 8;
+      const std::uint64_t v = val_of(k);
+      put(payload, &kv_len, 4);
+      put(payload, &kv_len, 4);
+      put(payload, &k, 8);
+      put(payload, &v, 8);
+    }
+    std::vector<std::uint8_t> b(bytes.begin(), bytes.begin() + 32);
+    const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
+    const std::uint32_t crc = crc32c(payload.data(), payload.size());
+    put(b, &len, 4);
+    put(b, &crc, 4);
+    put(b, payload.data(), payload.size());
+    const std::uint32_t zero = 0;
+    const std::uint32_t fcrc = crc32c(&n, 8);
+    put(b, &zero, 4);
+    put(b, &zero, 4);
+    put(b, &n, 8);
+    put(b, &fcrc, 4);
+    return b;
+  };
+  constexpr std::uint64_t kFits =
+      (ChunkReader::kChunkBytes - 8) / kSnapshotEntryBytes;
+  CHECK(validates(one_chunk(kFits)));
+  CHECK(!validates(one_chunk(kFits + 1)));
   remove_dir(dir);
 }
 
@@ -2031,12 +2296,15 @@ int main() {
   partitioned_replay_matches_serial();
   unreadable_segment_fails_open();
   unreadable_segment_keeps_snapshot();
+  replay_fits_descriptor_limit();
   corrupt_newest_snapshot_fails_open();
   recovery_memory_is_bounded();
   resize_failure_mid_batch_keeps_log();
   crc32c_known_answers();
   fuzz_wal_and_snapshot_decoders();
   wal_reader_matches_wal_decode();
+  snapshot_cuts_never_validate();
+  snapshot_bad_frames_refused();
   if (g_failures != 0) {
     std::fprintf(stderr, "%d check(s) FAILED\n", g_failures);
     return 1;

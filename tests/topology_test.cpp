@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include <sys/stat.h>
@@ -70,7 +72,8 @@ void write_file(const std::string& path, const std::string& content) {
 
 /// One fake machine: a sysfs root holding node<N>/cpulist entries, the
 /// cpu/online list, and per-cpu core_id files. core_ids may be empty (every
-/// cpu then defaults to its own physical core).
+/// cpu then defaults to its own physical core). The tree is removed when
+/// the FakeSysfs goes out of scope.
 struct FakeSysfs {
   std::string root;
 
@@ -79,6 +82,12 @@ struct FakeSysfs {
     mkdirs(root + "/devices/system/node");
     mkdirs(root + "/devices/system/cpu");
   }
+  ~FakeSysfs() {
+    std::error_code ec;
+    std::filesystem::remove_all(root, ec);
+  }
+  FakeSysfs(const FakeSysfs&) = delete;
+  FakeSysfs& operator=(const FakeSysfs&) = delete;
 
   void node(int n, const std::string& cpulist) {
     const std::string dir =
