@@ -3,16 +3,16 @@
 // Every bench prints paper-style rows:
 //     <figure>, <series>, <x>, <value>, <unit>
 // plus a human-readable header, and accepts a common set of flags:
-//     --keys N           prepopulated keys        (default: env DLHT_BENCH_KEYS or 1M)
-//     --threads-list a,b threads to sweep         (default: 1,2,4 capped at 4x hw)
+//     --keys N           prepopulated keys        (default: 1M)
+//     --threads-list a,b threads to sweep         (default: 1,2,4,... up to
+//                                                  max(4x hw, 8))
 //     --ms M             milliseconds per point   (default: 300)
 //     --json PATH        additionally write a machine-readable summary
 //                        ({fig, config, ops_per_sec, p50/p99_ns, rows}) to
 //                        PATH when the binary exits — the perf-trajectory
 //                        record scripts/bench_json.sh collects in CI
 //     --probe ENGINE     probe engine for every table the bench builds:
-//                        auto|swar|avx2|avx512 (default auto; also the
-//                        DLHT_PROBE env knob — the flag wins). Requesting
+//                        auto|swar|avx2|avx512 (default auto). Requesting
 //                        an engine this host cannot run is a hard error,
 //                        never a silent fallback: mislabeled trajectory
 //                        numbers are worse than no numbers. The resolved
@@ -20,20 +20,22 @@
 //     --counters         open per-thread perf counters (cycles, LLC/dTLB/
 //                        node misses, task clock, faults) around every
 //                        timed region and attach a counters{...} object to
-//                        the matching trajectory row (also: DLHT_COUNTERS
-//                        env knob). Hosts that forbid perf_event_open get
-//                        zeroed values with "unavailable": true — the key
-//                        is always present so CI can grep for it.
-//     --map a,b,...      restrict a comparison bench to the named designs
-//                        (also: DLHT_BENCH_MAPS env knob; the flag wins).
+//                        the matching trajectory row. Hosts that forbid
+//                        perf_event_open get zeroed values with
+//                        "unavailable": true — the key is always present so
+//                        CI can grep for it.
+//     --map a,b,...      restrict a comparison bench to the named designs.
 //                        Names: dlht clht growt folly dramhit mica cuckoo
 //                        leapfrog locked rh mm. Unknown names refuse
 //                        with exit 2 (same contract as --probe: a typo
 //                        silently dropping a series mislabels the
-//                        trajectory). Empty/unset = every design the
-//                        binary hosts. The selection lands in the JSON
-//                        config tag ("maps=..."), so filtered rows are
-//                        never diffed against full-field rows.
+//                        trajectory). Unset = every design the binary
+//                        hosts. The selection lands in the JSON config tag
+//                        ("maps=..."), so filtered rows are never diffed
+//                        against full-field rows.
+// A --keys, --ms or --threads-list value that does not parse in full, or
+// a count below 1, refuses with exit 2 as well: a typo read as 0 would run
+// a 0-key table or a 0 ms point under the label of the one asked for.
 // The defaults are sized for a small VM. DLHT_BENCH_SCALE picks a profile:
 //     smoke    ctest-sized (16K keys, 25 ms points)
 //     default  1M keys, 300 ms points (unset = this)
@@ -42,16 +44,19 @@
 //              allocating, paper-profile benches probe available memory
 //              and refuse with a typed exit-2 message when the working
 //              set cannot fit — a refusal is diagnosable, an OOM kill is
-//              not. Explicit --keys/--ms (or DLHT_BENCH_KEYS/MS) override
-//              the profile's populations; the profile name still lands in
-//              the JSON config tag ("scale=..."), so bench_diff.py never
-//              compares paper rows against smoke rows.
+//              not. Explicit --keys/--ms override the profile's
+//              populations; the profile name still lands in the JSON
+//              config tag ("scale=..."), so bench_diff.py never compares
+//              paper rows against smoke rows.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
-#include <csignal>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,14 +64,11 @@
 #include <string>
 #include <vector>
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/perf_counters.hpp"
 #include "common/topology.hpp"
 #include "dlht/dlht.hpp"
-#include "dlht/durability.hpp"
 #include "workload/driver.hpp"
 
 namespace dlht::bench {
@@ -79,32 +81,30 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
-/// Paper default geometry, shared by the figure benches and micro_ops:
-/// bins ~ 2/3 of keys (67M bins for 100M keys), link buckets bins/8.
-///
-/// Two env knobs apply to every bench-constructed table:
-///   DLHT_GROWTH_FACTOR   0 (adaptive 8/4/2 policy), 2, 4, 8 — shadow-table
-///                        size multiplier (Options::growth_factor).
-///   DLHT_ABLATION        comma list of features to disable: nofp
-///                        (fingerprints), nolink (link chains), noinplace
-///                        (in-place updates). Any other token refuses with
-///                        exit 2; see ablations() below. The SWAR-only
-///                        probe is DLHT_PROBE=swar.
-///   DLHT_PROBE           probe engine (auto|swar|avx2|avx512); see
-///                        requested_probe() below.
-///   DLHT_NUMA            bucket/link-pool placement: first_touch
-///                        (default), interleave, node:<id>; see
-///                        apply_numa_env() below.
-/// Overlay the DLHT_GROWTH_FACTOR / DLHT_ABLATION env knobs onto `o`.
-/// dlht_options() applies this automatically; benches that build Options
-/// by hand (fig07/fig08's growth tables, tab01's occupancy study) call it
-/// so the knobs work everywhere REPRODUCING.md says they do.
+/// A flag's integer value: a decimal that parses in full and lies in
+/// [lo, hi]. Anything else refuses with exit 2, naming the flag.
+inline std::uint64_t parse_uint_or_die(const char* flag, const char* s,
+                                       std::uint64_t lo, std::uint64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = std::strtoull(s, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0' ||
+      errno == ERANGE || v < lo || v > hi) {
+    std::fprintf(stderr,
+                 "bad %s value '%s': expected an integer in [%llu, %llu]\n",
+                 flag, s, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    std::exit(2);
+  }
+  return v;
+}
+
 /// Parse a probe-engine name, refusing loudly (exit 2) both unknown names
 /// and engines this host cannot execute. Refusal beats the core's silent
 /// degrade-to-SWAR here because a bench run that *labels* itself avx2 must
 /// actually have run avx2 — the trajectory JSON is only comparable if the
 /// config tag tells the truth.
-inline ProbeStrategy parse_probe_or_die(const char* s, const char* origin) {
+inline ProbeStrategy parse_probe_or_die(const char* s) {
   ProbeStrategy req;
   if (std::strcmp(s, "auto") == 0) {
     req = ProbeStrategy::kAuto;
@@ -116,31 +116,27 @@ inline ProbeStrategy parse_probe_or_die(const char* s, const char* origin) {
     req = ProbeStrategy::kAvx512;
   } else {
     std::fprintf(stderr,
-                 "bench: unknown probe engine '%s' (from %s); expected "
+                 "bench: unknown probe engine '%s'; expected "
                  "auto|swar|avx2|avx512\n",
-                 s, origin);
+                 s);
     std::exit(2);
   }
   if (!probe::host_supports(req)) {
     std::fprintf(stderr,
-                 "bench: probe engine '%s' requested via %s, but this host "
+                 "bench: probe engine '%s' requested, but this host "
                  "cannot execute it — refusing to run (numbers would be "
                  "silently mislabeled). Use '--probe auto' for runtime "
                  "dispatch.\n",
-                 s, origin);
+                 s);
     std::exit(2);
   }
   return req;
 }
 
-/// The probe engine every bench-built table requests: the --probe flag
-/// (parse_args) wins over the DLHT_PROBE env knob; default kAuto.
+/// The probe engine every bench-built table requests: --probe (parse_args),
+/// default kAuto.
 inline ProbeStrategy& requested_probe() {
-  static ProbeStrategy s = [] {
-    const char* env = std::getenv("DLHT_PROBE");
-    return env != nullptr ? parse_probe_or_die(env, "DLHT_PROBE")
-                          : ProbeStrategy::kAuto;
-  }();
+  static ProbeStrategy s = ProbeStrategy::kAuto;
   return s;
 }
 
@@ -192,10 +188,12 @@ inline std::vector<std::string> split_list(const char* s) {
   return out;
 }
 
-/// The DLHT_ABLATION tokens, parsed once. Only nofp, nolink and noinplace
-/// are accepted; anything else refuses with exit 2 (the
+/// The DLHT_ABLATION tokens, parsed once: a comma list of features to
+/// disable, nofp (fingerprints), nolink (link chains) and noinplace
+/// (in-place updates). Anything else refuses with exit 2 (the
 /// parse_probe_or_die contract: a misspelled ablation would otherwise run
-/// the full design under an ablation label).
+/// the full design under an ablation label). The SWAR-only probe is
+/// --probe swar.
 struct Ablations {
   bool nofp = false;
   bool nolink = false;
@@ -225,19 +223,14 @@ inline const Ablations& ablations() {
   return a;
 }
 
+/// Overlay the bench-wide table knobs onto `o`: the --probe engine, the
+/// DLHT_NUMA placement and the DLHT_ABLATION toggles. dlht_options()
+/// applies this automatically; benches that build Options by hand
+/// (fig07/fig08's growth tables, tab01's occupancy study) call it so the
+/// knobs work everywhere REPRODUCING.md says they do.
 inline Options apply_env_knobs(Options o) {
   o.probe_strategy = requested_probe();
   apply_numa_env(o);
-  if (const char* env = std::getenv("DLHT_GROWTH_FACTOR")) {
-    char* end = nullptr;
-    const auto f = std::strtoull(env, &end, 10);
-    if (end != env) o.growth_factor = f;  // non-numeric: keep the default
-  }
-  if (const char* env = std::getenv("DLHT_MIN_LOAD_FACTOR")) {
-    char* end = nullptr;
-    const double f = std::strtod(env, &end);
-    if (end != env && f >= 0.0) o.min_load_factor = f;
-  }
   if (ablations().nofp) o.ablation.fingerprints = false;
   if (ablations().nolink) o.ablation.link_chains = false;
   if (ablations().noinplace) o.ablation.inplace_updates = false;
@@ -251,32 +244,13 @@ inline std::string wal_dir_or(const char* fallback) {
   return fallback;
 }
 
-/// Durable-tier options for `dir` with the group-commit env knobs applied:
-/// DLHT_WAL_FSYNC_OPS (records per shard-local fsync) and
-/// DLHT_WAL_COMMIT_US (committer interval, 0 = no committer thread).
-inline DurabilityOptions durability_options(std::string dir) {
-  DurabilityOptions d;
-  d.dir = std::move(dir);
-  if (const char* env = std::getenv("DLHT_WAL_FSYNC_OPS")) {
-    char* end = nullptr;
-    const auto f = std::strtoull(env, &end, 10);
-    if (end != env) d.wal_fsync_interval_ops = f;
-  }
-  if (const char* env = std::getenv("DLHT_WAL_COMMIT_US")) {
-    char* end = nullptr;
-    const auto f = std::strtoull(env, &end, 10);
-    if (end != env) d.wal_group_commit_us = static_cast<std::uint32_t>(f);
-  }
-  return d;
-}
-
 // --------------------------------------------------------- scale profiles
 //
 // DLHT_BENCH_SCALE picks the population/duration profile (see the header
 // comment). The profile only seeds Args defaults — explicit --keys/--ms
-// and the DLHT_BENCH_KEYS/MS env knobs still win — but its name is always
-// recorded in the JSON config tag, so trajectory points from different
-// profiles are never compared (bench_diff.py skips on config mismatch).
+// still win — but its name is always recorded in the JSON config tag, so
+// trajectory points from different profiles are never compared
+// (bench_diff.py skips on config mismatch).
 
 enum class BenchScale { kSmoke, kDefault, kPaper };
 
@@ -370,6 +344,8 @@ inline void require_memory_or_die(const char* fig,
   std::exit(2);
 }
 
+/// Paper default geometry, shared by the figure benches and micro_ops:
+/// bins ~ 2/3 of keys (67M bins for 100M keys), link buckets bins/8.
 inline Options dlht_options(std::uint64_t keys) {
   Options o;
   o.initial_bins = static_cast<std::size_t>(keys * 2 / 3 + 64);
@@ -377,26 +353,25 @@ inline Options dlht_options(std::uint64_t keys) {
   return apply_env_knobs(o);
 }
 
-/// Every design name --map / DLHT_BENCH_MAPS accepts. One list for every
-/// comparison bench: a name a binary does not host simply selects nothing
-/// there, but a *misspelled* name is refused everywhere (exit 2).
+/// Every design name --map accepts. One list for every comparison bench: a
+/// name a binary does not host simply selects nothing there, but a
+/// *misspelled* name is refused everywhere (exit 2).
 inline constexpr const char* kMapNames[] = {
     "dlht",   "clht",     "growt",  "folly", "dramhit", "mica",
     "cuckoo", "leapfrog", "locked", "rh",    "mm",
 };
 
-inline std::vector<std::string> parse_map_list_or_die(const char* s,
-                                                      const char* origin) {
+inline std::vector<std::string> parse_map_list_or_die(const char* s) {
   std::vector<std::string> out = split_list(s);
   for (const std::string& name : out) {
     bool known = false;
     for (const char* n : kMapNames) known = known || name == n;
     if (!known) {
       std::fprintf(stderr,
-                   "bench: unknown map '%s' (from %s); expected a comma "
-                   "list of: dlht clht growt folly dramhit mica cuckoo "
-                   "leapfrog locked rh mm\n",
-                   name.c_str(), origin);
+                   "bench: unknown map '%s'; expected a comma list of: "
+                   "dlht clht growt folly dramhit mica cuckoo leapfrog "
+                   "locked rh mm\n",
+                   name.c_str());
       std::exit(2);
     }
   }
@@ -407,7 +382,6 @@ struct Args {
   std::uint64_t keys = 1u << 20;
   std::vector<int> threads_list;
   double ms = 300;
-  bool counters = false;
   std::vector<std::string> maps;  // empty = every design the bench hosts
 
   double seconds() const { return ms / 1000.0; }
@@ -422,10 +396,10 @@ struct Args {
   }
 };
 
-/// True when --counters / DLHT_COUNTERS asked for per-region perf counters.
-/// Mutable so parse_args can set it from the flag.
+/// True when --counters asked for per-region perf counters. Mutable so
+/// parse_args can set it from the flag.
 inline bool& counters_enabled() {
-  static bool b = std::getenv("DLHT_COUNTERS") != nullptr;
+  static bool b = false;
   return b;
 }
 
@@ -453,8 +427,8 @@ inline void note_counters(const CounterTotals& t) {
 
 // ------------------------------------------------------------- JSON sink
 //
-// `--json PATH` (or DLHT_BENCH_JSON=PATH) records every print_row() call
-// and writes one JSON object per run at exit:
+// `--json PATH` records every print_row() call and writes one JSON object
+// per run at exit:
 //   {"fig": ..., "config": "keys=... ms=... threads=...",
 //    "ops_per_sec": <max throughput row, ops/s>,
 //    "p50_ns": <last p50 row or null>, "p99_ns": <last p99 row or null>,
@@ -528,65 +502,6 @@ inline void flush_json() {
   std::fclose(f);
 }
 
-// The SIGTERM/SIGINT flush may not call fopen/fprintf/malloc (a signal
-// landing while a bench thread holds the stdio or heap lock would
-// deadlock, hanging CI instead of dying). So the sink re-renders the full
-// document after every row *in normal context* into one of two fixed
-// buffers and publishes {buffer, length} as a single atomic word; the
-// handler only open(2)/write(2)/close(2)s the published snapshot — all
-// async-signal-safe — then re-raises. A row arriving concurrently with
-// the handler can at worst publish the older buffer's torn bytes, which
-// costs one trailing row, never a hang.
-
-inline constexpr std::size_t kJsonSnapshotCap = std::size_t{1} << 18;
-
-struct JsonSignalState {
-  char path[512] = {};  // copied at install; std::string is off-limits in a handler
-  char buf[2][kJsonSnapshotCap];
-  std::atomic<std::uint64_t> published{0};  // (buffer index << 32) | length
-};
-
-inline JsonSignalState& json_signal_state() {
-  static JsonSignalState st;
-  return st;
-}
-
-/// Re-render and publish the signal-handler snapshot (normal context only).
-/// A document over the fixed capacity keeps the last snapshot that fit.
-inline void json_update_signal_snapshot() {
-  JsonSignalState& st = json_signal_state();
-  const std::string doc = render_json();
-  if (doc.size() > kJsonSnapshotCap) return;
-  const std::uint64_t prev = st.published.load(std::memory_order_relaxed);
-  const std::uint32_t idx = (static_cast<std::uint32_t>(prev >> 32) ^ 1u) & 1u;
-  std::memcpy(st.buf[idx], doc.data(), doc.size());
-  st.published.store((static_cast<std::uint64_t>(idx) << 32) | doc.size(),
-                     std::memory_order_release);
-}
-
-/// SIGTERM/SIGINT handler installed by parse_args when the sink is armed:
-/// write the pre-rendered snapshot, then die by the original signal.
-inline void flush_json_and_reraise(int sig) {
-  JsonSignalState& st = json_signal_state();
-  const std::uint64_t pub = st.published.load(std::memory_order_acquire);
-  const std::size_t len = static_cast<std::uint32_t>(pub);
-  if (len != 0 && st.path[0] != '\0') {
-    const int fd = ::open(st.path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      const char* p = st.buf[(pub >> 32) & 1];
-      std::size_t off = 0;
-      while (off < len) {
-        const ssize_t w = ::write(fd, p + off, len - off);
-        if (w <= 0) break;
-        off += static_cast<std::size_t>(w);
-      }
-      ::close(fd);
-    }
-  }
-  std::signal(sig, SIG_DFL);
-  std::raise(sig);
-}
-
 inline void json_note_row(const std::string& series, double x, double value,
                           const char* unit) {
   JsonSink& s = json_sink();
@@ -615,32 +530,6 @@ inline void json_note_row(const std::string& series, double x, double value,
     if (series.find("p50") != std::string::npos) s.p50_ns = value;
     if (series.find("p99") != std::string::npos) s.p99_ns = value;
   }
-  json_update_signal_snapshot();
-}
-
-/// Resolve a --json / DLHT_BENCH_JSON spec to a concrete file path. A spec
-/// naming a directory (trailing '/' or an existing dir) gets a per-binary
-/// default filename, BENCH_<basename(argv0)>.json — so multi-binary runs
-/// (the KV server sweep starts a server and a client that both link this
-/// sink) can share one DLHT_BENCH_JSON=dir/ without clobbering each other,
-/// which a single shared literal path silently did.
-inline std::string resolve_json_path(const std::string& spec,
-                                     const char* argv0) {
-  if (spec.empty()) return spec;
-  bool is_dir = spec.back() == '/';
-  if (!is_dir) {
-    struct stat st{};
-    is_dir = ::stat(spec.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-  }
-  if (!is_dir) return spec;
-  const char* base = argv0 != nullptr ? std::strrchr(argv0, '/') : nullptr;
-  base = base != nullptr ? base + 1 : (argv0 != nullptr ? argv0 : "bench");
-  std::string out = spec;
-  if (out.back() != '/') out.push_back('/');
-  out += "BENCH_";
-  out += base;
-  out += ".json";
-  return out;
 }
 
 inline std::vector<int> default_threads() {
@@ -653,22 +542,37 @@ inline std::vector<int> default_threads() {
   return ts;
 }
 
-inline std::vector<int> parse_thread_list(const char* s) {
+/// --threads-list's value: a comma list of thread counts, each >= 1.
+inline std::vector<int> parse_thread_list_or_die(const char* s) {
   std::vector<int> ts;
-  while (s != nullptr && *s != '\0') {
-    const int t = std::atoi(s);
-    if (t > 0) ts.push_back(t);  // drop typos instead of running 0 threads
+  for (;;) {
     const char* comma = std::strchr(s, ',');
-    if (comma == nullptr) break;
+    const std::string item =
+        comma != nullptr ? std::string(s, comma) : std::string(s);
+    ts.push_back(static_cast<int>(
+        parse_uint_or_die("--threads-list", item.c_str(), 1, INT_MAX)));
+    if (comma == nullptr) return ts;
     s = comma + 1;
   }
-  return ts;
+}
+
+/// --ms's value: a finite number of milliseconds above 0.
+inline double parse_ms_or_die(const char* s) {
+  char* end = nullptr;
+  const double ms = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !(ms > 0) || !std::isfinite(ms)) {
+    std::fprintf(stderr,
+                 "bad --ms value '%s': expected a number of milliseconds "
+                 "above 0\n",
+                 s);
+    std::exit(2);
+  }
+  return ms;
 }
 
 inline Args parse_args(int argc, char** argv) {
   Args a;
-  // Scale profile first: it only seeds the defaults, so the explicit
-  // knobs below (env, then flags) keep their precedence.
+  // Scale profile first: it only seeds the defaults the flags override.
   switch (bench_scale()) {
     case BenchScale::kSmoke:
       a.keys = 16384;
@@ -681,50 +585,29 @@ inline Args parse_args(int argc, char** argv) {
     case BenchScale::kDefault:
       break;
   }
-  if (const char* env = std::getenv("DLHT_BENCH_KEYS")) {
-    a.keys = std::strtoull(env, nullptr, 10);
-  }
-  if (const char* env = std::getenv("DLHT_BENCH_MS")) {
-    a.ms = std::strtod(env, nullptr);
-  }
-  if (const char* env = std::getenv("DLHT_BENCH_MAPS")) {
-    a.maps = parse_map_list_or_die(env, "DLHT_BENCH_MAPS");
-  }
   a.threads_list = default_threads();
-  if (const char* env = std::getenv("DLHT_BENCH_THREADS")) {
-    auto ts = parse_thread_list(env);
-    if (!ts.empty()) a.threads_list = std::move(ts);
-  }
-  if (const char* env = std::getenv("DLHT_BENCH_JSON")) {
-    json_sink().path = env;
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
     if (arg == "--keys") {
-      a.keys = std::strtoull(next(), nullptr, 10);
+      a.keys = parse_uint_or_die("--keys", next(), 1, UINT64_MAX);
     } else if (arg == "--ms") {
-      a.ms = std::strtod(next(), nullptr);
+      a.ms = parse_ms_or_die(next());
     } else if (arg == "--json") {
       json_sink().path = next();
     } else if (arg == "--threads-list") {
-      auto ts = parse_thread_list(next());
-      if (!ts.empty()) a.threads_list = std::move(ts);  // never leave it empty
+      a.threads_list = parse_thread_list_or_die(next());
     } else if (arg == "--probe") {
-      requested_probe() = parse_probe_or_die(next(), "--probe");
+      requested_probe() = parse_probe_or_die(next());
     } else if (arg == "--map") {
-      a.maps = parse_map_list_or_die(next(), "--map");
+      a.maps = parse_map_list_or_die(next());
     } else if (arg == "--counters") {
-      a.counters = true;
       counters_enabled() = true;
     }
   }
-  a.counters = counters_enabled();  // env knob and flag agree either way
   if (!json_sink().path.empty()) {
-    json_sink().path =
-        resolve_json_path(json_sink().path, argc > 0 ? argv[0] : nullptr);
     std::string cfg = "keys=" + std::to_string(a.keys) +
                       " ms=" + std::to_string(a.ms) + " threads=";
     for (std::size_t i = 0; i < a.threads_list.size(); ++i) {
@@ -751,19 +634,6 @@ inline Args parse_args(int argc, char** argv) {
     }
     json_sink().config = std::move(cfg);
     std::atexit(flush_json);  // written however the bench exits normally
-    // A killed run (CI cancellation, the kill-and-recover harness, ^C)
-    // still emits its partial trajectory: the handler writes the snapshot
-    // pre-rendered by every print_row (see json_update_signal_snapshot —
-    // no stdio/malloc in the handler), then re-raises with the default
-    // action so the exit status stays "killed by signal".
-    JsonSignalState& st = json_signal_state();
-    const std::string& path = json_sink().path;
-    if (path.size() < sizeof st.path) {
-      std::memcpy(st.path, path.c_str(), path.size() + 1);
-      json_update_signal_snapshot();  // valid (row-less) doc from instant 0
-      std::signal(SIGTERM, flush_json_and_reraise);
-      std::signal(SIGINT, flush_json_and_reraise);
-    }
   }
   return a;
 }
@@ -779,7 +649,6 @@ inline void print_probe_engine() {
 
 inline void print_header(const char* figure, const char* description) {
   json_sink().fig = figure;
-  if (!json_sink().path.empty()) json_update_signal_snapshot();
   std::printf("# %s — %s\n", figure, description);
   std::printf("# machine: %u hardware threads\n", hardware_threads());
   std::printf("%-18s %-26s %12s %14s  %s\n", "figure", "series", "x", "value",

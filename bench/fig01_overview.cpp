@@ -10,7 +10,7 @@
 // must survive: both keep running InsDel forever, so the argument there is
 // throughput, not survival.
 //
-// --map a,b,... (or DLHT_BENCH_MAPS) restricts the field — at paper scale
+// --map a,b,... restricts the field — at paper scale
 // one run of every design is hours; shape checks needing a filtered-out
 // series self-skip.
 #include "bench_maps.hpp"

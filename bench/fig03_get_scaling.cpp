@@ -7,7 +7,7 @@
 // near the open-addressing cluster; Maged-Michael pays a pointer chase per
 // Get and sits lower.
 //
-// --map a,b,... (or DLHT_BENCH_MAPS) restricts the sweep; shape checks
+// --map a,b,... restricts the sweep; shape checks
 // needing a filtered-out series self-skip.
 #include "bench_maps.hpp"
 

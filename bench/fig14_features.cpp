@@ -8,14 +8,14 @@
 //   NoLinkChains   bounded one-line index: chain-full inserts fail
 //   NoInplace      puts republish through the two-phase shadow path
 //   NoSimdProbe    batched probes forced onto the portable SWAR engine
-//                  (probe_strategy = kSwar, the DLHT_PROBE=swar table)
+//                  (probe_strategy = kSwar, the --probe swar table)
 //   NoBatch        scalar Gets instead of the prefetch pipeline
 //
 // Each config reports Get and PutHeavy throughput; NoLinkChains also
 // reports how much of the key set it could hold at all (the capacity the
 // chains buy). The Options toggles are reachable in every bench via
 // DLHT_ABLATION=nofp,nolink,noinplace and the SWAR engine via
-// DLHT_PROBE=swar. The timing shape checks compare Default with each
+// --probe swar. The timing shape checks compare Default with each
 // ablation in interleaved slices (bench::interleaved_mops), so host drift
 // hits both sides alike.
 #include <algorithm>

@@ -14,8 +14,8 @@
 //      and replay passes.
 //
 // DLHT_WAL_DIR picks the durable directory (a tmpfs vs a real disk is the
-// whole story for 1 and 2); DLHT_WAL_FSYNC_OPS / DLHT_WAL_COMMIT_US tune
-// group commit. Enforced shape: recovery restores every key.
+// whole story for 1 and 2); group commit runs at DurabilityOptions'
+// defaults. Enforced shape: recovery restores every key.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   // --- 1. ingest with the WAL on + write amplification ------------------
   std::uint64_t wal_bytes = 0, snapshot_bytes = 0;
   {
-    DurableDLHT db(o, durability_options(dir_snap));
+    DurableDLHT db(o, DurabilityOptions{dir_snap});
     if (db.open() != Status::kOk) {
       std::fprintf(stderr, "fig_recovery: cannot open %s\n", dir_snap.c_str());
       return 1;
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
 
   // --- 1b. the same ingest through execute_batch, 24 puts per call -------
   {
-    DurableDLHT db(o, durability_options(dir_batch));
+    DurableDLHT db(o, DurabilityOptions{dir_batch});
     if (db.open() != Status::kOk) return 1;
     constexpr std::size_t kBatch = 24;
     DurableDLHT::Request reqs[kBatch];
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
 
   // --- 1c. the same puts from 4 threads, each on its own key range -------
   {
-    DurableDLHT db(o, durability_options(dir_4w));
+    DurableDLHT db(o, DurabilityOptions{dir_4w});
     if (db.open() != Status::kOk) return 1;
     constexpr std::uint64_t kWriters = 4;
     const std::uint64_t t0 = now_ns();
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
   // --- 3. recovery: snapshot + WAL suffix ------------------------------
   {
     const std::uint64_t t0 = now_ns();
-    DurableDLHT db(o, durability_options(dir_snap));
+    DurableDLHT db(o, DurabilityOptions{dir_snap});
     if (db.open() != Status::kOk) return 1;
     const double secs = static_cast<double>(now_ns() - t0) / 1e9;
     const auto s = db.stats();
@@ -204,14 +204,14 @@ int main(int argc, char** argv) {
 
   // --- 4. recovery: WAL replay only (never checkpointed) ---------------
   {
-    DurableDLHT db(o, durability_options(dir_wal));
+    DurableDLHT db(o, DurabilityOptions{dir_wal});
     if (db.open() != Status::kOk) return 1;
     for (std::uint64_t k = 1; k <= suffix; ++k) db.put(k, val_of(k));
     db.wal_sync();
   }
   {
     const std::uint64_t t0 = now_ns();
-    DurableDLHT db(o, durability_options(dir_wal));
+    DurableDLHT db(o, DurabilityOptions{dir_wal});
     if (db.open() != Status::kOk) return 1;
     const double secs = static_cast<double>(now_ns() - t0) / 1e9;
     walonly_recover_mkeys = static_cast<double>(suffix) / secs / 1e6;

@@ -105,8 +105,8 @@ struct Options {
   /// Probe engine for the batched pipeline (dlht/probe.hpp): kAuto resolves
   /// to the widest engine this CPU supports at construction (cpuid, never
   /// per probe). An explicit SIMD kind on a host without it degrades to
-  /// kSwar — the core always runs; benches refuse instead (bench `--probe`
-  /// / DLHT_PROBE knob). Scalar ops and the write-side slot search always
+  /// kSwar — the core always runs; benches refuse instead (bench
+  /// `--probe`). Scalar ops and the write-side slot search always
   /// use the portable SWAR matchers regardless of this setting: SIMD pays
   /// off where 8 prefetched headers can be matched per instruction. kSwar
   /// is also fig14's SIMD ablation.

@@ -12,7 +12,7 @@
 // The batching engine IS the request loop: every decoded Get/Put/Insert/
 // Delete is appended to the shard's pending batch, which flushes into one
 // execute_batch call when it reaches ServerOptions::batch
-// (knob: DLHT_SERVER_BATCH) — or at the end of the event-loop turn, when
+// (dlht_server --batch) — or at the end of the event-loop turn, when
 // the loop has drained every ready socket and would otherwise block
 // ("loop-idle"). So under load the software pipeline runs full batches,
 // and a lone request still sees one-turn latency. batch <= 1 disables the
@@ -66,22 +66,16 @@ namespace dlht::server {
 struct ServerOptions {
   /// "unix:/path/to.sock" or "host:port" (TCP, TCP_NODELAY set).
   std::string listen = "127.0.0.1:11311";
-  /// Worker shards (epoll loops). Knob: DLHT_SERVER_THREADS / --threads.
+  /// Worker shards (epoll loops). dlht_server --threads.
   int shards = 2;
-  /// Batch former flush threshold. Knob: DLHT_SERVER_BATCH / --batch.
-  /// <= 1 disables batching (the unbatched comparison baseline).
+  /// Batch former flush threshold, at most KvServer::kMaxBatch.
+  /// dlht_server --batch. <= 1 disables batching (the unbatched
+  /// comparison baseline).
   std::size_t batch = 24;
-  /// Pin shard threads round-robin across cores (the table's prefetch
-  /// pipeline assumes threads stay put).
-  bool pin = true;
-  /// Non-empty: log to a WAL + snapshots in this directory (durable mode).
-  /// Empty: the table runs in DurableDLHT's in-memory mode.
+  /// Non-empty: log to a WAL + snapshots in this directory (durable mode),
+  /// with DurabilityOptions' group-commit defaults. Empty: the table runs
+  /// in DurableDLHT's in-memory mode.
   std::string durable_dir;
-  /// Durable mode's group commit (see DurabilityOptions): fsync a WAL
-  /// shard once this many records are pending, and let the committer
-  /// thread flush any record older than this many µs (0 = no committer).
-  std::size_t wal_fsync_interval_ops = 64;
-  std::uint32_t wal_group_commit_us = 500;
   /// Durable mode: periodic checkpoint() interval; 0 = no checkpointer.
   unsigned checkpoint_ms = 0;
   /// Table geometry and knobs.
@@ -91,7 +85,8 @@ struct ServerOptions {
 class KvServer {
  public:
   explicit KvServer(ServerOptions o)
-      : opts_(std::move(o)), table_(opts_.table, wal_options(opts_)) {
+      : opts_(std::move(o)),
+        table_(opts_.table, DurabilityOptions{opts_.durable_dir}) {
     if (opts_.shards < 1) opts_.shards = 1;
     if (opts_.batch < 1) opts_.batch = 1;
     if (opts_.batch > kMaxBatch) opts_.batch = kMaxBatch;
@@ -125,9 +120,11 @@ class KvServer {
       shards_.push_back(std::move(sh));
     }
     add_fd(shards_[0]->epfd, listen_fd_, EPOLLIN);
+    // Shard threads are pinned by the DLHT_PIN plan (the table's prefetch
+    // pipeline assumes threads stay put); DLHT_PIN=none leaves them free.
     std::string pin_err;
     const PinPlan plan = pin_plan_from_env(&pin_err);
-    if (opts_.pin && !pin_err.empty()) {
+    if (!pin_err.empty()) {
       // A server that silently ignores an operator's placement spec is
       // worse than one that refuses to start.
       std::fprintf(stderr, "kv_server: %s\n", pin_err.c_str());
@@ -136,7 +133,7 @@ class KvServer {
     for (int i = 0; i < opts_.shards; ++i) {
       Shard* sh = shards_[static_cast<std::size_t>(i)].get();
       threads_.emplace_back([this, sh, i, plan] {
-        if (opts_.pin) plan.pin(static_cast<std::size_t>(i));
+        plan.pin(static_cast<std::size_t>(i));
         shard_loop(*sh);
       });
     }
@@ -221,8 +218,10 @@ class KvServer {
   /// The served table, logging or not (see durable()).
   DurableDLHT* durable_tier() { return &table_; }
 
- private:
+  /// The batch former's cap: a larger ServerOptions::batch is clamped here.
   static constexpr std::size_t kMaxBatch = 1024;
+
+ private:
   /// Per-connection buffer caps: input is a protocol-error close (frames
   /// are tiny; only a byte-flood hits this), output is a slow-reader close.
   static constexpr std::size_t kMaxInBuf = std::size_t{1} << 20;
@@ -289,13 +288,6 @@ class KvServer {
     std::vector<DLHT::Request> reqs;
     std::vector<DLHT::Reply> reps;
   };
-
-  static DurabilityOptions wal_options(const ServerOptions& o) {
-    DurabilityOptions d{o.durable_dir};
-    d.wal_fsync_interval_ops = o.wal_fsync_interval_ops;
-    d.wal_group_commit_us = o.wal_group_commit_us;
-    return d;
-  }
 
   // ------------------------------------------------------- socket setup
 

@@ -52,7 +52,7 @@ run() {  # run <fig-label> <binary> [args...]
 # their config tag and bench_diff.py keeps them in their own trajectory.
 if [ "${DLHT_BENCH_SCALE:-default}" = paper ]; then
   run fig01 fig01_overview --map dlht,rh,mm
-  DLHT_BENCH_THREADS=8,16,32 run fig03 fig03_get_scaling
+  run fig03 fig03_get_scaling --threads-list 8,16,32
   run fig18 fig18_ycsb
   run fig19 fig19_oltp
   echo "=== paper-scale bench trajectory written ==="
@@ -74,7 +74,7 @@ grep -q 'RobinHood/get' "$out/BENCH_fig01.json"
 grep -q 'MagedMichael/get' "$out/BENCH_fig01.json"
 grep -q 'maps=dlht,rh,mm' "$out/BENCH_fig01.json"
 # Scalar/batched Get scaling across threads.
-DLHT_BENCH_THREADS=1,2 run fig03 fig03_get_scaling --keys 16384 --ms 20
+run fig03 fig03_get_scaling --keys 16384 --ms 20 --threads-list 1,2
 # Batch-size sweep: the software-pipelining win itself.
 run fig12 fig12_batch_size --keys 1048576 --ms 40 --threads-list 1
 # Growth: a live upward resize with Gets running through it.
@@ -95,8 +95,8 @@ run fig_recovery fig_recovery --keys 65536
 echo "--- kv_server"
 kv_sock="$(mktemp -u /tmp/dlht_bench_kv.XXXXXX.sock)"
 kv_log="$(mktemp /tmp/dlht_bench_kv.XXXXXX.log)"
-"./$build/dlht_server" --listen "unix:$kv_sock" --keys 8192 --threads 2 \
-  --no-pin > "$kv_log" 2>&1 &
+DLHT_PIN=none "./$build/dlht_server" --listen "unix:$kv_sock" --keys 8192 \
+  --threads 2 > "$kv_log" 2>&1 &
 kv_pid=$!
 for _ in $(seq 1 100); do
   grep -q "ready" "$kv_log" && break

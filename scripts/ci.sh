@@ -39,11 +39,14 @@ run_docs() {
   # what a trajectory number *means* on a NUMA box.
   # ...and the bench-scale knobs: a trajectory row is only interpretable
   # if its scale profile and competitor filter are documented.
-  for knob in DLHT_PROBE DLHT_ABLATION DLHT_SERVER_BATCH DLHT_SERVER_THREADS \
-              DLHT_PIN DLHT_NUMA DLHT_SYSFS_ROOT DLHT_COUNTERS \
-              DLHT_BENCH_SCALE DLHT_BENCH_MAPS DLHT_MEM_AVAILABLE_MB; do
-    if ! grep -q "$knob" docs/REPRODUCING.md; then
-      echo "FAIL: probe knob '$knob' is not documented in docs/REPRODUCING.md" >&2
+  # A knob counts as documented where it opens a code span, followed by
+  # a space, '=' or the closing backtick (so `--threads-list` does not
+  # document --threads).
+  for knob in --probe DLHT_ABLATION --batch --threads \
+              DLHT_PIN DLHT_NUMA DLHT_SYSFS_ROOT --counters \
+              DLHT_BENCH_SCALE --map DLHT_MEM_AVAILABLE_MB; do
+    if ! grep -qE -- "\`$knob[ =\`]" docs/REPRODUCING.md; then
+      echo "FAIL: knob '$knob' is not documented in docs/REPRODUCING.md" >&2
       exit 1
     fi
   done
@@ -110,7 +113,7 @@ run_main() {
 
   echo "=== bench smoke ==="
   ./build/micro_ops --keys 65536 --ms 100
-  DLHT_BENCH_THREADS=1,2 ./build/fig01_overview --keys 16384 --ms 20 > /dev/null
+  ./build/fig01_overview --keys 16384 --ms 20 --threads-list 1,2 > /dev/null
   echo "fig01 smoke ok"
 
   echo "=== apps-layer fig smoke (13, 15, 17-20) ==="
@@ -233,7 +236,7 @@ run_tsan() {
   # cross-instance RMW transactions; fig18 exercises the YCSB mixes (incl.
   # F's update() path) under the race detector at a tiny scale.
   ./build-tsan/apps_test
-  DLHT_BENCH_THREADS=2 ./build-tsan/fig18_ycsb --keys 4096 --ms 20 > /dev/null
+  ./build-tsan/fig18_ycsb --keys 4096 --ms 20 --threads-list 2 > /dev/null
   echo "tsan ycsb smoke ok"
   # Durable tier under the race detector: the crash-point matrix plus the
   # multi-writer SIGKILL churn (4 writers + group committer + snapshotter).

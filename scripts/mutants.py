@@ -37,7 +37,10 @@ JOBS = min(4, os.cpu_count() or 1)
 
 Mutant = collections.namedtuple("Mutant", "name why file search replace tests")
 
+CORE = "include/dlht/dlht.hpp"
 DURABILITY = "include/dlht/durability.hpp"
+EPOCH = "include/dlht/epoch.hpp"
+PROBE = "include/dlht/probe.hpp"
 
 MUTANTS = [
     Mutant(
@@ -163,6 +166,163 @@ MUTANTS = [
         search="c = _mm_crc32_u32(c, w);",
         replace="c = _mm_crc32_u32(c, w ^ 1u);",
         tests=["recovery_test"],
+    ),
+    Mutant(
+        name="shard_lock_spins",
+        why="a WAL shard lock waiter spins through the holder's fsync "
+            "instead of parking",
+        file=DURABILITY,
+        search="      word_.wait(kParked, std::memory_order_relaxed);",
+        replace="      cpu_relax();",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="shard_unlock_no_wake",
+        why="unlocking a WAL shard lock wakes no parked waiter",
+        file=DURABILITY,
+        search="      word_.notify_one();\n",
+        replace="",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="guard_page_dropped",
+        why="a bucket array ends without its PROT_NONE guard page, so a "
+            "write past it lands in whatever is mapped next",
+        file=CORE,
+        search="  ::mprotect(base + span, page, PROT_NONE);\n",
+        replace="",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="vector_sweep_ignores_migrated",
+        why="the SIMD Get sweep sends only locked lanes to the scalar walk, "
+            "so a lane whose bucket migrated reads the drained table",
+        file=CORE,
+        search="if (__builtin_expect((v1 & (hdr::kLockBit | hdr::kMigratedBit)) != 0,",
+        replace="if (__builtin_expect((v1 & hdr::kLockBit) != 0,",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="chunk_tail_redirect_miss",
+        why="the batched Get's scalar tail answers a lane whose bucket "
+            "migrated mid-pipeline as a miss",
+        file=CORE,
+        search="""          // A resize started mid-pipeline: resolve this key scalar-style.
+          get_on(t, hash_(k), k, rp);
+""",
+        replace="""          rp.status = Status::kNotFound;
+          rp.value = 0;
+""",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="link_alloc_uncaught",
+        why="a user write whose link pool cannot grow throws out of the "
+            "table with its bin still locked",
+        file=CORE,
+        search="""    std::uint32_t idx;
+    try {
+      idx = t->alloc_link();
+    } catch (const std::bad_alloc&) {
+      if (force_chain) throw;
+      unlock_bucket(home, hh);  // never leave the bin locked
+      return Status::kFull;
+    }
+""",
+        replace="    const std::uint32_t idx = t->alloc_link();\n",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="migrate_shadow_as_valid",
+        why="a migration copies a reserved (shadow) slot into the new "
+            "table as valid, so Gets see it before commit_shadow",
+        file=CORE,
+        search="/*upsert=*/false, st, NoLog{}, /*force_chain=*/true);",
+        replace="/*upsert=*/false, SlotState::kValid, NoLog{}, "
+                "/*force_chain=*/true);",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="empty_slot_home_only",
+        why="an insert looks for an empty slot in the home bucket only, so "
+            "slots freed in link buckets are never reused",
+        file=CORE,
+        search="      if (s.empty.b == nullptr) {\n",
+        replace="      if (s.empty.b == nullptr && b == home) {\n",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="reclaim_drained_noop",
+        why="writers' checkpoints never advance the epoch, so a drained "
+            "table generation waits for the next resize to be freed",
+        file=CORE,
+        search="""    if (drained_in_limbo_.load(std::memory_order_relaxed) != 0) {
+      epoch_.quiesce();
+    }
+""",
+        replace="",
+        tests=["epoch_test"],
+    ),
+    Mutant(
+        name="advance_first_segment_only",
+        why="try_advance scans only the first epoch slot segment, so a "
+            "pinned thread with a high index does not hold the epoch back",
+        file=EPOCH,
+        search="""    for_each_slot([&](Slot& s) {
+      const std::uint64_t p = s.pin.epoch.load(std::memory_order_seq_cst);
+      straggler |= p != 0 && p != e;
+    });
+""",
+        replace="""    Slot* seg = dir_[0].load(std::memory_order_seq_cst);
+    for (std::size_t i = 0; seg != nullptr && i < kSegment0; ++i) {
+      const std::uint64_t p = seg[i].pin.epoch.load(std::memory_order_seq_cst);
+      straggler |= p != 0 && p != e;
+    }
+""",
+        tests=["epoch_test"],
+    ),
+    Mutant(
+        name="thread_index_lifo",
+        why="a new thread gets the most recently freed index, not the "
+            "smallest free one, so epoch segments stay as many as the "
+            "most threads ever alive",
+        file=EPOCH,
+        search="""      std::pop_heap(self.free_.begin(), self.free_.end(), std::greater<>());
+      const unsigned idx = self.free_.back();
+      self.free_.pop_back();
+      return idx;
+    }
+    return self.next_++;
+  }
+
+  static void release(unsigned idx) {
+    auto& self = instance();
+    std::lock_guard<std::mutex> g(self.mu_);
+    self.free_.push_back(idx);
+    std::push_heap(self.free_.begin(), self.free_.end(), std::greater<>());
+""",
+        replace="""      const unsigned idx = self.free_.back();
+      self.free_.pop_back();
+      return idx;
+    }
+    return self.next_++;
+  }
+
+  static void release(unsigned idx) {
+    auto& self = instance();
+    std::lock_guard<std::mutex> g(self.mu_);
+    self.free_.push_back(idx);
+""",
+        tests=["epoch_test"],
+    ),
+    Mutant(
+        name="fp_match_drops_guard",
+        why="the SWAR fingerprint matcher loses its & ~x term and flags "
+            "about half of the non-matching slots as candidates",
+        file=PROBE,
+        search="  return (x - 0x010101u) & ~x & kSlotMask;",
+        replace="  return (x - 0x010101u) & kSlotMask;",
+        tests=["probe_equivalence_test"],
     ),
 ]
 

@@ -3,24 +3,26 @@
 //   dlht_server --listen unix:/tmp/dlht.sock --threads 2 --batch 24
 //   dlht_server --listen 127.0.0.1:11311 --durable /tmp/dlht_wal
 //
-// Flags (env knob in parens; the flag wins):
+// Flags:
 //   --listen SPEC        unix:PATH or host:port      (default 127.0.0.1:11311)
-//   --threads N          worker shards               (DLHT_SERVER_THREADS)
-//   --batch N            batch-former threshold;
-//                        <=1 = unbatched baseline    (DLHT_SERVER_BATCH)
-//   --keys N             table sized for N keys      (DLHT_BENCH_KEYS)
-//   --durable DIR        log to a WAL + snapshots in DIR (group commit:
-//                        DLHT_WAL_FSYNC_OPS, DLHT_WAL_COMMIT_US)
+//   --threads N          worker shards               (default 2)
+//   --batch N            batch-former threshold, 1..1024;
+//                        1 = unbatched baseline      (default 24)
+//   --keys N             table sized for N keys      (default 1M)
+//   --durable DIR        log to a WAL + snapshots in DIR, with
+//                        DurabilityOptions' group-commit defaults
 //   --checkpoint-ms M    durable mode: periodic checkpoint interval
-//   --no-pin             don't pin shard threads
+//                        (default 0 = none)
+// A malformed or out-of-range value refuses with exit 2, naming the flag.
+// Shard threads are pinned by the DLHT_PIN plan (DLHT_PIN=none: unpinned);
+// DLHT_NUMA and DLHT_ABLATION shape the table as in every bench.
 //
 // Prints a single "ready" line once the listener is live (harness scripts
 // wait for it), serves until SIGTERM/SIGINT, then prints shutdown stats:
 // ops, flushes, ops/flush, and merged per-flush p50/p99.
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -32,41 +34,32 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const auto n = std::strtoull(v, &end, 10);
-  return end != v ? static_cast<std::size_t>(n) : fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using dlht::bench::parse_uint_or_die;
   using dlht::server::KvServer;
   using dlht::server::ServerOptions;
 
   ServerOptions o;
-  o.shards = static_cast<int>(env_size("DLHT_SERVER_THREADS", 2));
-  o.batch = env_size("DLHT_SERVER_BATCH", 24);
-  std::uint64_t keys = env_size("DLHT_BENCH_KEYS", 1u << 20);
+  std::uint64_t keys = 1u << 20;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
     if (arg == "--listen") {
       o.listen = next();
     } else if (arg == "--threads") {
-      o.shards = std::atoi(next());
+      o.shards = static_cast<int>(
+          parse_uint_or_die("--threads", next(), 1, INT_MAX));
     } else if (arg == "--batch") {
-      o.batch = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      o.batch = parse_uint_or_die("--batch", next(), 1, KvServer::kMaxBatch);
     } else if (arg == "--keys") {
-      keys = std::strtoull(next(), nullptr, 10);
+      keys = parse_uint_or_die("--keys", next(), 1, UINT64_MAX);
     } else if (arg == "--durable") {
       o.durable_dir = next();
     } else if (arg == "--checkpoint-ms") {
-      o.checkpoint_ms = static_cast<unsigned>(std::atoi(next()));
-    } else if (arg == "--no-pin") {
-      o.pin = false;
+      o.checkpoint_ms = static_cast<unsigned>(
+          parse_uint_or_die("--checkpoint-ms", next(), 0, UINT_MAX));
     } else {
       std::fprintf(stderr, "dlht_server: unknown flag %s\n", arg.c_str());
       return 2;
@@ -75,10 +68,6 @@ int main(int argc, char** argv) {
   // Same geometry + env-knob overlay every bench table gets, so a server
   // run is comparable with the in-process figures at equal --keys.
   o.table = dlht::bench::dlht_options(keys);
-  const dlht::DurabilityOptions d =
-      dlht::bench::durability_options(o.durable_dir);
-  o.wal_fsync_interval_ops = d.wal_fsync_interval_ops;
-  o.wal_group_commit_us = d.wal_group_commit_us;
 
   KvServer server(o);
   if (!server.start()) return 1;

@@ -11,7 +11,7 @@
 #   KV_KEYS / KV_MS / KV_THREADS   workload size knobs for the sweep
 #
 # Sections:
-#   1. Batched server (DLHT_SERVER_BATCH default) on a unix socket: mixed
+#   1. Batched server (default --batch) on a unix socket: mixed
 #      Get/PutHeavy/InsDel sweep, closed-loop p50/p99, then the client's
 #      zero-lost / zero-dup shutdown audit (client exit status). Once the
 #      client is gone the shards must park: the server may use at most 10
@@ -57,10 +57,10 @@ fail() {
   exit 1
 }
 
-# Start $SERVER with the given extra args, wait for its ready line.
+# Start $SERVER unpinned with the given extra args, wait for its ready line.
 start_server() {
   : > "$workdir/server.log"
-  "$SERVER" --listen "$1" --keys "$KEYS" --no-pin "${@:2}" \
+  DLHT_PIN=none "$SERVER" --listen "$1" --keys "$KEYS" "${@:2}" \
     > "$workdir/server.log" 2>&1 &
   server_pid=$!
   for _ in $(seq 1 100); do
