@@ -35,7 +35,9 @@
 //                        against full-field rows.
 // A --keys, --ms or --threads-list value that does not parse in full, or
 // a count below 1, refuses with exit 2 as well: a typo read as 0 would run
-// a 0-key table or a 0 ms point under the label of the one asked for.
+// a 0-key table or a 0 ms point under the label of the one asked for. So
+// does any other argument: a misspelled flag would run the defaults under
+// the label of the run asked for.
 // The defaults are sized for a small VM. DLHT_BENCH_SCALE picks a profile:
 //     smoke    ctest-sized (16K keys, 25 ms points)
 //     default  1M keys, 300 ms points (unset = this)
@@ -605,6 +607,9 @@ inline Args parse_args(int argc, char** argv) {
       a.maps = parse_map_list_or_die(next());
     } else if (arg == "--counters") {
       counters_enabled() = true;
+    } else {
+      std::fprintf(stderr, "bench: unknown flag '%s'\n", arg.c_str());
+      std::exit(2);
     }
   }
   if (!json_sink().path.empty()) {

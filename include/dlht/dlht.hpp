@@ -664,7 +664,7 @@ class DLHT {
   }
 
  private:
-  using S = Sync<true>;
+  using S = Sync;
 
   /// Slot fingerprint for a hash — probe.hpp owns the derivation (mixed
   /// top bytes, disjoint from the bin-index bits).

@@ -222,20 +222,6 @@ struct FaultSpec {
   std::atomic<std::uint64_t> reads{0};
 };
 
-/// Parse the DLHT_FAULT env syntax used by the kill-and-recover harness:
-/// "torn:N", "flip:N", "failsync:N". Unrecognized strings leave the spec
-/// zeroed (no injection).
-inline void parse_fault_env(const char* s, FaultSpec* out) {
-  if (s == nullptr || out == nullptr) return;
-  const char* colon = std::strchr(s, ':');
-  if (colon == nullptr) return;
-  const std::uint64_t n = std::strtoull(colon + 1, nullptr, 10);
-  if (n == 0) return;
-  if (std::strncmp(s, "torn", 4) == 0) out->torn_write_at = n;
-  if (std::strncmp(s, "flip", 4) == 0) out->flip_write_at = n;
-  if (std::strncmp(s, "failsync", 8) == 0) out->fail_sync_at = n;
-}
-
 /// Minimal append-only file the durable tier writes through, so the fault
 /// injector can sit between the tier and the kernel.
 class WritableFile {

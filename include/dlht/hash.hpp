@@ -1,15 +1,14 @@
-// 64-bit hash functions used by DLHT and the baselines.
+// Hash functions used by DLHT and the baselines: XxMixHash for 8-byte
+// keys, wyhash_bytes for variable-size keys.
 //
 // The table consumes a full 64-bit hash: low bits pick the bin, the top
-// byte is the 8-bit fingerprint stored in the bucket header. All functors
-// are stateless and cheap to construct at call sites.
+// byte is the 8-bit fingerprint stored in the bucket header. XxMixHash is
+// stateless and cheap to construct at call sites.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-
-#include "common/rng.hpp"  // fmix64, shared with the workload scramblers
 
 namespace dlht {
 
@@ -19,36 +18,6 @@ inline std::uint64_t wymix(std::uint64_t a, std::uint64_t b) {
       static_cast<unsigned __int128>(a) * static_cast<unsigned __int128>(b);
   return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
 }
-
-/// Trivial hash: the key itself. Fine for already-random keys; pathological
-/// for sequential ones — kept as the op-cost floor in micro_ops.
-struct ModuloHash {
-  std::uint64_t operator()(std::uint64_t k) const { return k; }
-};
-
-struct WyHash {
-  std::uint64_t operator()(std::uint64_t k) const {
-    return wymix(k ^ 0x8bb84b93962eacc9ull, 0x2d358dccaa6c78a5ull);
-  }
-};
-
-struct Fnv1aHash {
-  std::uint64_t operator()(std::uint64_t k) const {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (int i = 0; i < 8; ++i) {
-      h ^= (k >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  }
-};
-
-/// MurmurHash3 64-bit finalizer — the one fmix64 definition lives in
-/// common/rng.hpp so the table hash and the workload scramblers cannot
-/// silently diverge.
-struct Murmur3Hash {
-  std::uint64_t operator()(std::uint64_t k) const { return fmix64(k); }
-};
 
 /// xxhash64 avalanche with one extra multiply for short-key quality.
 struct XxMixHash {

@@ -1,47 +1,29 @@
-// Atomic primitives on raw words, parameterized on whether the table is
-// shared. Sync<true> compiles to lock cmpxchg / cmpxchg16b; Sync<false> is
-// the single-thread specialization the paper uses to quantify atomics cost
-// (micro_ops BM_SingleThreadStoreVsCas).
+// Atomic primitives on raw bucket words: the header CAS and the loads and
+// stores around it (lock cmpxchg and plain movs on x86-64).
 //
 // The table deliberately stores plain std::uint64_t words (not std::atomic)
 // so the same bucket bytes can be read optimistically and CASed, and so
-// benches can stack-allocate headers/slots.
+// tests can build headers as plain words.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 
 namespace dlht {
 
 /// One key/value pair. 16 bytes so a 64-byte bucket holds three of them
-/// next to an 8-byte header and a 4-byte link. Call sites that dw-CAS a
-/// Slot must 16-byte-align it (cmpxchg16b requirement).
+/// next to an 8-byte header and a 4-byte link.
 struct Slot {
   std::uint64_t key;
   std::uint64_t value;
 };
 static_assert(sizeof(Slot) == 16, "Slot must be two words");
 
-template <bool kConcurrent>
-struct Sync;
-
-template <>
-struct Sync<true> {
+struct Sync {
   static bool cas(std::uint64_t* p, std::uint64_t expected,
                   std::uint64_t desired) {
     return __atomic_compare_exchange_n(p, &expected, desired,
                                        /*weak=*/false, __ATOMIC_ACQ_REL,
                                        __ATOMIC_ACQUIRE);
-  }
-
-  /// Double-width CAS of a whole Slot (key+value published atomically).
-  static bool dwcas(Slot* p, Slot expected, Slot desired) {
-    unsigned __int128 e, d;
-    std::memcpy(&e, &expected, 16);
-    std::memcpy(&d, &desired, 16);
-    auto* t = reinterpret_cast<unsigned __int128*>(p);
-    return __atomic_compare_exchange_n(t, &e, d, /*weak=*/false,
-                                       __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE);
   }
 
   static std::uint64_t load_acquire(const std::uint64_t* p) {
@@ -56,25 +38,6 @@ struct Sync<true> {
   static void store_relaxed(std::uint64_t* p, std::uint64_t v) {
     __atomic_store_n(p, v, __ATOMIC_RELAXED);
   }
-};
-
-template <>
-struct Sync<false> {
-  static bool cas(std::uint64_t* p, std::uint64_t expected,
-                  std::uint64_t desired) {
-    if (*p != expected) return false;
-    *p = desired;
-    return true;
-  }
-  static bool dwcas(Slot* p, Slot expected, Slot desired) {
-    if (p->key != expected.key || p->value != expected.value) return false;
-    *p = desired;
-    return true;
-  }
-  static std::uint64_t load_acquire(const std::uint64_t* p) { return *p; }
-  static void store_release(std::uint64_t* p, std::uint64_t v) { *p = v; }
-  static std::uint64_t load_relaxed(const std::uint64_t* p) { return *p; }
-  static void store_relaxed(std::uint64_t* p, std::uint64_t v) { *p = v; }
 };
 
 inline void cpu_relax() {

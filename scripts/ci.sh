@@ -69,7 +69,7 @@ run_docs() {
     fi
   done
 
-  echo "=== docs: every documented DLHT_* name is read by the code ==="
+  echo "=== docs: every documented DLHT_* name and flag is read by the code ==="
   # A deleted knob must not stay documented: each DLHT_ name in README.md
   # and docs/*.md must be a string literal somewhere in the code, or a
   # CMake option.
@@ -78,6 +78,17 @@ run_docs() {
     if ! grep -rqF "\"$name\"" include bench server tests scripts perfbench &&
        ! grep -qE "^option\($name[[:space:]]" CMakeLists.txt; then
       echo "FAIL: '$name' is documented but read nowhere in the code" >&2
+      unread=1
+    fi
+  done
+  # Likewise every --flag they mention, except ctest's own
+  # --output-on-failure, which no code here passes.
+  for flag in $(grep -ohE -- '(^|[^-[:alnum:]_])--[a-z][a-z0-9_-]*' \
+                  README.md docs/*.md | sed -E 's/^[^-]*//' | sort -u); do
+    [ "$flag" = "--output-on-failure" ] && continue
+    if ! grep -rqF -- "\"$flag\"" \
+           include bench server tests scripts perfbench; then
+      echo "FAIL: '$flag' is documented but read nowhere in the code" >&2
       unread=1
     fi
   done

@@ -185,6 +185,57 @@ MUTANTS = [
         tests=["recovery_test"],
     ),
     Mutant(
+        name="lsn_range_before_core",
+        why="a logged call draws one LSN range before the core call, so "
+            "two shards' writes to one key can take LSNs in the opposite "
+            "order to the one they applied in",
+        file=DURABILITY,
+        search="""        apply([&](OpType op, std::uint64_t key, std::uint64_t value) {
+          WalRecord r;
+          r.lsn = lsn_.fetch_add(1, std::memory_order_relaxed) + 1;
+""",
+        replace="""        std::uint64_t next_lsn =
+            lsn_.fetch_add(changes, std::memory_order_relaxed);
+        apply([&](OpType op, std::uint64_t key, std::uint64_t value) {
+          WalRecord r;
+          r.lsn = ++next_lsn;
+""",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="lsn_blocks_per_thread",
+        why="each thread draws LSNs from its own block of 64, so LSN order "
+            "across threads is not the order their writes applied in",
+        file=DURABILITY,
+        search="          r.lsn = lsn_.fetch_add(1, std::memory_order_relaxed) + 1;\n",
+        replace="""          thread_local std::uint64_t block_next = 0, block_end = 0;
+          if (block_next == block_end) {
+            block_next = lsn_.fetch_add(64, std::memory_order_relaxed);
+            block_end = block_next + 64;
+          }
+          r.lsn = ++block_next;
+""",
+        tests=["recovery_test"],
+    ),
+    Mutant(
+        name="replay_reads_all_then_sorts",
+        why="a replay partition reads all of its records into memory and "
+            "sorts them instead of merging the segments' streams",
+        file=DURABILITY,
+        search="""      if (next(h.segment, &h.rec)) heap.push_back(h);
+    }
+    std::make_heap(heap.begin(), heap.end(), later);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+""",
+        replace="""      while (next(h.segment, &h.rec)) heap.push_back(h);
+    }
+    std::sort(heap.begin(), heap.end(), later);
+    while (!heap.empty()) {
+""",
+        tests=["recovery_test"],
+    ),
+    Mutant(
         name="guard_page_dropped",
         why="a bucket array ends without its PROT_NONE guard page, so a "
             "write past it lands in whatever is mapped next",
@@ -249,6 +300,51 @@ MUTANTS = [
         file=CORE,
         search="      if (s.empty.b == nullptr) {\n",
         replace="      if (s.empty.b == nullptr && b == home) {\n",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="update_edits_shadow",
+        why="update() edits a shadow-reserved slot that Gets cannot read "
+            "yet",
+        file=CORE,
+        search="""    edit_pinned<probe::valid_slots>(
+        hash_(key), key, [&](Slot& slot, int, std::uint64_t bh) {""",
+        replace="""    edit_pinned<probe::occupied_slots>(
+        hash_(key), key, [&](Slot& slot, int, std::uint64_t bh) {""",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="publish_skips_link_header",
+        why="a write to a link bucket never stores that bucket's new "
+            "header, so the slot it filled or freed keeps its old state",
+        file=CORE,
+        search="""    S::store_release(&b->header, hdr::bump_version(nh));
+    if (append_to != nullptr) {""",
+        replace="    if (append_to != nullptr) {",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="grow_chunk_stale_slot",
+        why="a demand-grown link chunk's first bucket starts with a stale "
+            "valid slot",
+        file=CORE,
+        search="""      grow_chunks_[n].store(detail::map_buckets(kGrowChunkBuckets, numa_),
+                            std::memory_order_release);
+""",
+        replace="""      Bucket* chunk = detail::map_buckets(kGrowChunkBuckets, numa_);
+      chunk[0].header = hdr::with_slot_state(0, 1, SlotState::kValid);
+      grow_chunks_[n].store(chunk, std::memory_order_release);
+""",
+        tests=["dlht_test"],
+    ),
+    Mutant(
+        name="huge_array_early",
+        why="a bucket array of 2 MiB or more is placed 64 B before its "
+            "guard page instead of ending at it",
+        file=CORE,
+        search="  return reinterpret_cast<Bucket*>(base + span - bytes);",
+        replace="  return reinterpret_cast<Bucket*>(base + span - bytes - "
+                "(huge ? 64 : 0));",
         tests=["dlht_test"],
     ),
     Mutant(
@@ -322,6 +418,15 @@ MUTANTS = [
         file=PROBE,
         search="  return (x - 0x010101u) & ~x & kSlotMask;",
         replace="  return (x - 0x010101u) & kSlotMask;",
+        tests=["probe_equivalence_test"],
+    ),
+    Mutant(
+        name="occupied_drops_state3",
+        why="occupied_slots does not count a slot in state 3 (which no "
+            "writer stores) as occupied",
+        file=PROBE,
+        search="  return detail::spread_states((st | (st >> 1)) & 0x15u);",
+        replace="  return detail::spread_states((st ^ (st >> 1)) & 0x15u);",
         tests=["probe_equivalence_test"],
     ),
 ]

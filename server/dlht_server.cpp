@@ -14,8 +14,9 @@
 //   --checkpoint-ms M    durable mode: periodic checkpoint interval
 //                        (default 0 = none)
 // A malformed or out-of-range value refuses with exit 2, naming the flag.
-// Shard threads are pinned by the DLHT_PIN plan (DLHT_PIN=none: unpinned);
-// DLHT_NUMA and DLHT_ABLATION shape the table as in every bench.
+// Shard threads are pinned by the DLHT_PIN plan (DLHT_PIN=none: unpinned),
+// and a malformed DLHT_PIN refuses with exit 2 too. DLHT_NUMA and
+// DLHT_ABLATION shape the table as in every bench.
 //
 // Prints a single "ready" line once the listener is live (harness scripts
 // wait for it), serves until SIGTERM/SIGINT, then prints shutdown stats:
@@ -65,6 +66,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // Refuse a malformed DLHT_PIN with exit 2, as every bench does, before
+  // anything is built: KvServer::start reports it only as a failed start.
+  (void)dlht::pin_plan_from_env_or_die();
   // Same geometry + env-knob overlay every bench table gets, so a server
   // run is comparable with the in-process figures at equal --keys.
   o.table = dlht::bench::dlht_options(keys);

@@ -45,6 +45,7 @@
 
 #include "bench_common.hpp"
 #include "server/client.hpp"
+#include "server/server.hpp"  // KvServer::kMaxBatch, the --batch cap
 #include "workload/driver.hpp"
 #include "workload/mixes.hpp"
 
@@ -334,27 +335,32 @@ int run_kr(const std::string& dir, const std::string& connect) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using dlht::bench::parse_uint_or_die;
   std::string connect = "127.0.0.1:11311";
   std::string kr_dir;
   std::size_t batch = 32;
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
+  // The client's own flags; the rest go to parse_args, which refuses any
+  // flag it does not know.
+  std::vector<char*> rest{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
     if (arg == "--connect") {
       connect = next();
     } else if (arg == "--batch") {
-      batch = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      batch = parse_uint_or_die("--batch", next(), 1,
+                                dlht::server::KvServer::kMaxBatch);
     } else if (arg == "--kr-run") {
       kr_dir = next();
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = parse_uint_or_die("--seed", next(), 0, UINT64_MAX);
+    } else {
+      rest.push_back(argv[i]);
     }
   }
-  if (batch < 1) batch = 1;
+  const auto a =
+      dlht::bench::parse_args(static_cast<int>(rest.size()), rest.data());
   if (!kr_dir.empty()) return run_kr(kr_dir, connect);
-  // parse_args handles --keys/--ms/--threads-list/--json (and ignores the
-  // client-only flags above).
-  const auto a = dlht::bench::parse_args(argc, argv);
   return run_bench(a, connect, batch, seed);
 }

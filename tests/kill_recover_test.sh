@@ -35,7 +35,14 @@ for rep in $(seq 1 "$REPEAT"); do
       sleep "$CHURN"
       kill -9 "$pid" 2>/dev/null
       wait "$pid" 2>/dev/null
+      status=$?
       unset DLHT_FAULT || true
+      # 137 is death by SIGKILL. A writer that ended on its own (a refused
+      # DLHT_FAULT exits 2) churned nothing for the audit to check.
+      if [ "$status" -ne 137 ]; then
+        echo "kill_recover FAIL: rep=$rep mode=$mode cycle=$cycle writer exited with status $status before the kill"
+        exit 1
+      fi
       if ! "$KRW" --audit "$dir"; then
         echo "kill_recover FAIL: rep=$rep mode=$mode cycle=$cycle dir=$dir (kept for inspection)"
         exit 1

@@ -9,8 +9,10 @@
 //                                    zero lost committed keys and zero
 //                                    duplicates against the progress file.
 //
-// DLHT_FAULT=torn:N|flip:N|failsync:N (run side only) injects corruption via
-// the FaultyFile wrapper; the commit protocol must hold under every mode.
+// DLHT_FAULT=torn:N|flip:N|failsync:N (run side only, N >= 1) injects
+// corruption via the FaultyFile wrapper; the commit protocol must hold
+// under every mode. Any other DLHT_FAULT value refuses with exit 2 before
+// DIR is opened.
 //
 // Commit protocol: thread t publishes applied[t] = i once every op for
 // indices <= i has RETURNED (so its record sits in a shard buffer or on
@@ -20,6 +22,8 @@
 // sees a torn progress file). Committed keys are never deleted — deletes
 // churn on scratch keys — so "lost committed key" is unambiguous.
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -57,6 +61,34 @@ dlht::Options writer_options() {
 }
 
 // ------------------------------------------------------------- run side
+
+/// DLHT_FAULT's fault: exactly torn:N, flip:N or failsync:N with N >= 1;
+/// unset injects nothing. Anything else refuses with exit 2, so a typo in
+/// the harness's modes cannot run the no-fault path under a fault label.
+void parse_fault_env_or_die(dlht::FaultSpec* out) {
+  const char* s = std::getenv("DLHT_FAULT");
+  if (s == nullptr) return;
+  const char* colon = std::strchr(s, ':');
+  const std::string mode = colon != nullptr ? std::string(s, colon) : "";
+  std::uint64_t* at = mode == "torn"       ? &out->torn_write_at
+                      : mode == "flip"     ? &out->flip_write_at
+                      : mode == "failsync" ? &out->fail_sync_at
+                                           : nullptr;
+  bool ok = at != nullptr && std::isdigit(static_cast<unsigned char>(colon[1]));
+  if (ok) {
+    char* end = nullptr;
+    errno = 0;
+    *at = std::strtoull(colon + 1, &end, 10);
+    ok = *end == '\0' && errno != ERANGE && *at >= 1;
+  }
+  if (!ok) {
+    std::fprintf(stderr,
+                 "kill_recover_writer: bad DLHT_FAULT '%s': expected "
+                 "torn:N, flip:N or failsync:N with N >= 1\n",
+                 s);
+    std::exit(2);
+  }
+}
 
 std::atomic<std::uint64_t> g_applied[kThreads];
 
@@ -118,7 +150,7 @@ void writer_thread(dlht::DurableDLHT* db, Committer* committer, unsigned t,
 
 int run(const std::string& dir) {
   dlht::FaultSpec faults;
-  dlht::parse_fault_env(std::getenv("DLHT_FAULT"), &faults);
+  parse_fault_env_or_die(&faults);
   const bool injecting = faults.torn_write_at != 0 ||
                          faults.flip_write_at != 0 || faults.fail_sync_at != 0;
 
