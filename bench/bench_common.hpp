@@ -24,9 +24,8 @@
 //                        perf_event_open get zeroed values with
 //                        "unavailable": true — the key is always present so
 //                        CI can grep for it.
-//     --map a,b,...      restrict a comparison bench to the named designs.
-//                        Names: dlht clht growt folly dramhit mica cuckoo
-//                        leapfrog locked rh mm. Unknown names refuse
+//     --map a,b,...      restrict a comparison bench to the named designs
+//                        (the kDesigns registry below). Unknown names refuse
 //                        with exit 2 (same contract as --probe: a typo
 //                        silently dropping a series mislabels the
 //                        trajectory). Unset = every design the binary
@@ -64,10 +63,13 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
 
+#include "baselines/baselines.hpp"
 #include "common/perf_counters.hpp"
 #include "common/topology.hpp"
 #include "dlht/dlht.hpp"
@@ -355,25 +357,105 @@ inline Options dlht_options(std::uint64_t keys) {
   return apply_env_knobs(o);
 }
 
-/// Every design name --map accepts. One list for every comparison bench: a
-/// name a binary does not host simply selects nothing there, but a
-/// *misspelled* name is refused everywhere (exit 2).
-inline constexpr const char* kMapNames[] = {
-    "dlht",   "clht",     "growt",  "folly", "dramhit", "mica",
-    "cuckoo", "leapfrog", "locked", "rh",    "mm",
+/// Batch size of every batched worker the comparison benches run.
+inline constexpr std::size_t kDefaultBatch = 24;
+
+/// One design --map can select: its --map name, the series label the
+/// comparison figures print, its Get batch size (kDefaultBatch where the
+/// design has a batched Get, else 1), its table sized for `keys` keys in
+/// the design's comfort zone (docs/BENCHMARKING.md, fairness rule 2), and
+/// that table's rough peak bytes, which the paper profile's RSS guard
+/// checks before the first allocation (the guard adds headroom on top).
+template <class M>
+struct Design {
+  const char* name;
+  const char* label;
+  std::size_t get_batch;
+  M (*make)(std::uint64_t keys);
+  std::uint64_t (*footprint)(std::uint64_t keys);
 };
+
+/// Every design --map accepts, and the one place each is built. Labels
+/// follow Table 3; the paper's TBB has no stand-in (a locked map under that
+/// name would only rerun Locked). A name a bench does not host selects
+/// nothing there, but a misspelled name is refused everywhere (exit 2).
+inline constexpr std::tuple kDesigns{
+    Design<DLHT>{"dlht", "DLHT", kDefaultBatch,
+                 [](std::uint64_t k) { return DLHT(dlht_options(k)); },
+                 [](std::uint64_t k) {
+                   const std::uint64_t bins = k * 2 / 3 + 64;  // dlht_options
+                   return bins * 64 + bins / 8 * 64;
+                 }},
+    // 3 slots per bin: ~1/3 occupancy headroom.
+    Design<baselines::ClhtLike<>>{
+        "clht", "CLHT", 1,
+        [](std::uint64_t k) { return baselines::ClhtLike<>(k); },
+        [](std::uint64_t k) { return ceil_pow2(k) * 64 + k * 16; }},
+    // 8x cells: clear of GrowT's 30 % resize trigger.
+    Design<baselines::GrowtLike<>>{
+        "growt", "GrowT", 1,
+        [](std::uint64_t k) { return baselines::GrowtLike<>(k * 8); },
+        [](std::uint64_t k) { return ceil_pow2(k * 8) * 16; }},
+    Design<baselines::FollyLike<>>{
+        "folly", "Folly", 1,
+        [](std::uint64_t k) { return baselines::FollyLike<>(k * 4); },
+        [](std::uint64_t k) { return ceil_pow2(k * 4) * 16; }},
+    Design<baselines::DramhitLike<>>{
+        "dramhit", "DRAMHiT", kDefaultBatch,
+        [](std::uint64_t k) { return baselines::DramhitLike<>(k * 4); },
+        [](std::uint64_t k) { return ceil_pow2(k * 4) * 16; }},
+    // Per index bucket: 8 entries of 8 B, and 8 store items of 16 B.
+    Design<baselines::MicaLike<>>{
+        "mica", "MICA", kDefaultBatch,
+        [](std::uint64_t k) { return baselines::MicaLike<>(k / 4 + 16); },
+        [](std::uint64_t k) { return ceil_pow2(k / 4 + 16) * 192; }},
+    Design<baselines::CuckooLike<>>{
+        "cuckoo", "Cuckoo", 1,
+        [](std::uint64_t k) { return baselines::CuckooLike<>(k * 2); },
+        [](std::uint64_t k) { return ceil_pow2(k * 2) * 32; }},
+    Design<baselines::LeapfrogLike<>>{
+        "leapfrog", "Leapfrog", 1,
+        [](std::uint64_t k) { return baselines::LeapfrogLike<>(k * 4); },
+        [](std::uint64_t k) { return ceil_pow2(k * 4) * 16; }},
+    Design<baselines::Locked<>>{
+        "locked", "Locked", 1,
+        [](std::uint64_t k) { return baselines::Locked<>(k); },
+        [](std::uint64_t k) { return k * 64; }},
+    // 2x slots: Robin Hood at 50 % load.
+    Design<baselines::RobinHoodMap<>>{
+        "rh", "RobinHood", kDefaultBatch,
+        [](std::uint64_t k) { return baselines::RobinHoodMap<>(k * 2); },
+        [](std::uint64_t k) {
+          return (ceil_pow2(k * 2) + baselines::RobinHoodMap<>::kMaxProbe) *
+                 24;
+        }},
+    // One expected node per bucket.
+    Design<baselines::MagedMichaelMap<>>{
+        "mm", "MagedMichael", kDefaultBatch,
+        [](std::uint64_t k) { return baselines::MagedMichaelMap<>(k); },
+        [](std::uint64_t k) { return ceil_pow2(k) * 8 + k * 48; }},
+};
+
+/// Run f(design) for every kDesigns entry, in registry order.
+template <class F>
+void for_each_design(F&& f) {
+  std::apply([&f](const auto&... d) { (f(d), ...); }, kDesigns);
+}
 
 inline std::vector<std::string> parse_map_list_or_die(const char* s) {
   std::vector<std::string> out = split_list(s);
   for (const std::string& name : out) {
     bool known = false;
-    for (const char* n : kMapNames) known = known || name == n;
+    std::string names;
+    for_each_design([&](const auto& d) {
+      known = known || name == d.name;
+      names += ' ';
+      names += d.name;
+    });
     if (!known) {
       std::fprintf(stderr,
-                   "bench: unknown map '%s'; expected a comma list of: "
-                   "dlht clht growt folly dramhit mica cuckoo leapfrog "
-                   "locked rh mm\n",
-                   name.c_str());
+                   "bench: unknown map '%s'; expected a comma list of:%s\n",
+                   name.c_str(), names.c_str());
       std::exit(2);
     }
   }

@@ -1,15 +1,13 @@
-// Map construction + generic measurement helpers shared by the comparison
-// benches (Figs. 1, 3, 4, 5, 6, 7).
-//
-// Naming follows Table 3: DLHT (batched), DLHT-NoBatch, CLHT, GrowT, Folly,
-// DRAMHiT, MICA, Cuckoo, Leapfrog. The paper's TBB has no stand-in: a
-// locked map under that name would only rerun Locked. Baselines are sized
-// so the prepopulated working set fits their design's comfort zone (open
-// addressing gets 4x capacity; growt needs headroom over its 30 % trigger).
+// Measurement helpers shared by the benches, and run_designs, which builds
+// the comparison figures' opponents (Figs. 1, 3, 5, 6, 16) from the
+// kDesigns registry in bench_common.hpp.
 #pragma once
 
+#include <algorithm>
 #include <functional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/baselines.hpp"
@@ -107,48 +105,39 @@ double putheavy_tput(M& m, std::uint64_t keys, int threads, double seconds,
                   workload::make_putheavy_worker(m, keys, 9));
 }
 
-inline constexpr std::size_t kDefaultBatch = 24;
+/// A bench's own list of kDesigns names.
+using DesignNames = std::initializer_list<const char*>;
 
-/// Rough peak-RSS estimate (bytes) for the table a comparison bench builds
-/// for design `name` at population `keys`. The formulas mirror the
-/// constructor arguments the fig01/fig03 blocks actually pass (GrowT gets
-/// keys*8 cells, open addressing keys*4, Robin Hood keys*2, ...), so the
-/// paper profile's RSS guard can refuse *before* the first allocation.
-/// Deliberately conservative-but-rough: the guard adds headroom on top.
-inline std::uint64_t map_footprint_bytes(const std::string& name,
-                                         std::uint64_t keys) {
-  const auto p2 = [](std::uint64_t x) {
-    return static_cast<std::uint64_t>(
-        ceil_pow2(static_cast<std::size_t>(x)));
-  };
-  if (name == "dlht") {
-    const std::uint64_t bins = keys * 2 / 3 + 64;  // dlht_options geometry
-    return bins * 64 + bins / 8 * 64;
+/// Run f(design, table) for each design of `names` that --map enables, in
+/// list order: a fresh table sized for `keys` keys holding keys
+/// 1..`populate`. Each table is destroyed before the next is built.
+template <class F>
+void run_designs(const Args& args, DesignNames names, std::uint64_t keys,
+                 std::uint64_t populate, F&& f) {
+  for (const char* name : names) {
+    if (!args.map_enabled(name)) continue;
+    for_each_design([&](const auto& d) {
+      if (std::string_view(d.name) != name) return;
+      auto m = d.make(keys);
+      if (populate != 0) workload::populate(m, populate);
+      f(d, m);
+    });
   }
-  if (name == "clht") return p2(keys) * 64 + keys * 16;
-  if (name == "growt") return p2(keys * 8) * 16;
-  if (name == "folly" || name == "dramhit" || name == "leapfrog") {
-    return p2(keys * 4) * 16;
-  }
-  if (name == "mica") return p2(keys / 4 + 16) * 64 + keys * 32;
-  if (name == "cuckoo") return p2(keys * 2) * 32;
-  if (name == "locked") return keys * 64;
-  if (name == "rh") {
-    return (p2(keys * 2) + baselines::RobinHoodMap<>::kMaxProbe) * 24;
-  }
-  if (name == "mm") return p2(keys) * 8 + keys * 48;
-  return keys * 64;
 }
 
-/// The paper-profile guard for a comparison bench: the blocks run one at a
-/// time (each table is destroyed before the next is built), so the peak is
-/// the *largest enabled* design, not the sum.
-inline void guard_comparison_rss(const Args& args, const char* fig) {
+/// The paper-profile guard for a bench that builds the designs of `names`
+/// at --keys one at a time (run_designs), so the peak is the largest
+/// enabled design, not the sum.
+inline void guard_comparison_rss(const Args& args, const char* fig,
+                                 DesignNames names) {
   std::uint64_t peak = 0;
-  for (const char* name : kMapNames) {
+  for (const char* name : names) {
     if (!args.map_enabled(name)) continue;
-    const std::uint64_t b = map_footprint_bytes(name, args.keys);
-    if (b > peak) peak = b;
+    for_each_design([&](const auto& d) {
+      if (std::string_view(d.name) == name) {
+        peak = std::max(peak, d.footprint(args.keys));
+      }
+    });
   }
   require_memory_or_die(fig, peak);
 }

@@ -9,6 +9,9 @@
 //
 // --map a,b,... restricts the sweep; shape checks
 // needing a filtered-out series self-skip.
+#include <map>
+#include <string>
+
 #include "bench_maps.hpp"
 
 using namespace dlht;
@@ -18,26 +21,26 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   const std::uint64_t keys = args.keys;
   const double secs = args.seconds();
-  guard_comparison_rss(args, "fig03");
+  const DesignNames field = {"dlht",    "clht",   "growt",    "folly",
+                             "dramhit", "mica",   "cuckoo",   "leapfrog",
+                             "rh",      "mm"};
+  guard_comparison_rss(args, "fig03", field);
   print_header("fig03", "Get throughput vs threads");
 
-  double dlht_peak = 0, nobatch_peak = 0, mica_peak = 0;
+  std::map<std::string, double> peak;  // by series
 
   print_probe_engine();
-  if (args.map_enabled("dlht")) {
-    InlinedMap m(dlht_options(keys));
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      const double v = get_tput(m, keys, t, secs, kDefaultBatch);
-      dlht_peak = std::max(dlht_peak, v);
-      print_row("fig03", "DLHT", t, v, "Mreq/s");
-    }
-    for (const int t : args.threads_list) {
-      const double v = get_tput(m, keys, t, secs, 1);
-      nobatch_peak = std::max(nobatch_peak, v);
-      print_row("fig03", "DLHT-NoBatch", t, v, "Mreq/s");
-    }
-  }
+  run_designs(args, field, keys, keys, [&](const auto& d, auto& m) {
+    const auto sweep = [&](const std::string& series, std::size_t batch) {
+      for (const int t : args.threads_list) {
+        const double v = get_tput(m, keys, t, secs, batch);
+        peak[series] = std::max(peak[series], v);
+        print_row("fig03", series, t, v, "Mreq/s");
+      }
+    };
+    sweep(d.label, d.get_batch);
+    if (std::string_view(d.name) == "dlht") sweep("DLHT-NoBatch", 1);
+  });
   // When the dispatched engine is SIMD, also sweep a forced-SWAR table so
   // the figure shows what the vector probe contributes at each thread
   // count (its sibling micro-view is micro_ops' single-thread sweep).
@@ -52,83 +55,14 @@ int main(int argc, char** argv) {
                 get_tput(m, keys, t, secs, kDefaultBatch), "Mreq/s");
     }
   }
-  if (args.map_enabled("clht")) {
-    baselines::ClhtLike<> m(keys);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig03", "CLHT", t, get_tput(m, keys, t, secs, 1), "Mreq/s");
-    }
-  }
-  if (args.map_enabled("growt")) {
-    baselines::GrowtLike<> m(keys * 8);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig03", "GrowT", t, get_tput(m, keys, t, secs, 1), "Mreq/s");
-    }
-  }
-  if (args.map_enabled("folly")) {
-    baselines::FollyLike<> m(keys * 4);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig03", "Folly", t, get_tput(m, keys, t, secs, 1), "Mreq/s");
-    }
-  }
-  if (args.map_enabled("dramhit")) {
-    baselines::DramhitLike<> m(keys * 4);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig03", "DRAMHiT", t,
-                get_tput(m, keys, t, secs, kDefaultBatch), "Mreq/s");
-    }
-  }
-  if (args.map_enabled("mica")) {
-    baselines::MicaLike<> m(keys / 4 + 16);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      const double v = get_tput(m, keys, t, secs, kDefaultBatch);
-      mica_peak = std::max(mica_peak, v);
-      print_row("fig03", "MICA", t, v, "Mreq/s");
-    }
-  }
-  if (args.map_enabled("cuckoo")) {
-    baselines::CuckooLike<> m(keys * 2);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig03", "Cuckoo", t, get_tput(m, keys, t, secs, 1), "Mreq/s");
-    }
-  }
-  if (args.map_enabled("leapfrog")) {
-    baselines::LeapfrogLike<> m(keys * 4);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig03", "Leapfrog", t, get_tput(m, keys, t, secs, 1),
-                "Mreq/s");
-    }
-  }
-  if (args.map_enabled("rh")) {
-    baselines::RobinHoodMap<> m(keys * 2);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig03", "RobinHood", t,
-                get_tput(m, keys, t, secs, kDefaultBatch), "Mreq/s");
-    }
-  }
-  if (args.map_enabled("mm")) {
-    baselines::MagedMichaelMap<> m(keys);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig03", "MagedMichael", t,
-                get_tput(m, keys, t, secs, kDefaultBatch), "Mreq/s");
-    }
-  }
 
   if (args.map_enabled("dlht")) {
     check_shape("batched DLHT beats DLHT-NoBatch (prefetch pays)",
-                dlht_peak > nobatch_peak);
+                peak["DLHT"] > peak["DLHT-NoBatch"]);
   }
   if (args.map_enabled("dlht") && args.map_enabled("mica")) {
     check_shape("DLHT beats MICA (inlining: 1 access vs 2)",
-                dlht_peak > mica_peak);
+                peak["DLHT"] > peak["MICA"]);
   }
   return 0;
 }

@@ -6,6 +6,9 @@
 // accesses; CLHT absent (no Puts). Robin Hood upserts in place under its
 // stripe locks; Maged-Michael upserts with a single release store once the
 // node is found.
+#include <map>
+#include <string>
+
 #include "bench_maps.hpp"
 
 using namespace dlht;
@@ -15,77 +18,28 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   const std::uint64_t keys = args.keys;
   const double secs = args.seconds();
-  guard_comparison_rss(args, "fig06");
+  const DesignNames field = {"dlht", "growt", "folly", "dramhit",
+                             "mica", "rh",    "mm"};
+  guard_comparison_rss(args, "fig06", field);
   print_header("fig06", "Put-heavy (50% Get / 50% Put) vs threads");
 
-  double dlht_peak = 0, growt_peak = 0;
+  std::map<std::string, double> peak;  // by series
 
-  if (args.map_enabled("dlht")) {
-    InlinedMap m(dlht_options(keys));
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      const double v = putheavy_tput(m, keys, t, secs, kDefaultBatch);
-      dlht_peak = std::max(dlht_peak, v);
-      print_row("fig06", "DLHT", t, v, "Mreq/s");
-    }
-    for (const int t : args.threads_list) {
-      print_row("fig06", "DLHT-NoBatch", t, putheavy_tput(m, keys, t, secs, 1),
-                "Mreq/s");
-    }
-  }
-  if (args.map_enabled("growt")) {
-    baselines::GrowtLike<> m(keys * 8);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      const double v = putheavy_tput(m, keys, t, secs, 1);
-      growt_peak = std::max(growt_peak, v);
-      print_row("fig06", "GrowT", t, v, "Mreq/s");
-    }
-  }
-  if (args.map_enabled("folly")) {
-    baselines::FollyLike<> m(keys * 4);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig06", "Folly", t, putheavy_tput(m, keys, t, secs, 1),
-                "Mreq/s");
-    }
-  }
-  if (args.map_enabled("dramhit")) {
-    baselines::DramhitLike<> m(keys * 4);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig06", "DRAMHiT", t, putheavy_tput(m, keys, t, secs, 1),
-                "Mreq/s");
-    }
-  }
-  if (args.map_enabled("mica")) {
-    baselines::MicaLike<> m(keys / 4 + 16);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig06", "MICA", t, putheavy_tput(m, keys, t, secs, 1),
-                "Mreq/s");
-    }
-  }
-  if (args.map_enabled("rh")) {
-    baselines::RobinHoodMap<> m(keys * 2);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig06", "RobinHood", t,
-                putheavy_tput(m, keys, t, secs, kDefaultBatch), "Mreq/s");
-    }
-  }
-  if (args.map_enabled("mm")) {
-    baselines::MagedMichaelMap<> m(keys);
-    workload::populate(m, keys);
-    for (const int t : args.threads_list) {
-      print_row("fig06", "MagedMichael", t,
-                putheavy_tput(m, keys, t, secs, kDefaultBatch), "Mreq/s");
-    }
-  }
+  run_designs(args, field, keys, keys, [&](const auto& d, auto& m) {
+    const auto sweep = [&](const std::string& series, std::size_t batch) {
+      for (const int t : args.threads_list) {
+        const double v = putheavy_tput(m, keys, t, secs, batch);
+        peak[series] = std::max(peak[series], v);
+        print_row("fig06", series, t, v, "Mreq/s");
+      }
+    };
+    sweep(d.label, kDefaultBatch);
+    if (std::string_view(d.name) == "dlht") sweep("DLHT-NoBatch", 1);
+  });
 
   if (args.map_enabled("dlht") && args.map_enabled("growt")) {
     check_shape("DLHT Put-heavy beats non-prefetching open addressing",
-                dlht_peak > growt_peak);
+                peak["DLHT"] > peak["GrowT"]);
   }
   return 0;
 }

@@ -9,6 +9,10 @@
 // concurrency in sight. The strong opponents get the same three rows:
 // with zero contention their synchronization is nearly free, so this is
 // their best-case showing.
+#include <map>
+#include <string>
+#include <type_traits>
+
 #include "bench_maps.hpp"
 
 using namespace dlht;
@@ -18,87 +22,56 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   const std::uint64_t keys = args.keys;
   const double secs = args.seconds();
-  guard_comparison_rss(args, "fig16");
+  const DesignNames field = {"dlht", "locked", "rh", "mm"};
+  guard_comparison_rss(args, "fig16", field);
   print_header("fig16", "single-thread DLHT vs locked std::unordered_map");
 
-  double dlht_get = 0, dlht_get_batch = 0, locked_get = 0;
-  double dlht_insdel = 0, dlht_insdel_batch = 0, locked_insdel = 0;
-  double dlht_put = 0, locked_put = 0;
-
-  if (args.map_enabled("dlht")) {
-    InlinedMap m(dlht_options(keys));
-    workload::populate(m, keys);
-    dlht_get = run_tput(1, secs, workload::make_get_worker(m, keys, 3));
-    print_row("fig16", "DLHT/Get", 1, dlht_get, "Mreq/s");
-    dlht_get_batch = run_tput(
-        1, secs, workload::make_get_batch_worker(m, keys, kDefaultBatch, 3));
-    print_row("fig16", "DLHT-Batched/Get", 1, dlht_get_batch, "Mreq/s");
-    dlht_put = run_tput(1, secs, workload::make_putheavy_worker(m, keys, 5));
-    print_row("fig16", "DLHT/PutHeavy", 1, dlht_put, "Mreq/s");
-    dlht_insdel = run_tput(1, secs, workload::make_insdel_worker(m, keys, 1));
-    print_row("fig16", "DLHT/InsDel", 1, dlht_insdel, "Mreq/s");
-    dlht_insdel_batch = run_tput(
-        1, secs,
-        workload::make_insdel_batch_worker(m, keys, 1, kDefaultBatch));
-    print_row("fig16", "DLHT-Batched/InsDel", 1, dlht_insdel_batch, "Mreq/s");
-  }
-  if (args.map_enabled("locked")) {
-    baselines::Locked<> m(keys);
-    workload::populate(m, keys);
-    locked_get = run_tput(1, secs, workload::make_get_worker(m, keys, 3));
-    print_row("fig16", "Locked/Get", 1, locked_get, "Mreq/s");
-    locked_put = run_tput(1, secs, workload::make_putheavy_worker(m, keys, 5));
-    print_row("fig16", "Locked/PutHeavy", 1, locked_put, "Mreq/s");
-    locked_insdel = run_tput(1, secs,
-                             workload::make_insdel_worker(m, keys, 1));
-    print_row("fig16", "Locked/InsDel", 1, locked_insdel, "Mreq/s");
-  }
-  if (args.map_enabled("rh")) {
-    baselines::RobinHoodMap<> m(keys * 2);
-    workload::populate(m, keys);
-    print_row("fig16", "RobinHood/Get", 1,
-              run_tput(1, secs, workload::make_get_worker(m, keys, 3)),
-              "Mreq/s");
-    print_row("fig16", "RobinHood/PutHeavy", 1,
-              run_tput(1, secs, workload::make_putheavy_worker(m, keys, 5)),
-              "Mreq/s");
-    print_row("fig16", "RobinHood/InsDel", 1,
-              run_tput(1, secs, workload::make_insdel_worker(m, keys, 1)),
-              "Mreq/s");
-  }
-  if (args.map_enabled("mm")) {
-    baselines::MagedMichaelMap<> m(keys);
-    workload::populate(m, keys);
-    print_row("fig16", "MagedMichael/Get", 1,
-              run_tput(1, secs, workload::make_get_worker(m, keys, 3)),
-              "Mreq/s");
-    print_row("fig16", "MagedMichael/PutHeavy", 1,
-              run_tput(1, secs, workload::make_putheavy_worker(m, keys, 5)),
-              "Mreq/s");
-    print_row("fig16", "MagedMichael/InsDel", 1,
-              run_tput(1, secs, workload::make_insdel_worker(m, keys, 1)),
-              "Mreq/s");
-  }
+  std::map<std::string, double> v;  // by series
+  const auto row = [&](const std::string& series, double mreqs) {
+    v[series] = mreqs;
+    print_row("fig16", series, 1, mreqs, "Mreq/s");
+  };
+  run_designs(args, field, keys, keys, [&](const auto& d, auto& m) {
+    constexpr bool kDlht = std::is_same_v<std::decay_t<decltype(m)>, DLHT>;
+    const std::string label = d.label;
+    row(label + "/Get",
+        run_tput(1, secs, workload::make_get_worker(m, keys, 3)));
+    if constexpr (kDlht) {
+      row("DLHT-Batched/Get",
+          run_tput(1, secs, workload::make_get_batch_worker(
+                                m, keys, kDefaultBatch, 3)));
+    }
+    row(label + "/PutHeavy",
+        run_tput(1, secs, workload::make_putheavy_worker(m, keys, 5)));
+    row(label + "/InsDel",
+        run_tput(1, secs, workload::make_insdel_worker(m, keys, 1)));
+    if constexpr (kDlht) {
+      row("DLHT-Batched/InsDel",
+          run_tput(1, secs, workload::make_insdel_batch_worker(
+                                m, keys, 1, kDefaultBatch)));
+    }
+  });
 
   if (args.map_enabled("dlht") && args.map_enabled("locked")) {
-    print_row("fig16", "DLHT-vs-Locked/Get", 1, dlht_get / locked_get, "x");
+    print_row("fig16", "DLHT-vs-Locked/Get", 1,
+              v["DLHT/Get"] / v["Locked/Get"], "x");
     print_row("fig16", "DLHT-vs-Locked/InsDel", 1,
-              dlht_insdel / locked_insdel, "x");
+              v["DLHT/InsDel"] / v["Locked/InsDel"], "x");
 
     check_shape("single-thread DLHT Get >= locked baseline",
-                dlht_get >= locked_get);
+                v["DLHT/Get"] >= v["Locked/Get"]);
     check_shape("single-thread DLHT PutHeavy >= locked baseline",
-                dlht_put >= locked_put);
+                v["DLHT/PutHeavy"] >= v["Locked/PutHeavy"]);
     // The scalar InsDel window is cache-resident, where the locked map's
     // node cache is competitive — the batched pipeline is DLHT's answer.
     check_shape("single-thread batched DLHT InsDel >= locked baseline",
-                dlht_insdel_batch >= locked_insdel);
+                v["DLHT-Batched/InsDel"] >= v["Locked/InsDel"]);
     check_shape("single-thread scalar DLHT InsDel >= locked baseline",
-                dlht_insdel >= locked_insdel);
+                v["DLHT/InsDel"] >= v["Locked/InsDel"]);
   }
   if (args.map_enabled("dlht")) {
     check_shape("batching still helps a single thread (DRAM-resident)",
-                dlht_get_batch > dlht_get);
+                v["DLHT-Batched/Get"] > v["DLHT/Get"]);
   }
   return 0;
 }

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   const double secs = args.seconds();
   // Single DLHT table; the paper profile's 100M-key population is ~5 GB
   // of table, so refuse up front on a small box rather than OOM mid-run.
-  require_memory_or_die("fig18", map_footprint_bytes("dlht", keys));
+  guard_comparison_rss(args, "fig18", {"dlht"});
   print_header("fig18", "YCSB mixes vs threads");
 
   InlinedMap m(dlht_options(keys));

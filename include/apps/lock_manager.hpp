@@ -26,7 +26,6 @@ class LockManager {
   bool held(std::uint64_t rec) const { return set_.contains(tag(rec)); }
 
   std::int64_t locks_held() const { return set_.approx_size(); }
-  HashSet& set() { return set_; }
 
   /// Per-worker handle owning the batch buffers, so the hot path never
   /// allocates. Copyable: benches capture one per worker closure.

@@ -467,6 +467,10 @@ class MicaLike {
         if (it.key.load(std::memory_order_acquire) == keys[cb + j]) {
           lk.found = true;
           lk.value = it.value.load(std::memory_order_acquire);
+        } else if (const auto v = get(keys[cb + j])) {
+          // The first tag match holds another key: scan on, as get() does.
+          lk.found = true;
+          lk.value = *v;
         }
       }
     }

@@ -1619,7 +1619,6 @@ class HashSet {
   }
 
   std::int64_t approx_size() const { return core_.approx_size(); }
-  DLHT& core() { return core_; }
 
  private:
   DLHT core_;

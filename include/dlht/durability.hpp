@@ -975,7 +975,6 @@ class DurableDLHT {
   }
 
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
-  std::uint64_t last_lsn() const { return lsn_.load(std::memory_order_relaxed); }
   std::int64_t approx_size() const { return core_.approx_size(); }
   DLHT& core() { return core_; }
   const DLHT& core() const { return core_; }

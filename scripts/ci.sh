@@ -50,24 +50,25 @@ run_docs() {
       exit 1
     fi
   done
-  # Every --map name the benches accept must be covered by the handbook's
-  # competitor matrix — an undocumented opponent is an unfair one.
-  for name in $(grep -oE '"[a-z]+"' bench/bench_common.hpp \
-                  | sed -n 's/"\([a-z]*\)"/\1/p' | sort -u); do
-    case "$name" in
-      dlht|clht|growt|folly|dramhit|mica|cuckoo|leapfrog|locked|rh|mm)
-        if ! grep -q "\`$name\`" docs/BENCHMARKING.md; then
-          echo "FAIL: --map name '$name' is not documented in docs/BENCHMARKING.md" >&2
-          exit 1
-        fi ;;
-    esac
-  done
-  for cls in RobinHoodMap MagedMichaelMap; do
-    if ! grep -q "$cls" docs/BENCHMARKING.md; then
-      echo "FAIL: baseline class '$cls' is not documented in docs/BENCHMARKING.md" >&2
+  # Every --map design must have a row in the handbook's competitor matrix
+  # naming it and the class it builds — an undocumented opponent is an
+  # unfair one. Both come from the registry (kDesigns, whose entries open
+  # with Design<class>{"name", ...), read with whitespace removed so an
+  # entry may wrap.
+  designs=$(tr -d ' \n' < bench/bench_common.hpp \
+              | grep -oE 'Design<(baselines::)?[A-Za-z]+(<>)?>\{"[a-z]+"' \
+              | sed -E 's/^Design<(baselines::)?([A-Za-z]+)(<>)?>\{"([a-z]+)"$/\4 \2/') \
+    || true
+  if [ -z "$designs" ]; then
+    echo "FAIL: no Design<...>{\"name\", ...} entry found in bench/bench_common.hpp" >&2
+    exit 1
+  fi
+  while read -r name cls; do
+    if ! grep -qF "| \`$name\` | \`$cls\`" docs/BENCHMARKING.md; then
+      echo "FAIL: --map design '$name' ($cls) has no competitor-matrix row in docs/BENCHMARKING.md" >&2
       exit 1
     fi
-  done
+  done <<< "$designs"
 
   echo "=== docs: every documented DLHT_* name and flag is read by the code ==="
   # A deleted knob must not stay documented: each DLHT_ name in README.md

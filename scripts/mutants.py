@@ -429,6 +429,20 @@ MUTANTS = [
         replace="  return detail::spread_states((st ^ (st >> 1)) & 0x15u);",
         tests=["probe_equivalence_test"],
     ),
+    Mutant(
+        name="mica_batch_first_tag_only",
+        why="MICA's batched Get follows only the first index entry whose "
+            "tag matches and misses a key that a later entry holds",
+        file="include/baselines/baselines.hpp",
+        search="""        } else if (const auto v = get(keys[cb + j])) {
+          // The first tag match holds another key: scan on, as get() does.
+          lk.found = true;
+          lk.value = *v;
+        }
+""",
+        replace="        }\n",
+        tests=["baseline_equivalence_test"],
+    ),
 ]
 
 

@@ -1,10 +1,14 @@
-// Correctness tests for the two strong from-scratch opponents
-// (baselines::RobinHoodMap, baselines::MagedMichaelMap): the dlht_test
-// scalar/batch matrix plus the cases that are specifically theirs —
-// Robin Hood's backward-shift deletes and bounded-probe refusal, and
-// Maged-Michael's reclamation-under-readers. The benches treat these maps
-// as real competitors, so they get the same no-framework CHECK treatment
-// as the core table; ci.sh runs this under ASan/UBSan and (mm-only, via
+// Correctness tests for the bench-grade opponents. Every --map design,
+// built through the bench registry (bench::kDesigns), must answer its own
+// value for each populated key, miss absent keys, and give the same
+// answers from its batched Get as from its scalar Get. The two strong
+// from-scratch opponents (baselines::RobinHoodMap,
+// baselines::MagedMichaelMap) also get the dlht_test scalar/batch matrix
+// plus the cases that are specifically theirs — Robin Hood's
+// backward-shift deletes and bounded-probe refusal, and Maged-Michael's
+// reclamation-under-readers. The benches treat these maps as real
+// competitors, so they get the same no-framework CHECK treatment as the
+// core table; ci.sh runs this under ASan/UBSan and (mm-only, via
 // DLHT_TEST_MAPS=mm) under TSan.
 #include <atomic>
 #include <cstdint>
@@ -13,10 +17,12 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "baselines/baselines.hpp"
+#include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "workload/mixes.hpp"
 
@@ -37,9 +43,9 @@ using namespace dlht;
 static_assert(workload::DlhtLikeMap<baselines::RobinHoodMap<>>);
 static_assert(workload::DlhtLikeMap<baselines::MagedMichaelMap<>>);
 
-/// DLHT_TEST_MAPS=rh or =mm restricts the run (TSan covers mm only: the
-/// Robin Hood readers are optimistic seqlock loops, a pattern TSan flags
-/// by design even though every racing word is atomic).
+/// DLHT_TEST_MAPS, a comma list of --map names, restricts the run (TSan
+/// covers mm only: the Robin Hood readers are optimistic seqlock loops, a
+/// pattern TSan flags by design even though every racing word is atomic).
 bool map_selected(const char* name) {
   const char* env = std::getenv("DLHT_TEST_MAPS");
   if (env == nullptr || *env == '\0') return true;
@@ -53,6 +59,86 @@ bool map_selected(const char* name) {
     pos = comma + 1;
   }
   return false;
+}
+
+/// Answers of one batch of Gets through the design's own batching
+/// mechanism: a DLHT-like get_batch, DRAMHiT's kFind batch or MICA's
+/// two-stage get_batch. False when the design has none.
+template <class M>
+bool batched_get(M& m, const std::vector<std::uint64_t>& ks,
+                 std::vector<std::optional<std::uint64_t>>& out) {
+  const std::size_t n = ks.size();
+  if constexpr (workload::DlhtLikeMap<M>) {
+    std::vector<typename M::Reply> r(n);
+    m.get_batch(ks.data(), r.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = r[i].status == Status::kOk
+                   ? std::optional<std::uint64_t>(r[i].value)
+                   : std::nullopt;
+    }
+  } else if constexpr (requires { M::Op::kFind; }) {
+    std::vector<typename M::Request> rq(n);
+    std::vector<typename M::Reply> rp(n);
+    for (std::size_t i = 0; i < n; ++i) rq[i] = {M::Op::kFind, ks[i], 0};
+    m.execute_batch(rq.data(), rp.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = rp[i].found ? std::optional<std::uint64_t>(rp[i].value)
+                           : std::nullopt;
+    }
+  } else if constexpr (requires(baselines::Lookup* o) {
+                         m.get_batch(ks.data(), o, n);
+                       }) {
+    std::vector<baselines::Lookup> r(n);
+    m.get_batch(ks.data(), r.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = r[i].found ? std::optional<std::uint64_t>(r[i].value)
+                          : std::nullopt;
+    }
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// Every registry design, populated with keys 1..N as the benches do, at
+/// rest: each populated key answers its own value, no key in N+1..2N hits,
+/// and a design with a batched Get answers every key of 1..2N the way its
+/// scalar Get does. MICA's index is lossy (a full bucket evicts an entry),
+/// so a populated key may miss there, but a hit must carry its own value.
+void test_registry_designs_at_rest() {
+  constexpr std::uint64_t kN = 16384;
+  bench::for_each_design([](const auto& d) {
+    if (!map_selected(d.name)) return;
+    std::printf("== registry design %s ==\n", d.name);
+    auto m = d.make(kN);
+    workload::populate(m, kN);
+    std::uint64_t misses = 0;
+    for (std::uint64_t k = 1; k <= kN; ++k) {
+      const auto v = m.get(k);
+      if (!v) {
+        ++misses;
+      } else {
+        CHECK(*v == k);
+      }
+    }
+    std::printf("  %llu of %llu populated keys miss\n",
+                static_cast<unsigned long long>(misses),
+                static_cast<unsigned long long>(kN));
+    if (std::string_view(d.name) != "mica") CHECK(misses == 0);
+    for (std::uint64_t k = kN + 1; k <= 2 * kN; ++k) {
+      CHECK(!m.get(k).has_value());
+    }
+    if (d.get_batch == 1) return;
+    std::vector<std::uint64_t> ks(d.get_batch);
+    std::vector<std::optional<std::uint64_t>> out(d.get_batch);
+    for (std::uint64_t base = 1; base <= 2 * kN; base += d.get_batch) {
+      for (std::size_t i = 0; i < ks.size(); ++i) ks[i] = base + i;
+      CHECK(batched_get(m, ks, out));
+      for (std::size_t i = 0; i < ks.size(); ++i) {
+        CHECK(out[i] == m.get(ks[i]));
+      }
+    }
+  });
 }
 
 template <class M>
@@ -336,6 +422,7 @@ void test_mm_reclamation_under_readers() {
 }  // namespace
 
 int main() {
+  test_registry_designs_at_rest();
   if (map_selected("rh")) {
     std::puts("== RobinHoodMap ==");
     {
