@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
     Options o;
     o.initial_bins = 1024;
     o.growth_factor = factor;
-    InlinedMap m(o);
+    InlinedMap m(apply_env_knobs(o));
     const std::uint64_t t0 = now_ns();
     for (std::uint64_t k = 1; k <= args.keys; ++k) m.insert(k, k);
     const double s = static_cast<double>(now_ns() - t0) / 1e9;

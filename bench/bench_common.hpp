@@ -230,8 +230,9 @@ inline const Ablations& ablations() {
 /// Overlay the bench-wide table knobs onto `o`: the --probe engine, the
 /// DLHT_NUMA placement and the DLHT_ABLATION toggles. dlht_options()
 /// applies this automatically; benches that build Options by hand
-/// (fig07/fig08's growth tables, tab01's occupancy study) call it so the
-/// knobs work everywhere REPRODUCING.md says they do.
+/// (fig07/fig08's growth tables, tab01's occupancy study, fig19's OLTP
+/// tables, ablation_design's sweeps) call it so the knobs work everywhere
+/// REPRODUCING.md says they do.
 inline Options apply_env_knobs(Options o) {
   o.probe_strategy = requested_probe();
   apply_numa_env(o);

@@ -32,9 +32,10 @@ int main(int argc, char** argv) {
   double tatp_peak = 0, smallbank_peak = 0;
 
   {
-    apps::Tatp tatp(apps::Tatp::Config{
-        .subscribers = subscribers,
-        .initial_bins = static_cast<std::size_t>(subscribers * 4)});
+    apps::Tatp tatp(apps::Tatp::Config{.subscribers = subscribers},
+                    apply_env_knobs(Options{
+                        .initial_bins =
+                            static_cast<std::size_t>(subscribers * 4)}));
     for (const int t : args.threads_list) {
       const double v = run_tput(t, secs, [&tatp](int tid) {
         return [&tatp, rng = Xoshiro256(splitmix64(tid + 1)),
@@ -48,9 +49,10 @@ int main(int argc, char** argv) {
     }
   }
   {
-    apps::Smallbank bank(apps::Smallbank::Config{
-        .accounts = accounts,
-        .initial_bins = static_cast<std::size_t>(accounts * 2)});
+    apps::Smallbank bank(apps::Smallbank::Config{.accounts = accounts},
+                         apply_env_knobs(Options{
+                             .initial_bins =
+                                 static_cast<std::size_t>(accounts * 2)}));
     for (const int t : args.threads_list) {
       const double v = run_tput(t, secs, [&bank](int tid) {
         return [&bank, rng = Xoshiro256(splitmix64(tid + 9)),

@@ -16,9 +16,7 @@ namespace {
 
 double run_join(const apps::JoinRelations& rel, int threads, bool batched,
                 std::uint64_t expect) {
-  InlinedMap m(Options{
-      .initial_bins = rel.build.size() * 2 / 3 + 64,
-      .link_ratio = 0.125});
+  InlinedMap m(dlht_options(rel.build.size()));
   std::atomic<std::uint64_t> acc{0};
   const double secs = workload::run_once(threads, [&](int tid) {
     return [&, tid]() {

@@ -29,8 +29,7 @@ namespace dlht::apps {
 class Smallbank {
  public:
   struct Config {
-    std::uint64_t accounts = 1000000;    // paper runs 10M
-    std::size_t initial_bins = 1 << 16;  // per table
+    std::uint64_t accounts = 1000000;  // paper runs 10M
     int populate_threads = 0;  // 0 = auto (min(hw, 8))
     std::int64_t initial_balance = 10000;
   };
@@ -41,10 +40,9 @@ class Smallbank {
     std::int64_t net_deposited = 0;   // committed deposits - written checks
   };
 
-  explicit Smallbank(const Config& cfg)
-      : cfg_(cfg),
-        checking_(table_options()),
-        savings_(table_options()) {
+  /// `o` builds both tables.
+  Smallbank(const Config& cfg, const Options& o)
+      : cfg_(cfg), checking_(o), savings_(o) {
     populate();
   }
 
@@ -150,13 +148,6 @@ class Smallbank {
   }
 
  private:
-  Options table_options() const {
-    Options o;
-    o.initial_bins = cfg_.initial_bins;
-    o.link_ratio = 0.125;
-    return o;
-  }
-
   static std::uint64_t acct_key(std::uint64_t a) { return a + 1; }
 
   std::uint64_t other_account(Xoshiro256& rng, std::uint64_t a) const {

@@ -27,7 +27,6 @@ class Tatp {
  public:
   struct Config {
     std::uint64_t subscribers = 100000;  // paper runs 1M
-    std::size_t initial_bins = 1 << 16;  // for the subscriber table
     int populate_threads = 0;  // 0 = auto (min(hw, 8))
   };
 
@@ -36,18 +35,19 @@ class Tatp {
     std::uint64_t aborted = 0;  // TATP's expected "unsuccessful" share
   };
 
-  explicit Tatp(const Config& cfg)
+  /// `o` builds the subscriber table; the three tables keyed by subscriber
+  /// and row type get twice its bins.
+  Tatp(const Config& cfg, const Options& o)
       : cfg_(cfg),
-        subscriber_(table_options(cfg.initial_bins)),
-        access_info_(table_options(cfg.initial_bins * 2)),
-        special_facility_(table_options(cfg.initial_bins * 2)),
-        call_forwarding_(table_options(cfg.initial_bins * 2)) {
+        subscriber_(o),
+        access_info_(doubled(o)),
+        special_facility_(doubled(o)),
+        call_forwarding_(doubled(o)) {
     populate();
   }
 
   std::uint64_t subscribers() const { return cfg_.subscribers; }
   const DLHT& subscriber_table() const { return subscriber_; }
-  const DLHT& call_forwarding_table() const { return call_forwarding_; }
 
   /// Execute one transaction drawn from the standard mix. Returns true on
   /// commit; business failures (row not found / duplicate insert) abort.
@@ -116,10 +116,8 @@ class Tatp {
   }
 
  private:
-  Options table_options(std::size_t bins) const {
-    Options o;
-    o.initial_bins = bins;
-    o.link_ratio = 0.125;
+  static Options doubled(Options o) {
+    o.initial_bins *= 2;
     return o;
   }
 

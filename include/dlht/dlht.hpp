@@ -289,7 +289,6 @@ class DLHT {
     EpochManager::Guard g(epoch_);  // the instance must outlive the read
     return cur_.load(std::memory_order_acquire)->mask_ + 1;
   }
-  const Options& options() const { return opts_; }
 
   /// The probe engine this table dispatched at construction (never kAuto).
   ProbeStrategy probe_strategy() const { return probe_; }

@@ -23,11 +23,9 @@
 #include <string>
 #include <vector>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "dlht/dlht.hpp"
@@ -45,45 +43,25 @@ class KvClient {
   KvClient(const KvClient&) = delete;
   KvClient& operator=(const KvClient&) = delete;
 
-  /// Connect to "unix:/path" or "host:port". False on failure (with the
-  /// errno diagnostic on stderr).
+  /// Connect to "unix:/path" or "host:port" (see parse_endpoint). False
+  /// on failure, with a diagnostic on stderr.
   bool connect(const std::string& spec) {
     close();
-    if (spec.rfind("unix:", 0) == 0) {
-      const std::string path = spec.substr(5);
-      sockaddr_un addr{};
-      if (path.size() + 1 > sizeof addr.sun_path) return false;
-      fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-      if (fd_ < 0) return false;
-      addr.sun_family = AF_UNIX;
-      std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-      if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0) {
-        std::fprintf(stderr, "kv_client: connect(%s): %s\n", path.c_str(),
-                     std::strerror(errno));
-        close();
-        return false;
-      }
-    } else {
-      const auto colon = spec.rfind(':');
-      if (colon == std::string::npos) return false;
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port =
-          htons(static_cast<std::uint16_t>(std::atoi(spec.c_str() + colon + 1)));
-      if (::inet_pton(AF_INET, spec.substr(0, colon).c_str(),
-                      &addr.sin_addr) != 1) {
-        return false;
-      }
-      fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-      if (fd_ < 0) return false;
-      if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0) {
-        std::fprintf(stderr, "kv_client: connect(%s): %s\n", spec.c_str(),
-                     std::strerror(errno));
-        close();
-        return false;
-      }
+    Endpoint ep;
+    if (const char* err = parse_endpoint(spec, &ep)) {
+      std::fprintf(stderr, "kv_client: bad endpoint '%s': %s\n", spec.c_str(),
+                   err);
+      return false;
+    }
+    fd_ = ::socket(ep.family(), SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd_ < 0) return false;
+    if (::connect(fd_, ep.sockaddr_ptr(), ep.len) != 0) {
+      std::fprintf(stderr, "kv_client: connect(%s): %s\n", spec.c_str(),
+                   std::strerror(errno));
+      close();
+      return false;
+    }
+    if (ep.family() == AF_INET) {
       const int on = 1;
       ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &on, sizeof on);
     }

@@ -28,11 +28,22 @@
 // bytes, zero-padded. A connection commits to one framing with its first
 // byte (0xD1 = binary — not printable ASCII, so the framings cannot
 // collide).
+//
+// Endpoints: the server's listen address and the client's connect address
+// are one spec, "unix:PATH" or "HOST:PORT", read by parse_endpoint.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 
 #include "dlht/dlht.hpp"
 
@@ -332,6 +343,72 @@ inline std::uint64_t text_value(const std::uint8_t* data, std::size_t n) {
     v |= static_cast<std::uint64_t>(data[i]) << (8 * i);
   }
   return v;
+}
+
+// ------------------------------------------------------------- endpoints
+
+/// A parsed listen/connect address: the socket family and the address to
+/// bind or connect to.
+struct Endpoint {
+  sockaddr_storage addr{};
+  socklen_t len = 0;
+
+  int family() const { return addr.ss_family; }
+  const sockaddr* sockaddr_ptr() const {
+    return reinterpret_cast<const sockaddr*>(&addr);
+  }
+  /// A unix endpoint's socket path.
+  const char* unix_path() const {
+    return reinterpret_cast<const char*>(&addr) +
+           offsetof(sockaddr_un, sun_path);
+  }
+};
+
+/// Parse "unix:PATH" (PATH must fit sun_path) or "HOST:PORT" (an IPv4
+/// address and a decimal port in 1..65535, all of it) into *out. Returns
+/// nullptr, or why anything else is not an endpoint.
+inline const char* parse_endpoint(const std::string& spec, Endpoint* out) {
+  *out = Endpoint{};
+  if (spec.rfind("unix:", 0) == 0) {
+    sockaddr_un un{};
+    const std::size_t n = spec.size() - 5;
+    if (n + 1 > sizeof un.sun_path) return "unix path does not fit sun_path";
+    un.sun_family = AF_UNIX;
+    std::memcpy(un.sun_path, spec.c_str() + 5, n + 1);
+    std::memcpy(&out->addr, &un, sizeof un);
+    out->len = sizeof un;
+    return nullptr;
+  }
+  const auto colon = spec.rfind(':');
+  sockaddr_in in{};
+  in.sin_family = AF_INET;
+  std::uint64_t port = 0;
+  if (colon == std::string::npos ||
+      ::inet_pton(AF_INET, spec.substr(0, colon).c_str(), &in.sin_addr) !=
+          1) {
+    return "expected unix:PATH or HOST:PORT with an IPv4 host";
+  }
+  if (!detail_text::parse_u64(spec.data() + colon + 1,
+                              spec.data() + spec.size(), &port) ||
+      port < 1 || port > 65535) {
+    return "port must be a decimal in 1..65535";
+  }
+  in.sin_port = htons(static_cast<std::uint16_t>(port));
+  std::memcpy(&out->addr, &in, sizeof in);
+  out->len = sizeof in;
+  return nullptr;
+}
+
+/// A command-line flag's endpoint: a spec parse_endpoint rejects refuses
+/// with exit 2, naming the flag.
+inline std::string endpoint_flag_or_die(const char* flag,
+                                        const std::string& spec) {
+  Endpoint ep;
+  if (const char* err = parse_endpoint(spec, &ep)) {
+    std::fprintf(stderr, "bad %s value '%s': %s\n", flag, spec.c_str(), err);
+    std::exit(2);
+  }
+  return spec;
 }
 
 }  // namespace dlht::server

@@ -45,14 +45,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/latency.hpp"
@@ -64,7 +62,8 @@
 namespace dlht::server {
 
 struct ServerOptions {
-  /// "unix:/path/to.sock" or "host:port" (TCP, TCP_NODELAY set).
+  /// "unix:/path/to.sock" or "host:port" (TCP, TCP_NODELAY set), as
+  /// parse_endpoint reads it.
   std::string listen = "127.0.0.1:11311";
   /// Worker shards (epoll loops). dlht_server --threads.
   int shards = 2;
@@ -169,8 +168,10 @@ class KvServer {
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
-      if (opts_.listen.rfind("unix:", 0) == 0) {
-        ::unlink(opts_.listen.c_str() + 5);
+      Endpoint ep;
+      if (parse_endpoint(opts_.listen, &ep) == nullptr &&
+          ep.family() == AF_UNIX) {
+        ::unlink(ep.unix_path());
       }
     }
     for (auto& sh : shards_) {
@@ -306,53 +307,26 @@ class KvServer {
   }
 
   static int open_listener(const std::string& spec) {
-    int fd = -1;
-    if (spec.rfind("unix:", 0) == 0) {
-      const std::string path = spec.substr(5);
-      sockaddr_un addr{};
-      if (path.size() + 1 > sizeof addr.sun_path) {
-        std::fprintf(stderr, "kv_server: unix path too long: %s\n",
-                     path.c_str());
-        return -1;
-      }
-      fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-      if (fd < 0) return -1;
-      ::unlink(path.c_str());
-      addr.sun_family = AF_UNIX;
-      std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-      if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-        std::fprintf(stderr, "kv_server: bind(%s): %s\n", path.c_str(),
-                     std::strerror(errno));
-        ::close(fd);
-        return -1;
-      }
+    Endpoint ep;
+    if (const char* err = parse_endpoint(spec, &ep)) {
+      std::fprintf(stderr, "kv_server: bad listen spec '%s': %s\n",
+                   spec.c_str(), err);
+      return -1;
+    }
+    const int fd =
+        ::socket(ep.family(), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (fd < 0) return -1;
+    if (ep.family() == AF_UNIX) {
+      ::unlink(ep.unix_path());
     } else {
-      const auto colon = spec.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "kv_server: bad listen spec '%s'\n",
-                     spec.c_str());
-        return -1;
-      }
-      const std::string host = spec.substr(0, colon);
-      const int port = std::atoi(spec.c_str() + colon + 1);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<std::uint16_t>(port));
-      if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        std::fprintf(stderr, "kv_server: bad listen host '%s'\n",
-                     host.c_str());
-        return -1;
-      }
-      fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-      if (fd < 0) return -1;
       const int on = 1;
       ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &on, sizeof on);
-      if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-        std::fprintf(stderr, "kv_server: bind(%s): %s\n", spec.c_str(),
-                     std::strerror(errno));
-        ::close(fd);
-        return -1;
-      }
+    }
+    if (::bind(fd, ep.sockaddr_ptr(), ep.len) != 0) {
+      std::fprintf(stderr, "kv_server: bind(%s): %s\n", spec.c_str(),
+                   std::strerror(errno));
+      ::close(fd);
+      return -1;
     }
     if (::listen(fd, 256) != 0) {
       std::fprintf(stderr, "kv_server: listen: %s\n", std::strerror(errno));

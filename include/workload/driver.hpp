@@ -24,11 +24,6 @@
 
 namespace dlht::workload {
 
-/// The reservoir now lives in common/latency.hpp (the KV server records
-/// server-side latencies without linking the bench driver); this alias
-/// keeps every existing bench compiling against workload::LatencyReservoir.
-using ::dlht::LatencyReservoir;
-
 struct RunSpec {
   int threads = 1;
   double seconds = 0.3;

@@ -236,6 +236,15 @@ MUTANTS = [
         tests=["recovery_test"],
     ),
     Mutant(
+        name="wal_records_never_written",
+        why="a WAL shard's sync drops its buffered records instead of "
+            "appending them, so only snapshots reach the disk",
+        file=DURABILITY,
+        search="      if (!file->append(buf.data(), buf.size())) return false;\n",
+        replace="",
+        tests=["kill_recover", "kv_loopback"],
+    ),
+    Mutant(
         name="guard_page_dropped",
         why="a bucket array ends without its PROT_NONE guard page, so a "
             "write past it lands in whatever is mapped next",

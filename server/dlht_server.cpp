@@ -13,7 +13,9 @@
 //                        DurabilityOptions' group-commit defaults
 //   --checkpoint-ms M    durable mode: periodic checkpoint interval
 //                        (default 0 = none)
-// A malformed or out-of-range value refuses with exit 2, naming the flag.
+// A malformed or out-of-range value refuses with exit 2, naming the flag:
+// a --listen SPEC must be unix:PATH (PATH fits sun_path) or HOST:PORT with
+// an IPv4 host and a port in 1..65535.
 // Shard threads are pinned by the DLHT_PIN plan (DLHT_PIN=none: unpinned),
 // and a malformed DLHT_PIN refuses with exit 2 too. DLHT_NUMA and
 // DLHT_ABLATION shape the table as in every bench.
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
     if (arg == "--listen") {
-      o.listen = next();
+      o.listen = dlht::server::endpoint_flag_or_die("--listen", next());
     } else if (arg == "--threads") {
       o.shards = static_cast<int>(
           parse_uint_or_die("--threads", next(), 1, INT_MAX));

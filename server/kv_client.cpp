@@ -1,6 +1,5 @@
 // kv_client — closed-loop load generator for dlht_server.
 //
-// Bench mode (default):
 //   kv_client --connect unix:/tmp/dlht.sock --keys 65536 --ms 300 \
 //             --threads-list 1,2 --batch 32 [--json out.json]
 //
@@ -18,30 +17,13 @@
 // keys across everything the network layer batched. Audit failure is the
 // process exit status.
 //
-// Kill-recover mode:
-//   kv_client --kr-run DIR --connect SPEC
-//
-// Speaks the kill_recover commit protocol over the wire against a
-// --durable server: 4 writer threads churn the same key scheme as
-// tests/kill_recover_writer.cpp (put committed key, put+erase scratch,
-// idempotent re-upsert), a committer snapshots per-thread applied
-// watermarks BEFORE a kSync barrier and persists DIR/progress
-// (tmp + fsync + rename) only when the sync acks. The harness SIGKILLs
-// the *server*; this client treats the dying connections as a normal end
-// of run and exits 0, leaving DIR for `kill_recover_writer --audit`.
-#include <atomic>
-#include <chrono>
+// A --connect SPEC other than unix:PATH or HOST:PORT refuses with exit 2.
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include "bench_common.hpp"
 #include "server/client.hpp"
@@ -54,8 +36,6 @@ namespace {
 using dlht::OpType;
 using dlht::Status;
 using dlht::server::KvClient;
-
-// ----------------------------------------------------------- bench mode
 
 /// Bulk-load keys 1..keys (value = key, matching workload::populate) over
 /// one connection in pipelined chunks. False on any failed insert.
@@ -211,133 +191,11 @@ int run_bench(const dlht::bench::Args& a, const std::string& connect,
   return failures == 0 ? 0 : 1;
 }
 
-// ----------------------------------------------------- kill-recover mode
-//
-// Mirrors tests/kill_recover_writer.cpp so the existing offline auditor
-// (`kill_recover_writer --audit DIR`) validates the server's durable dir.
-
-constexpr unsigned kKrThreads = 4;
-constexpr std::uint64_t kScratchBit = 1ull << 62;
-
-std::uint64_t kr_key(unsigned t, std::uint64_t i) {
-  return (static_cast<std::uint64_t>(t + 1) << 48) | i;
-}
-std::uint64_t kr_val(std::uint64_t key) { return dlht::splitmix64(key) | 1u; }
-
-std::atomic<std::uint64_t> g_applied[kKrThreads];
-std::atomic<unsigned> g_live_writers{0};
-
-void kr_writer(const std::string& connect, unsigned t, std::uint64_t first) {
-  KvClient c;
-  if (!c.connect(connect)) {
-    g_live_writers.fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
-  constexpr std::size_t kRun = 8;  // committed keys per pipelined batch
-  std::vector<KvClient::Request> reqs;
-  std::vector<KvClient::Reply> reps;
-  for (std::uint64_t i = first; i < (1ull << 40); i += kRun) {
-    reqs.clear();
-    for (std::uint64_t j = 0; j < kRun; ++j) {
-      const std::uint64_t k = kr_key(t, i + j);
-      const std::uint64_t sk = k | kScratchBit;
-      reqs.push_back({OpType::kPut, k, kr_val(k), 0});
-      reqs.push_back({OpType::kPut, sk, kr_val(sk), 0});
-      reqs.push_back({OpType::kDelete, sk, 0, 0});
-      if ((i + j) % 16 == 0 && i + j > 1) {
-        const std::uint64_t old = kr_key(t, (i + j) / 2);
-        reqs.push_back({OpType::kPut, old, kr_val(old), 0});
-      }
-    }
-    reps.resize(reqs.size());
-    c.execute_batch(reqs.data(), reps.data(), reqs.size());
-    bool died = false;
-    for (const auto& r : reps) {
-      if (r.status == Status::kIOError) died = true;
-    }
-    if (died || !c.ok()) break;  // server killed: normal end of run
-    // Whole batch acked => every record sits in a WAL buffer or on disk;
-    // safe to publish the watermark the committer may now sync past.
-    g_applied[t].store(i + kRun - 1, std::memory_order_release);
-  }
-  g_live_writers.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-bool kr_write_progress(const std::string& path,
-                       const std::uint64_t (&w)[kKrThreads]) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  char line[64];
-  for (unsigned t = 0; t < kKrThreads; ++t) {
-    const int n = std::snprintf(line, sizeof line, "%u %" PRIu64 "\n", t, w[t]);
-    if (::write(fd, line, static_cast<std::size_t>(n)) != n) {
-      ::close(fd);
-      return false;
-    }
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return false;
-  }
-  ::close(fd);
-  return ::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-int run_kr(const std::string& dir, const std::string& connect) {
-  // Resume past the previous cycle's committed watermarks, exactly like
-  // the in-process writer: the next audit demands the union of cycles.
-  std::uint64_t start[kKrThreads] = {};
-  if (std::FILE* f = std::fopen((dir + "/progress").c_str(), "r")) {
-    unsigned t;
-    std::uint64_t w;
-    while (std::fscanf(f, "%u %" SCNu64, &t, &w) == 2) {
-      if (t < kKrThreads) start[t] = w;
-    }
-    std::fclose(f);
-  }
-  for (unsigned t = 0; t < kKrThreads; ++t) {
-    g_applied[t].store(start[t], std::memory_order_release);
-  }
-  g_live_writers.store(kKrThreads, std::memory_order_release);
-  std::vector<std::thread> writers;
-  for (unsigned t = 0; t < kKrThreads; ++t) {
-    writers.emplace_back(kr_writer, connect, t, start[t] + 1);
-  }
-  std::thread committer([&dir, &connect] {
-    KvClient c;
-    if (!c.connect(connect)) return;
-    const std::string path = dir + "/progress";
-    while (g_live_writers.load(std::memory_order_acquire) != 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      // Snapshot BEFORE the sync barrier: a kOk sync makes durable every
-      // op acked before the snapshot, which is all the file will claim.
-      std::uint64_t w[kKrThreads];
-      for (unsigned t = 0; t < kKrThreads; ++t) {
-        w[t] = g_applied[t].load(std::memory_order_acquire);
-      }
-      if (c.sync() != Status::kOk) return;  // server gone (or not durable)
-      kr_write_progress(path, w);
-    }
-  });
-  // Safety cap mirroring the in-process harness: the driver SIGKILLs the
-  // server long before this; a missed kill must not hang CI.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (auto& t : writers) {
-    if (std::chrono::steady_clock::now() > deadline) std::_Exit(0);
-    t.join();
-  }
-  committer.join();
-  return 0;  // the server dying under us is the expected outcome
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using dlht::bench::parse_uint_or_die;
   std::string connect = "127.0.0.1:11311";
-  std::string kr_dir;
   std::size_t batch = 32;
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
   // The client's own flags; the rest go to parse_args, which refuses any
@@ -347,12 +205,10 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
     if (arg == "--connect") {
-      connect = next();
+      connect = dlht::server::endpoint_flag_or_die("--connect", next());
     } else if (arg == "--batch") {
       batch = parse_uint_or_die("--batch", next(), 1,
                                 dlht::server::KvServer::kMaxBatch);
-    } else if (arg == "--kr-run") {
-      kr_dir = next();
     } else if (arg == "--seed") {
       seed = parse_uint_or_die("--seed", next(), 0, UINT64_MAX);
     } else {
@@ -361,6 +217,5 @@ int main(int argc, char** argv) {
   }
   const auto a =
       dlht::bench::parse_args(static_cast<int>(rest.size()), rest.data());
-  if (!kr_dir.empty()) return run_kr(kr_dir, connect);
   return run_bench(a, connect, batch, seed);
 }

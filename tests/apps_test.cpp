@@ -189,8 +189,8 @@ void test_hashjoin() {
 
 void test_tatp() {
   std::puts("test_tatp");
-  apps::Tatp tatp(
-      apps::Tatp::Config{.subscribers = 2000, .initial_bins = 4096});
+  apps::Tatp tatp(apps::Tatp::Config{.subscribers = 2000},
+                  Options{.initial_bins = 4096});
   Xoshiro256 rng(splitmix64(11));
   apps::Tatp::Counters c;
   constexpr std::uint64_t kTxns = 20000;
@@ -209,9 +209,9 @@ void test_smallbank_conservation() {
   constexpr std::uint64_t kAccounts = 1000;
   constexpr std::int64_t kInit = 10000;
   apps::Smallbank bank(apps::Smallbank::Config{.accounts = kAccounts,
-                                               .initial_bins = 2048,
                                                .populate_threads = 2,
-                                               .initial_balance = kInit});
+                                               .initial_balance = kInit},
+                       Options{.initial_bins = 2048});
   CHECK(bank.total_balance() ==
         static_cast<std::int64_t>(kAccounts) * kInit * 2);
 

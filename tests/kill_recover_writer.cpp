@@ -1,26 +1,34 @@
-// Kill-and-recover harness binary (driven by tests/kill_recover_test.sh):
+// Kill-and-recover harness: one crash workload and one checker for the
+// durable tier and the KV node.
 //
-//   kill_recover_writer --run DIR    churn Put/Delete/upsert traffic through
-//                                    a DurableDLHT in DIR, group-committing
-//                                    and recording a durable progress file
-//                                    after every successful wal_sync, until
-//                                    SIGKILLed (or a 30 s safety cap).
-//   kill_recover_writer --audit DIR  recover DIR into a fresh tier and audit
-//                                    zero lost committed keys and zero
-//                                    duplicates against the progress file.
+//   kill_recover_writer --run DIR [--connect SPEC]
+//       Churn Put/Delete/upsert traffic and record a durable progress file
+//       after every successful sync: alone, through a DurableDLHT in DIR
+//       that it checkpoints every 100 ms, until SIGKILLed
+//       (tests/kill_recover_test.sh); with --connect, through a
+//       `dlht_server --durable DIR` listening on SPEC, until every
+//       connection has seen the server die (tests/kv_loopback_test.sh
+//       SIGKILLs it), then exit 0. A 30 s cap bounds both.
+//   kill_recover_writer --audit DIR
+//       Recover DIR and audit zero lost committed keys and zero duplicates
+//       against the progress file.
 //
-// DLHT_FAULT=torn:N|flip:N|failsync:N (run side only, N >= 1) injects
-// corruption via the FaultyFile wrapper; the commit protocol must hold
-// under every mode. Any other DLHT_FAULT value refuses with exit 2 before
-// DIR is opened.
+// DLHT_FAULT=torn:N|flip:N|failsync:N (N >= 1) corrupts the in-process
+// writer's files through the FaultyFile wrapper; the commit protocol must
+// hold under every mode. Any other value, any value with --connect, and a
+// SPEC that is not unix:PATH or HOST:PORT refuse with exit 2 before DIR is
+// opened or a server connected.
 //
-// Commit protocol: thread t publishes applied[t] = i once every op for
-// indices <= i has RETURNED (so its record sits in a shard buffer or on
-// disk). A committer snapshots applied[] BEFORE wal_sync(); on kOk those
-// watermarks are durable by the group-commit contract, and only then are
-// they written to DIR/progress (tmp + fsync + rename, so the auditor never
-// sees a torn progress file). Committed keys are never deleted — deletes
-// churn on scratch keys — so "lost committed key" is unambiguous.
+// Commit protocol: 4 writer threads send their ops through execute_batch,
+// kRun keys' ops per batch, and thread t publishes applied[t] = i once a
+// batch covering indices <= i has returned with no kIOError reply (so every
+// record sits in a shard buffer or on disk). One committer thread snapshots
+// applied[] BEFORE it syncs (wal_sync() in process, a Sync frame on its own
+// connection with --connect); on kOk those watermarks are durable by the
+// group-commit contract, and only then are they written to DIR/progress
+// (tmp + fsync + rename, so the auditor never sees a torn progress file).
+// Committed keys are never deleted — deletes churn on scratch keys — so
+// "lost committed key" is unambiguous.
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -30,7 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -41,11 +49,16 @@
 
 #include "common/rng.hpp"
 #include "dlht/durability.hpp"
+#include "server/client.hpp"
 
 namespace {
 
+using dlht::OpType;
+using dlht::Status;
+using dlht::server::KvClient;
+
 constexpr unsigned kThreads = 4;
-constexpr std::uint64_t kBatch = 64;       // ops between commit attempts
+constexpr std::uint64_t kRun = 8;  // committed keys per batch
 constexpr std::uint64_t kScratchBit = 1ull << 62;
 
 std::uint64_t key_of(unsigned t, std::uint64_t i) {
@@ -58,6 +71,40 @@ dlht::Options writer_options() {
   dlht::Options o;
   o.initial_bins = 4096;  // small: churn drives live resizes under the WAL
   return o;
+}
+
+// -------------------------------------------------------- progress file
+
+/// Read the committed watermarks in DIR/progress into `w`. With no file
+/// yet (the writer died before its first commit) `w` stays as it is.
+void read_progress(const std::string& dir, std::uint64_t (&w)[kThreads]) {
+  std::FILE* f = std::fopen((dir + "/progress").c_str(), "r");
+  if (f == nullptr) return;
+  unsigned t = 0;
+  std::uint64_t v = 0;
+  while (std::fscanf(f, "%u %" SCNu64, &t, &v) == 2) {
+    if (t < kThreads) w[t] = v;
+  }
+  std::fclose(f);
+}
+
+/// Replace DIR/progress with `w`: tmp + fsync + rename. A step that fails
+/// leaves the previous file, whose lower watermarks are still committed.
+void write_progress(const std::string& dir,
+                    const std::uint64_t (&w)[kThreads]) {
+  const std::string path = dir + "/progress";
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (fd < 0) return;
+  char line[64];
+  bool ok = true;
+  for (unsigned t = 0; t < kThreads && ok; ++t) {
+    const int n = std::snprintf(line, sizeof line, "%u %" PRIu64 "\n", t, w[t]);
+    ok = ::write(fd, line, static_cast<std::size_t>(n)) == n;
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ::close(fd);
+  if (ok) ::rename(tmp.c_str(), path.c_str());
 }
 
 // ------------------------------------------------------------- run side
@@ -91,77 +138,83 @@ void parse_fault_env_or_die(dlht::FaultSpec* out) {
 }
 
 std::atomic<std::uint64_t> g_applied[kThreads];
+/// With --connect: the writer and committer threads whose connection has
+/// not yet seen the server die.
+std::atomic<unsigned> g_live_conns{kThreads + 1};
+/// Set while the committer syncs. Writers hold their next batch meanwhile:
+/// a WAL shard lock goes back to the writer that just released it, so a
+/// sync that needs four busy writers' shards waited 100-300 ms (measured
+/// in process on a 4-vCPU host), and failsync:40's 40 syncs passed before
+/// the first commit.
+std::atomic<bool> g_syncing{false};
 
-struct Committer {
-  dlht::DurableDLHT* db;
-  std::string path;
-  std::mutex mu;
-
-  // Snapshot applied[] first, sync, then persist the watermarks: everything
-  // the file claims was covered by a successful group commit.
-  bool commit() {
-    std::lock_guard<std::mutex> g(mu);
-    std::uint64_t w[kThreads];
-    for (unsigned t = 0; t < kThreads; ++t) {
-      w[t] = g_applied[t].load(std::memory_order_acquire);
+/// Writer t from index `first` on, through `table` (a DurableDLHT or a
+/// KvClient). It ends at the first batch with a kIOError reply: the server
+/// died, or the tier degraded and no later sync can succeed.
+template <class Table>
+void writer_loop(Table& table, unsigned t, std::uint64_t first) {
+  std::vector<dlht::DLHT::Request> reqs;
+  std::vector<dlht::DLHT::Reply> reps;
+  for (std::uint64_t i = first; i < (1ull << 40); i += kRun) {
+    while (g_syncing.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
     }
-    if (db->wal_sync() != dlht::Status::kOk) return false;
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-    if (fd < 0) return false;
-    char line[64];
-    for (unsigned t = 0; t < kThreads; ++t) {
-      const int n =
-          std::snprintf(line, sizeof line, "%u %" PRIu64 "\n", t, w[t]);
-      if (::write(fd, line, static_cast<std::size_t>(n)) != n) {
-        ::close(fd);
-        return false;
+    reqs.clear();
+    for (std::uint64_t j = i; j < i + kRun; ++j) {
+      const std::uint64_t k = key_of(t, j);
+      // Delete churn on scratch keys only (put then erase); committed keys
+      // are write-once so the audit can demand their presence outright.
+      const std::uint64_t sk = k | kScratchBit;
+      reqs.push_back({OpType::kPut, k, val_of(k), 0});
+      reqs.push_back({OpType::kPut, sk, val_of(sk), 0});
+      reqs.push_back({OpType::kDelete, sk, 0, 0});
+      // Idempotent re-upsert of an older key: replay-order coverage
+      // without changing any audited value.
+      if (j % 16 == 0 && j > 1) {
+        const std::uint64_t old = key_of(t, j / 2);
+        reqs.push_back({OpType::kPut, old, val_of(old), 0});
       }
     }
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      return false;
+    reps.resize(reqs.size());
+    table.execute_batch(reqs.data(), reps.data(), reqs.size());
+    for (const auto& r : reps) {
+      if (r.status == Status::kIOError) return;
     }
-    ::close(fd);
-    return ::rename(tmp.c_str(), path.c_str()) == 0;
-  }
-};
-
-void writer_thread(dlht::DurableDLHT* db, Committer* committer, unsigned t,
-                   std::uint64_t first) {
-  for (std::uint64_t i = first; i < (1ull << 40); ++i) {
-    const std::uint64_t k = key_of(t, i);
-    db->put(k, val_of(k));
-    // Delete churn on scratch keys only (put then erase); committed keys
-    // are write-once so the audit can demand their presence outright.
-    const std::uint64_t sk = k | kScratchBit;
-    db->put(sk, val_of(sk));
-    db->erase(sk);
-    // Idempotent re-upsert of an older key: replay-order coverage without
-    // changing any audited value.
-    if (i % 16 == 0 && i > 1) {
-      const std::uint64_t old = key_of(t, i / 2);
-      db->put(old, val_of(old));
-    }
-    g_applied[t].store(i, std::memory_order_release);
-    if (i % kBatch == 0) committer->commit();
+    g_applied[t].store(i + kRun - 1, std::memory_order_release);
   }
 }
 
-int run(const std::string& dir) {
+/// The committer: snapshot applied[] BEFORE `sync()`, so that a kOk sync
+/// makes durable every op the snapshot covers, and only then persist the
+/// snapshot. Ends at the first failed sync, after which nothing more can
+/// commit.
+template <class Sync>
+void commit_loop(const std::string& dir, Sync&& sync) {
+  while (true) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::uint64_t w[kThreads] = {};
+    for (unsigned t = 0; t < kThreads; ++t) {
+      w[t] = g_applied[t].load(std::memory_order_acquire);
+    }
+    g_syncing.store(true, std::memory_order_release);
+    const Status st = sync();
+    g_syncing.store(false, std::memory_order_release);
+    if (st != Status::kOk) return;
+    write_progress(dir, w);
+  }
+}
+
+int run(const std::string& dir, const std::string& connect) {
+  if (!connect.empty() && std::getenv("DLHT_FAULT") != nullptr) {
+    std::fprintf(stderr,
+                 "kill_recover_writer: DLHT_FAULT needs the in-process "
+                 "--run: with --connect the server writes DIR\n");
+    return 2;
+  }
   dlht::FaultSpec faults;
   parse_fault_env_or_die(&faults);
   const bool injecting = faults.torn_write_at != 0 ||
                          faults.flip_write_at != 0 || faults.fail_sync_at != 0;
-
-  dlht::DurabilityOptions dopts;
-  dopts.dir = dir;
-  dopts.faults = injecting ? &faults : nullptr;
-  dlht::DurableDLHT db(writer_options(), dopts);
-  if (db.open() != dlht::Status::kOk) {
-    std::fprintf(stderr, "run: open(%s) failed\n", dir.c_str());
-    return 1;
-  }
 
   // Resume from a previous kill cycle against the same dir: start each
   // thread past its committed watermark (and never publish a lower one),
@@ -169,35 +222,69 @@ int run(const std::string& dir) {
   // this is what catches cross-restart loss, e.g. a checkpoint renaming a
   // live log over a frozen segment from the previous run.
   std::uint64_t start[kThreads] = {};
-  if (std::FILE* f = std::fopen((dir + "/progress").c_str(), "r")) {
-    unsigned t;
-    std::uint64_t w;
-    while (std::fscanf(f, "%u %" SCNu64, &t, &w) == 2) {
-      if (t < kThreads) start[t] = w;
-    }
-    std::fclose(f);
-  }
+  read_progress(dir, start);
   for (unsigned t = 0; t < kThreads; ++t) {
     g_applied[t].store(start[t], std::memory_order_release);
   }
 
-  Committer committer{&db, dir + "/progress", {}};
-  std::vector<std::thread> workers;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    workers.emplace_back(writer_thread, &db, &committer, t, start[t] + 1);
-  }
-  // Background checkpoints: SIGKILL lands before/during/after snapshot
-  // writes and WAL rotations depending on timing.
-  std::thread snapshotter([&db] {
-    while (true) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      db.checkpoint();
+  // Every thread runs until the process ends, by SIGKILL or in the _Exit
+  // below, so the table, the connections and `threads` outlive them all.
+  std::vector<std::thread> threads;
+  std::unique_ptr<dlht::DurableDLHT> db;
+  std::vector<std::unique_ptr<KvClient>> conns;
+  if (connect.empty()) {
+    dlht::DurabilityOptions dopts;
+    dopts.dir = dir;
+    dopts.faults = injecting ? &faults : nullptr;
+    db = std::make_unique<dlht::DurableDLHT>(writer_options(), dopts);
+    if (db->open() != Status::kOk) {
+      std::fprintf(stderr, "run: open(%s) failed\n", dir.c_str());
+      return 1;
     }
-  });
-  snapshotter.detach();
-  // Safety cap so a missed kill cannot hang CI; the harness SIGKILLs long
-  // before this fires.
-  std::this_thread::sleep_for(std::chrono::seconds(30));
+    for (unsigned t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&db, &start, t] {
+        writer_loop(*db, t, start[t] + 1);
+      });
+    }
+    threads.emplace_back(
+        [&db, &dir] { commit_loop(dir, [&db] { return db->wal_sync(); }); });
+    // Background checkpoints: SIGKILL lands before/during/after snapshot
+    // writes and WAL rotations depending on timing.
+    threads.emplace_back([&db] {
+      while (true) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        db->checkpoint();
+      }
+    });
+  } else {
+    // One connection per writer, then the committer's.
+    for (unsigned c = 0; c <= kThreads; ++c) {
+      conns.push_back(std::make_unique<KvClient>());
+      if (!conns.back()->connect(connect)) return 1;
+    }
+    for (unsigned t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&conns, &start, t] {
+        writer_loop(*conns[t], t, start[t] + 1);
+        g_live_conns.fetch_sub(1, std::memory_order_acq_rel);
+      });
+    }
+    threads.emplace_back([&conns, &dir] {
+      KvClient& c = *conns[kThreads];
+      commit_loop(dir, [&c] { return c.sync(); });
+      g_live_conns.fetch_sub(1, std::memory_order_acq_rel);
+    });
+  }
+  // In process the harness SIGKILLs this process; with --connect it kills
+  // the server, and each writer ends at its first kIOError reply and the
+  // committer at its first failed sync. The 30 s cap keeps a missed kill
+  // from hanging CI.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (connect.empty() ||
+          g_live_conns.load(std::memory_order_acquire) != 0)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   std::_Exit(0);
 }
 
@@ -206,17 +293,10 @@ int run(const std::string& dir) {
 int audit(const std::string& dir) {
   int failures = 0;
   std::uint64_t committed[kThreads] = {};
-  if (std::FILE* f = std::fopen((dir + "/progress").c_str(), "r")) {
-    unsigned t;
-    std::uint64_t w;
-    while (std::fscanf(f, "%u %" SCNu64, &t, &w) == 2) {
-      if (t < kThreads) committed[t] = w;
-    }
-    std::fclose(f);
-  }  // no progress file: the writer died before its first commit — fine
+  read_progress(dir, committed);
 
   dlht::DurableDLHT db(writer_options(), {dir});
-  if (db.open() != dlht::Status::kOk) {
+  if (db.open() != Status::kOk) {
     std::fprintf(stderr, "audit: open(%s) failed\n", dir.c_str());
     return 1;
   }
@@ -273,8 +353,14 @@ int audit(const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--run") == 0) return run(argv[2]);
-  if (argc == 3 && std::strcmp(argv[1], "--audit") == 0) return audit(argv[2]);
-  std::fprintf(stderr, "usage: %s --run DIR | --audit DIR\n", argv[0]);
+  const std::string mode = argc >= 3 ? argv[1] : "";
+  if (argc == 3 && mode == "--audit") return audit(argv[2]);
+  if (mode == "--run" && argc == 3) return run(argv[2], "");
+  if (mode == "--run" && argc == 5 && std::strcmp(argv[3], "--connect") == 0) {
+    return run(argv[2],
+               dlht::server::endpoint_flag_or_die("--connect", argv[4]));
+  }
+  std::fprintf(stderr, "usage: %s --run DIR [--connect SPEC] | --audit DIR\n",
+               argv[0]);
   return 2;
 }

@@ -24,11 +24,12 @@
 #      single 250 ms run, so a single pair of runs is not a stable check.
 #   3. memcached-text shim smoke over TCP (set/get/delete/quit via
 #      /dev/tcp), skipped if this bash lacks /dev/tcp.
-#   4. --durable mode: kv_client --kr-run churns the kill_recover commit
-#      protocol over the wire, the SERVER is SIGKILLed mid-churn, and the
-#      existing offline auditor (kill_recover_writer --audit) must find
-#      zero lost committed keys and zero duplicates — KR_CYCLES times
-#      against the same dir, so cycle N+1 audits the union of all cycles.
+#   4. --durable mode: kill_recover_writer --run DIR --connect SPEC sends
+#      its churn and commit protocol over the wire, the SERVER is
+#      SIGKILLed mid-churn, the writer must exit 0 once its connections
+#      see it die, and kill_recover_writer --audit must find zero lost
+#      committed keys and zero duplicates — KR_CYCLES times against the
+#      same dir, so cycle N+1 audits the union of all cycles.
 set -u
 
 SERVER="${SERVER:?set SERVER to the dlht_server binary}"
@@ -174,16 +175,16 @@ mkdir -p "$waldir"
 for cycle in $(seq 1 "$KR_CYCLES"); do
   start_server "$sock" --threads 2 --batch 16 \
     --durable "$waldir" --checkpoint-ms 100
-  "$CLIENT" --kr-run "$waldir" --connect "$sock" > "$workdir/kr.log" 2>&1 &
-  client_pid=$!
+  "$KRW" --run "$waldir" --connect "$sock" > "$workdir/kr.log" 2>&1 &
+  writer_pid=$!
   sleep 0.8
   kill -9 "$server_pid" 2>/dev/null
   wait "$server_pid" 2>/dev/null
   server_pid=""
   rm -f "$workdir/kv.sock"
-  if ! wait "$client_pid"; then
+  if ! wait "$writer_pid"; then
     cat "$workdir/kr.log"
-    fail "kr client did not survive server death (cycle $cycle)"
+    fail "kill_recover_writer failed or did not survive server death (cycle $cycle)"
   fi
   if ! "$KRW" --audit "$waldir"; then
     fail "durable audit failed (cycle $cycle)"

@@ -10,7 +10,8 @@
 // lengths / op-inconsistent shapes are classified without consuming;
 // random-buffer and single-bit-flip fuzzing on exactly-sized heap
 // allocations (so overreads trip ASan); memcached text-line parsing incl.
-// malformed lines, overflow keys, and the set-data state machine inputs.
+// malformed lines, overflow keys, and the set-data state machine inputs;
+// listen/connect endpoint specs.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -218,6 +219,34 @@ void test_bitflip_fuzz() {
   }
 }
 
+// A spec is a unix path that fits sun_path or an IPv4 host with a whole
+// decimal port in 1..65535; anything else is refused, never bound to
+// another port.
+void test_endpoints() {
+  Endpoint ep;
+  CHECK(parse_endpoint("unix:/tmp/kv.sock", &ep) == nullptr);
+  CHECK(ep.family() == AF_UNIX);
+  CHECK(std::strcmp(ep.unix_path(), "/tmp/kv.sock") == 0);
+  const std::size_t longest = sizeof(sockaddr_un{}.sun_path) - 1;
+  CHECK(parse_endpoint("unix:" + std::string(longest, 'p'), &ep) == nullptr);
+  CHECK(parse_endpoint("unix:" + std::string(longest + 1, 'p'), &ep) !=
+        nullptr);
+  for (const std::uint16_t port : {1, 11311, 65535}) {
+    CHECK(parse_endpoint("127.0.0.1:" + std::to_string(port), &ep) ==
+          nullptr);
+    CHECK(ep.family() == AF_INET);
+    sockaddr_in in{};
+    std::memcpy(&in, &ep.addr, sizeof in);
+    CHECK(ntohs(in.sin_port) == port);
+  }
+  for (const char* bad :
+       {"127.0.0.1:0", "127.0.0.1:65536", "127.0.0.1:70000", "127.0.0.1:abc",
+        "127.0.0.1:", "127.0.0.1:+80", "127.0.0.1:80x", "localhost:80",
+        "11311", ""}) {
+    CHECK(parse_endpoint(bad, &ep) != nullptr);
+  }
+}
+
 void test_text_lines() {
   auto parse = [](const std::string& s) {
     Exact e(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
@@ -276,6 +305,7 @@ int main() {
   test_random_fuzz();
   test_bitflip_fuzz();
   test_text_lines();
+  test_endpoints();
   if (g_failures != 0) {
     std::fprintf(stderr, "protocol_test: %d failure(s)\n", g_failures);
     return 1;
