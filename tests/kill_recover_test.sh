@@ -2,8 +2,9 @@
 # SIGKILL-mid-churn recovery harness. For every fault mode: start the
 # kill_recover_writer churning against a fresh durable dir, SIGKILL it mid
 # write, audit with a clean process — zero lost committed keys, zero
-# duplicates (see kill_recover_writer.cpp for the commit protocol) — then
-# kill and audit the SAME dir a second time. The writer resumes past the
+# duplicates (see kill_recover_writer.cpp for the commit protocol), more
+# committed keys than the cycle before and, but under failsync, a recovered
+# snapshot — then kill and audit the SAME dir a second time. The writer resumes past the
 # committed watermarks, so cycle 2's audit demands the union of both
 # cycles and catches cross-restart loss (e.g. a checkpoint of the second
 # run clobbering a frozen WAL segment the first run left behind).
@@ -17,13 +18,18 @@ KRW="${KRW:?set KRW to the kill_recover_writer binary}"
 REPEAT="${KR_REPEAT:-1}"
 CHURN="${KR_CHURN_SECS:-0.8}"
 
-# Fault triggers land mid-churn: the writer pushes hundreds of appends and
-# dozens of syncs per second, so these fire well inside the kill window.
+# Fault triggers land mid-churn. Every group flush and every 1 ms commit
+# appends and syncs, so on a 4-vCPU host torn:900 and flip:900 fire about
+# 40-90 ms into a Release cycle, after the writer's first checkpoint (see
+# its header), and failsync:40 within 10 ms. The audit checks below fail a
+# cycle whose fault lands before any commit or, for torn and flip, before
+# any snapshot.
 MODES="none torn:900 flip:900 failsync:40"
 
 for rep in $(seq 1 "$REPEAT"); do
   for mode in $MODES; do
     dir="$(mktemp -d /tmp/dlht_kill_recover.XXXXXX)"
+    committed_before=0
     for cycle in 1 2; do
       if [ "$mode" = "none" ]; then
         unset DLHT_FAULT || true
@@ -43,8 +49,25 @@ for rep in $(seq 1 "$REPEAT"); do
         echo "kill_recover FAIL: rep=$rep mode=$mode cycle=$cycle writer exited with status $status before the kill"
         exit 1
       fi
-      if ! "$KRW" --audit "$dir"; then
+      if ! audit="$("$KRW" --audit "$dir")"; then
         echo "kill_recover FAIL: rep=$rep mode=$mode cycle=$cycle dir=$dir (kept for inspection)"
+        exit 1
+      fi
+      echo "$audit"
+      # Each cycle must commit keys of its own: a committer that never got
+      # a sync through would pass every audit vacuously.
+      committed="$(echo "$audit" | sed -n 's/.* committed=\([0-9]*\) .*/\1/p')"
+      if [ "${committed:-0}" -le "$committed_before" ]; then
+        echo "kill_recover FAIL: rep=$rep mode=$mode cycle=$cycle committed nothing (committed=${committed:-?}, before=$committed_before)"
+        exit 1
+      fi
+      committed_before="$committed"
+      # Recovery must start from a snapshot, so the torn or flipped log is
+      # replayed past one. failsync's fault may fail the first checkpoint's
+      # own syncs, so only that mode may recover from the log alone.
+      if [ "${mode%%:*}" != failsync ] &&
+         echo "$audit" | grep -q " snapshot_lsn=0 "; then
+        echo "kill_recover FAIL: rep=$rep mode=$mode cycle=$cycle recovered no snapshot"
         exit 1
       fi
     done

@@ -4,11 +4,12 @@
 //   kill_recover_writer --run DIR [--connect SPEC]
 //       Churn Put/Delete/upsert traffic and record a durable progress file
 //       after every successful sync: alone, through a DurableDLHT in DIR
-//       that it checkpoints every 100 ms, until SIGKILLed
-//       (tests/kill_recover_test.sh); with --connect, through a
-//       `dlht_server --durable DIR` listening on SPEC, until every
-//       connection has seen the server die (tests/kv_loopback_test.sh
-//       SIGKILLs it), then exit 0. A 30 s cap bounds both.
+//       that it checkpoints once its first batch is in and then every
+//       100 ms, until SIGKILLed (tests/kill_recover_test.sh); with
+//       --connect, through a `dlht_server --durable DIR` listening on
+//       SPEC, until every connection has seen the server die
+//       (tests/kv_loopback_test.sh SIGKILLs it), then exit 0. A 30 s cap
+//       bounds both.
 //   kill_recover_writer --audit DIR
 //       Recover DIR and audit zero lost committed keys and zero duplicates
 //       against the progress file.
@@ -27,6 +28,7 @@
 // connection with --connect); on kOk those watermarks are durable by the
 // group-commit contract, and only then are they written to DIR/progress
 // (tmp + fsync + rename, so the auditor never sees a torn progress file).
+// In process, writers hold their next batch while it syncs (g_syncing).
 // Committed keys are never deleted — deletes churn on scratch keys — so
 // "lost committed key" is unambiguous.
 #include <atomic>
@@ -138,14 +140,13 @@ void parse_fault_env_or_die(dlht::FaultSpec* out) {
 }
 
 std::atomic<std::uint64_t> g_applied[kThreads];
-/// With --connect: the writer and committer threads whose connection has
-/// not yet seen the server die.
-std::atomic<unsigned> g_live_conns{kThreads + 1};
-/// Set while the committer syncs. Writers hold their next batch meanwhile:
-/// a WAL shard lock goes back to the writer that just released it, so a
-/// sync that needs four busy writers' shards waited 100-300 ms (measured
-/// in process on a 4-vCPU host), and failsync:40's 40 syncs passed before
-/// the first commit.
+/// Set while the in-process committer syncs. Writers hold their next batch
+/// meanwhile: a WAL shard lock goes back to the writer that just released
+/// it, so a wal_sync() that needs four busy writers' shards can wait out
+/// many of their flushes. Without the hold (4-vCPU host), 4 of 10
+/// failsync:40 cycles passed their 40 syncs before committing a key. With
+/// --connect nothing holds: every networked cycle committed ~200K keys
+/// without it.
 std::atomic<bool> g_syncing{false};
 
 /// Writer t from index `first` on, through `table` (a DurableDLHT or a
@@ -186,35 +187,40 @@ void writer_loop(Table& table, unsigned t, std::uint64_t first) {
 
 /// The committer: snapshot applied[] BEFORE `sync()`, so that a kOk sync
 /// makes durable every op the snapshot covers, and only then persist the
-/// snapshot. Ends at the first failed sync, after which nothing more can
-/// commit.
+/// snapshot; then again every 1 ms. Ends at the first failed sync, after
+/// which nothing more can commit.
 template <class Sync>
 void commit_loop(const std::string& dir, Sync&& sync) {
   while (true) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     std::uint64_t w[kThreads] = {};
     for (unsigned t = 0; t < kThreads; ++t) {
       w[t] = g_applied[t].load(std::memory_order_acquire);
     }
-    g_syncing.store(true, std::memory_order_release);
-    const Status st = sync();
-    g_syncing.store(false, std::memory_order_release);
-    if (st != Status::kOk) return;
+    if (sync() != Status::kOk) return;
     write_progress(dir, w);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Wait until writer 0 has applied its first batch of this run, whose
+/// watermark started at `start0`.
+void await_first_batch(std::uint64_t start0) {
+  while (g_applied[0].load(std::memory_order_acquire) == start0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 }
 
 int run(const std::string& dir, const std::string& connect) {
-  if (!connect.empty() && std::getenv("DLHT_FAULT") != nullptr) {
+  dlht::FaultSpec faults;
+  parse_fault_env_or_die(&faults);
+  const bool injecting = faults.torn_write_at != 0 ||
+                         faults.flip_write_at != 0 || faults.fail_sync_at != 0;
+  if (injecting && !connect.empty()) {
     std::fprintf(stderr,
                  "kill_recover_writer: DLHT_FAULT needs the in-process "
                  "--run: with --connect the server writes DIR\n");
     return 2;
   }
-  dlht::FaultSpec faults;
-  parse_fault_env_or_die(&faults);
-  const bool injecting = faults.torn_write_at != 0 ||
-                         faults.flip_write_at != 0 || faults.fail_sync_at != 0;
 
   // Resume from a previous kill cycle against the same dir: start each
   // thread past its committed watermark (and never publish a lower one),
@@ -227,8 +233,15 @@ int run(const std::string& dir, const std::string& connect) {
     g_applied[t].store(start[t], std::memory_order_release);
   }
 
-  // Every thread runs until the process ends, by SIGKILL or in the _Exit
-  // below, so the table, the connections and `threads` outlive them all.
+  // In process the harness SIGKILLs this process; with --connect it kills
+  // the server, and each writer ends at its first kIOError reply and the
+  // committer at its first failed sync. This cap keeps a missed kill from
+  // hanging CI.
+  std::thread([] {
+    std::this_thread::sleep_for(std::chrono::seconds(30));
+    std::_Exit(0);
+  }).detach();
+
   std::vector<std::thread> threads;
   std::unique_ptr<dlht::DurableDLHT> db;
   std::vector<std::unique_ptr<KvClient>> conns;
@@ -246,14 +259,27 @@ int run(const std::string& dir, const std::string& connect) {
         writer_loop(*db, t, start[t] + 1);
       });
     }
-    threads.emplace_back(
-        [&db, &dir] { commit_loop(dir, [&db] { return db->wal_sync(); }); });
-    // Background checkpoints: SIGKILL lands before/during/after snapshot
-    // writes and WAL rotations depending on timing.
-    threads.emplace_back([&db] {
+    // The committer and the checkpointer both act as soon as writer 0 has
+    // applied a batch: the first commit then lands well inside
+    // failsync:40's 40 syncs, and a torn:N or flip:N fault damages the
+    // log past a snapshot (kill_recover_test.sh checks both).
+    threads.emplace_back([&db, &dir, &start] {
+      await_first_batch(start[0]);
+      commit_loop(dir, [&db] {
+        g_syncing.store(true, std::memory_order_release);
+        const Status st = db->wal_sync();
+        g_syncing.store(false, std::memory_order_release);
+        return st;
+      });
+    });
+    // Checkpoints every 100 ms: SIGKILL lands before/during/after snapshot
+    // writes and WAL rotations depending on timing. The loop never ends;
+    // the join below waits for the kill.
+    threads.emplace_back([&db, &start] {
+      await_first_batch(start[0]);
       while (true) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
         db->checkpoint();
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
       }
     });
   } else {
@@ -265,26 +291,14 @@ int run(const std::string& dir, const std::string& connect) {
     for (unsigned t = 0; t < kThreads; ++t) {
       threads.emplace_back([&conns, &start, t] {
         writer_loop(*conns[t], t, start[t] + 1);
-        g_live_conns.fetch_sub(1, std::memory_order_acq_rel);
       });
     }
     threads.emplace_back([&conns, &dir] {
       KvClient& c = *conns[kThreads];
       commit_loop(dir, [&c] { return c.sync(); });
-      g_live_conns.fetch_sub(1, std::memory_order_acq_rel);
     });
   }
-  // In process the harness SIGKILLs this process; with --connect it kills
-  // the server, and each writer ends at its first kIOError reply and the
-  // committer at its first failed sync. The 30 s cap keeps a missed kill
-  // from hanging CI.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (std::chrono::steady_clock::now() < deadline &&
-         (connect.empty() ||
-          g_live_conns.load(std::memory_order_acquire) != 0)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  for (std::thread& th : threads) th.join();
   std::_Exit(0);
 }
 

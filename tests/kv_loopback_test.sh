@@ -28,8 +28,9 @@
 #      its churn and commit protocol over the wire, the SERVER is
 #      SIGKILLed mid-churn, the writer must exit 0 once its connections
 #      see it die, and kill_recover_writer --audit must find zero lost
-#      committed keys and zero duplicates — KR_CYCLES times against the
-#      same dir, so cycle N+1 audits the union of all cycles.
+#      committed keys and zero duplicates, and more committed keys than
+#      the cycle before — KR_CYCLES times against the same dir, so cycle
+#      N+1 audits the union of all cycles.
 set -u
 
 SERVER="${SERVER:?set SERVER to the dlht_server binary}"
@@ -172,6 +173,7 @@ stop_server
 # ---- 4. durable mode: kill-and-recover over the network ----------------
 waldir="$workdir/wal"
 mkdir -p "$waldir"
+committed_before=0
 for cycle in $(seq 1 "$KR_CYCLES"); do
   start_server "$sock" --threads 2 --batch 16 \
     --durable "$waldir" --checkpoint-ms 100
@@ -186,9 +188,16 @@ for cycle in $(seq 1 "$KR_CYCLES"); do
     cat "$workdir/kr.log"
     fail "kill_recover_writer failed or did not survive server death (cycle $cycle)"
   fi
-  if ! "$KRW" --audit "$waldir"; then
+  if ! audit="$("$KRW" --audit "$waldir")"; then
     fail "durable audit failed (cycle $cycle)"
   fi
+  echo "$audit"
+  # A cycle whose Sync never succeeded would pass the audit vacuously.
+  committed="$(echo "$audit" | sed -n 's/.* committed=\([0-9]*\) .*/\1/p')"
+  if [ "${committed:-0}" -le "$committed_before" ]; then
+    fail "durable cycle $cycle committed nothing (committed=${committed:-?}, before=$committed_before)"
+  fi
+  committed_before="$committed"
 done
 
 echo "kv_loopback OK: keys=$KEYS threads=$THREADS ratio_skipped=$SKIP_RATIO kr_cycles=$KR_CYCLES"
