@@ -3,8 +3,8 @@
 # kill_recover_writer churning against a fresh durable dir, SIGKILL it mid
 # write, audit with a clean process — zero lost committed keys, zero
 # duplicates (see kill_recover_writer.cpp for the commit protocol), more
-# committed keys than the cycle before and, but under failsync, a recovered
-# snapshot — then kill and audit the SAME dir a second time. The writer resumes past the
+# committed keys than the cycle before and a recovered snapshot — then kill
+# and audit the SAME dir a second time. The writer resumes past the
 # committed watermarks, so cycle 2's audit demands the union of both
 # cycles and catches cross-restart loss (e.g. a checkpoint of the second
 # run clobbering a frozen WAL segment the first run left behind).
@@ -18,12 +18,10 @@ KRW="${KRW:?set KRW to the kill_recover_writer binary}"
 REPEAT="${KR_REPEAT:-1}"
 CHURN="${KR_CHURN_SECS:-0.8}"
 
-# Fault triggers land mid-churn. Every group flush and every 1 ms commit
-# appends and syncs, so on a 4-vCPU host torn:900 and flip:900 fire about
-# 40-90 ms into a Release cycle, after the writer's first checkpoint (see
-# its header), and failsync:40 within 10 ms. The audit checks below fail a
-# cycle whose fault lands before any commit or, for torn and flip, before
-# any snapshot.
+# Fault triggers land mid-churn, past the writer's start (a batch per
+# writer, a commit and a checkpoint: 7 syncs, and 6 appends plus one per
+# 60 KiB of snapshot). The checks below fail a cycle whose fault lands
+# before its first commit or checkpoint.
 MODES="none torn:900 flip:900 failsync:40"
 
 for rep in $(seq 1 "$REPEAT"); do
@@ -62,11 +60,9 @@ for rep in $(seq 1 "$REPEAT"); do
         exit 1
       fi
       committed_before="$committed"
-      # Recovery must start from a snapshot, so the torn or flipped log is
-      # replayed past one. failsync's fault may fail the first checkpoint's
-      # own syncs, so only that mode may recover from the log alone.
-      if [ "${mode%%:*}" != failsync ] &&
-         echo "$audit" | grep -q " snapshot_lsn=0 "; then
+      # Recovery must start from a snapshot, so the damaged log is replayed
+      # past one.
+      if echo "$audit" | grep -q " snapshot_lsn=0 "; then
         echo "kill_recover FAIL: rep=$rep mode=$mode cycle=$cycle recovered no snapshot"
         exit 1
       fi

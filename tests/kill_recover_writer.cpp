@@ -4,12 +4,11 @@
 //   kill_recover_writer --run DIR [--connect SPEC]
 //       Churn Put/Delete/upsert traffic and record a durable progress file
 //       after every successful sync: alone, through a DurableDLHT in DIR
-//       that it checkpoints once its first batch is in and then every
-//       100 ms, until SIGKILLed (tests/kill_recover_test.sh); with
-//       --connect, through a `dlht_server --durable DIR` listening on
-//       SPEC, until every connection has seen the server die
-//       (tests/kv_loopback_test.sh SIGKILLs it), then exit 0. A 30 s cap
-//       bounds both.
+//       that it checkpoints after its first commit and then every 100 ms,
+//       until SIGKILLed (tests/kill_recover_test.sh); with --connect,
+//       through a `dlht_server --durable DIR` listening on SPEC, until
+//       every connection has seen the server die (tests/kv_loopback_test.sh
+//       SIGKILLs it), then exit 0. A 30 s cap bounds both.
 //   kill_recover_writer --audit DIR
 //       Recover DIR and audit zero lost committed keys and zero duplicates
 //       against the progress file.
@@ -23,12 +22,11 @@
 // Commit protocol: 4 writer threads send their ops through execute_batch,
 // kRun keys' ops per batch, and thread t publishes applied[t] = i once a
 // batch covering indices <= i has returned with no kIOError reply (so every
-// record sits in a shard buffer or on disk). One committer thread snapshots
+// record sits in a shard buffer or on disk). The committer snapshots
 // applied[] BEFORE it syncs (wal_sync() in process, a Sync frame on its own
 // connection with --connect); on kOk those watermarks are durable by the
 // group-commit contract, and only then are they written to DIR/progress
 // (tmp + fsync + rename, so the auditor never sees a torn progress file).
-// In process, writers hold their next batch while it syncs (g_syncing).
 // Committed keys are never deleted — deletes churn on scratch keys — so
 // "lost committed key" is unambiguous.
 #include <atomic>
@@ -140,26 +138,17 @@ void parse_fault_env_or_die(dlht::FaultSpec* out) {
 }
 
 std::atomic<std::uint64_t> g_applied[kThreads];
-/// Set while the in-process committer syncs. Writers hold their next batch
-/// meanwhile: a WAL shard lock goes back to the writer that just released
-/// it, so a wal_sync() that needs four busy writers' shards can wait out
-/// many of their flushes. Without the hold (4-vCPU host), 4 of 10
-/// failsync:40 cycles passed their 40 syncs before committing a key. With
-/// --connect nothing holds: every networked cycle committed ~200K keys
-/// without it.
-std::atomic<bool> g_syncing{false};
 
-/// Writer t from index `first` on, through `table` (a DurableDLHT or a
-/// KvClient). It ends at the first batch with a kIOError reply: the server
-/// died, or the tier degraded and no later sync can succeed.
+/// Writer t's batches from index `first` up to `end`, through `table` (a
+/// DurableDLHT or a KvClient). It stops at the first batch with a kIOError
+/// reply: the server died, or the tier degraded and no later sync can
+/// succeed.
 template <class Table>
-void writer_loop(Table& table, unsigned t, std::uint64_t first) {
+void writer_loop(Table& table, unsigned t, std::uint64_t first,
+                 std::uint64_t end = 1ull << 40) {
   std::vector<dlht::DLHT::Request> reqs;
   std::vector<dlht::DLHT::Reply> reps;
-  for (std::uint64_t i = first; i < (1ull << 40); i += kRun) {
-    while (g_syncing.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
+  for (std::uint64_t i = first; i < end; i += kRun) {
     reqs.clear();
     for (std::uint64_t j = i; j < i + kRun; ++j) {
       const std::uint64_t k = key_of(t, j);
@@ -185,29 +174,27 @@ void writer_loop(Table& table, unsigned t, std::uint64_t first) {
   }
 }
 
-/// The committer: snapshot applied[] BEFORE `sync()`, so that a kOk sync
+/// One commit: snapshot applied[] BEFORE `sync()`, so that a kOk sync
 /// makes durable every op the snapshot covers, and only then persist the
-/// snapshot; then again every 1 ms. Ends at the first failed sync, after
-/// which nothing more can commit.
+/// snapshot. False when the sync fails, after which nothing more can
+/// commit.
 template <class Sync>
-void commit_loop(const std::string& dir, Sync&& sync) {
-  while (true) {
-    std::uint64_t w[kThreads] = {};
-    for (unsigned t = 0; t < kThreads; ++t) {
-      w[t] = g_applied[t].load(std::memory_order_acquire);
-    }
-    if (sync() != Status::kOk) return;
-    write_progress(dir, w);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+bool commit(const std::string& dir, const Sync& sync) {
+  std::uint64_t w[kThreads] = {};
+  for (unsigned t = 0; t < kThreads; ++t) {
+    w[t] = g_applied[t].load(std::memory_order_acquire);
   }
+  if (sync() != Status::kOk) return false;
+  write_progress(dir, w);
+  return true;
 }
 
-/// Wait until writer 0 has applied its first batch of this run, whose
-/// watermark started at `start0`.
-void await_first_batch(std::uint64_t start0) {
-  while (g_applied[0].load(std::memory_order_acquire) == start0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+/// The committer thread: a commit every 1 ms until a sync fails.
+template <class Sync>
+void commit_loop(const std::string& dir, const Sync& sync) {
+  do {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  } while (commit(dir, sync));
 }
 
 int run(const std::string& dir, const std::string& connect) {
@@ -233,15 +220,20 @@ int run(const std::string& dir, const std::string& connect) {
     g_applied[t].store(start[t], std::memory_order_release);
   }
 
-  // In process the harness SIGKILLs this process; with --connect it kills
-  // the server, and each writer ends at its first kIOError reply and the
-  // committer at its first failed sync. This cap keeps a missed kill from
-  // hanging CI.
+  // The harness SIGKILLs this process or, with --connect, the server, and
+  // then every thread ends at its first failed reply or sync. This cap
+  // keeps a missed kill from hanging CI.
   std::thread([] {
     std::this_thread::sleep_for(std::chrono::seconds(30));
     std::_Exit(0);
   }).detach();
 
+  // Each mode starts on this thread: writer t's first batch for every t,
+  // one commit and, in process, a checkpoint. Only then does writer t go on
+  // from its second batch on a thread of its own, beside the committer.
+  // The start takes 7 syncs, and 6 appends plus one per 60 KiB of
+  // snapshot, so kill_recover_test.sh's DLHT_FAULT indices land past a
+  // commit and a snapshot however fast DIR's filesystem syncs.
   std::vector<std::thread> threads;
   std::unique_ptr<dlht::DurableDLHT> db;
   std::vector<std::unique_ptr<KvClient>> conns;
@@ -254,32 +246,25 @@ int run(const std::string& dir, const std::string& connect) {
       std::fprintf(stderr, "run: open(%s) failed\n", dir.c_str());
       return 1;
     }
+    const auto sync = [&db] { return db->wal_sync(); };
+    for (unsigned t = 0; t < kThreads; ++t) {
+      writer_loop(*db, t, start[t] + 1, start[t] + 1 + kRun);
+    }
+    commit(dir, sync);
+    db->checkpoint();
     for (unsigned t = 0; t < kThreads; ++t) {
       threads.emplace_back([&db, &start, t] {
-        writer_loop(*db, t, start[t] + 1);
+        writer_loop(*db, t, start[t] + 1 + kRun);
       });
     }
-    // The committer and the checkpointer both act as soon as writer 0 has
-    // applied a batch: the first commit then lands well inside
-    // failsync:40's 40 syncs, and a torn:N or flip:N fault damages the
-    // log past a snapshot (kill_recover_test.sh checks both).
-    threads.emplace_back([&db, &dir, &start] {
-      await_first_batch(start[0]);
-      commit_loop(dir, [&db] {
-        g_syncing.store(true, std::memory_order_release);
-        const Status st = db->wal_sync();
-        g_syncing.store(false, std::memory_order_release);
-        return st;
-      });
-    });
-    // Checkpoints every 100 ms: SIGKILL lands before/during/after snapshot
+    threads.emplace_back([&dir, sync] { commit_loop(dir, sync); });
+    // A checkpoint every 100 ms: SIGKILL lands before/during/after snapshot
     // writes and WAL rotations depending on timing. The loop never ends;
     // the join below waits for the kill.
-    threads.emplace_back([&db, &start] {
-      await_first_batch(start[0]);
+    threads.emplace_back([&db] {
       while (true) {
-        db->checkpoint();
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        db->checkpoint();
       }
     });
   } else {
@@ -288,15 +273,17 @@ int run(const std::string& dir, const std::string& connect) {
       conns.push_back(std::make_unique<KvClient>());
       if (!conns.back()->connect(connect)) return 1;
     }
+    const auto sync = [c = conns[kThreads].get()] { return c->sync(); };
+    for (unsigned t = 0; t < kThreads; ++t) {
+      writer_loop(*conns[t], t, start[t] + 1, start[t] + 1 + kRun);
+    }
+    commit(dir, sync);
     for (unsigned t = 0; t < kThreads; ++t) {
       threads.emplace_back([&conns, &start, t] {
-        writer_loop(*conns[t], t, start[t] + 1);
+        writer_loop(*conns[t], t, start[t] + 1 + kRun);
       });
     }
-    threads.emplace_back([&conns, &dir] {
-      KvClient& c = *conns[kThreads];
-      commit_loop(dir, [&c] { return c.sync(); });
-    });
+    threads.emplace_back([&dir, sync] { commit_loop(dir, sync); });
   }
   for (std::thread& th : threads) th.join();
   std::_Exit(0);
