@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -56,6 +57,11 @@ namespace {
 using dlht::OpType;
 using dlht::Status;
 using dlht::server::KvClient;
+/// Where a writer's batches go and how the committer syncs: a DurableDLHT
+/// in process, KvClient connections with --connect.
+using Send = std::function<void(const dlht::DLHT::Request*,
+                                dlht::DLHT::Reply*, std::size_t)>;
+using Sync = std::function<Status()>;
 
 constexpr unsigned kThreads = 4;
 constexpr std::uint64_t kRun = 8;  // committed keys per batch
@@ -139,12 +145,10 @@ void parse_fault_env_or_die(dlht::FaultSpec* out) {
 
 std::atomic<std::uint64_t> g_applied[kThreads];
 
-/// Writer t's batches from index `first` up to `end`, through `table` (a
-/// DurableDLHT or a KvClient). It stops at the first batch with a kIOError
-/// reply: the server died, or the tier degraded and no later sync can
-/// succeed.
-template <class Table>
-void writer_loop(Table& table, unsigned t, std::uint64_t first,
+/// Writer t's batches from index `first` up to `end`. It stops at the
+/// first batch with a kIOError reply: the server died, or the tier degraded
+/// and no later sync can succeed.
+void writer_loop(const Send& send, unsigned t, std::uint64_t first,
                  std::uint64_t end = 1ull << 40) {
   std::vector<dlht::DLHT::Request> reqs;
   std::vector<dlht::DLHT::Reply> reps;
@@ -166,7 +170,7 @@ void writer_loop(Table& table, unsigned t, std::uint64_t first,
       }
     }
     reps.resize(reqs.size());
-    table.execute_batch(reqs.data(), reps.data(), reqs.size());
+    send(reqs.data(), reps.data(), reqs.size());
     for (const auto& r : reps) {
       if (r.status == Status::kIOError) return;
     }
@@ -178,7 +182,6 @@ void writer_loop(Table& table, unsigned t, std::uint64_t first,
 /// makes durable every op the snapshot covers, and only then persist the
 /// snapshot. False when the sync fails, after which nothing more can
 /// commit.
-template <class Sync>
 bool commit(const std::string& dir, const Sync& sync) {
   std::uint64_t w[kThreads] = {};
   for (unsigned t = 0; t < kThreads; ++t) {
@@ -190,7 +193,6 @@ bool commit(const std::string& dir, const Sync& sync) {
 }
 
 /// The committer thread: a commit every 1 ms until a sync fails.
-template <class Sync>
 void commit_loop(const std::string& dir, const Sync& sync) {
   do {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -228,13 +230,8 @@ int run(const std::string& dir, const std::string& connect) {
     std::_Exit(0);
   }).detach();
 
-  // Each mode starts on this thread: writer t's first batch for every t,
-  // one commit and, in process, a checkpoint. Only then does writer t go on
-  // from its second batch on a thread of its own, beside the committer.
-  // The start takes 7 syncs, and 6 appends plus one per 60 KiB of
-  // snapshot, so kill_recover_test.sh's DLHT_FAULT indices land past a
-  // commit and a snapshot however fast DIR's filesystem syncs.
-  std::vector<std::thread> threads;
+  Send send[kThreads];
+  Sync sync;
   std::unique_ptr<dlht::DurableDLHT> db;
   std::vector<std::unique_ptr<KvClient>> conns;
   if (connect.empty()) {
@@ -246,18 +243,33 @@ int run(const std::string& dir, const std::string& connect) {
       std::fprintf(stderr, "run: open(%s) failed\n", dir.c_str());
       return 1;
     }
-    const auto sync = [&db] { return db->wal_sync(); };
-    for (unsigned t = 0; t < kThreads; ++t) {
-      writer_loop(*db, t, start[t] + 1, start[t] + 1 + kRun);
+    for (Send& s : send) s = [&db](auto... a) { db->execute_batch(a...); };
+    sync = [&db] { return db->wal_sync(); };
+  } else {
+    // One connection per writer, then the committer's.
+    for (unsigned c = 0; c <= kThreads; ++c) {
+      conns.push_back(std::make_unique<KvClient>());
+      if (!conns.back()->connect(connect)) return 1;
     }
-    commit(dir, sync);
+    for (unsigned t = 0; t < kThreads; ++t) {
+      send[t] = [c = conns[t].get()](auto... a) { c->execute_batch(a...); };
+    }
+    sync = [c = conns[kThreads].get()] { return c->sync(); };
+  }
+
+  // The run starts on this thread: writer t's first batch for every t, one
+  // commit and, in process, a checkpoint. Only then does writer t go on
+  // from its second batch on a thread of its own, beside the committer.
+  // The start takes 7 syncs, and 6 appends plus one per 60 KiB of
+  // snapshot, so kill_recover_test.sh's DLHT_FAULT indices land past a
+  // commit and a snapshot however fast DIR's filesystem syncs.
+  for (unsigned t = 0; t < kThreads; ++t) {
+    writer_loop(send[t], t, start[t] + 1, start[t] + 1 + kRun);
+  }
+  commit(dir, sync);
+  std::vector<std::thread> threads;
+  if (db != nullptr) {
     db->checkpoint();
-    for (unsigned t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&db, &start, t] {
-        writer_loop(*db, t, start[t] + 1 + kRun);
-      });
-    }
-    threads.emplace_back([&dir, sync] { commit_loop(dir, sync); });
     // A checkpoint every 100 ms: SIGKILL lands before/during/after snapshot
     // writes and WAL rotations depending on timing. The loop never ends;
     // the join below waits for the kill.
@@ -267,24 +279,13 @@ int run(const std::string& dir, const std::string& connect) {
         db->checkpoint();
       }
     });
-  } else {
-    // One connection per writer, then the committer's.
-    for (unsigned c = 0; c <= kThreads; ++c) {
-      conns.push_back(std::make_unique<KvClient>());
-      if (!conns.back()->connect(connect)) return 1;
-    }
-    const auto sync = [c = conns[kThreads].get()] { return c->sync(); };
-    for (unsigned t = 0; t < kThreads; ++t) {
-      writer_loop(*conns[t], t, start[t] + 1, start[t] + 1 + kRun);
-    }
-    commit(dir, sync);
-    for (unsigned t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&conns, &start, t] {
-        writer_loop(*conns[t], t, start[t] + 1 + kRun);
-      });
-    }
-    threads.emplace_back([&dir, sync] { commit_loop(dir, sync); });
   }
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&send, &start, t] {
+      writer_loop(send[t], t, start[t] + 1 + kRun);
+    });
+  }
+  threads.emplace_back([&dir, &sync] { commit_loop(dir, sync); });
   for (std::thread& th : threads) th.join();
   std::_Exit(0);
 }
